@@ -21,7 +21,7 @@ import numpy as np
 from evqc import adversary as adversary_mod
 from evqc import engine, funcspace, measstruct, states, timedomain
 from evqc.funcspace import BoolFunc, FunctionClass
-from evqc.spinops import Operator, dump_operator, single_spin, spectral_range, total_spin, w_projector
+from evqc.spinops import Operator, dump_operator, single_spin, total_spin, w_projector
 
 
 class _UsageError(Exception):
@@ -50,7 +50,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _emit(record: dict, out: str | None) -> None:
-    line = json.dumps(record)
+    line = json.dumps(record, allow_nan=False)
     if out:
         _write_atomic(Path(out), line + "\n")
     else:
@@ -66,9 +66,9 @@ def _load_function(args, expect_bits: int | None = None) -> BoolFunc:
     else:
         if args.func_class is None:
             raise _UsageError("need either --fn or --class")
-        if args.n is None:
+        n = args.n if args.n is not None else expect_bits
+        if n is None:
             raise _UsageError("--class needs --n")
-        n = args.n
         if args.func_class == "constant":
             f = funcspace.constant_zero(n)
         elif args.func_class == "balanced":
@@ -104,30 +104,34 @@ def _measurement(kind: str, n: int) -> Operator:
     raise _UsageError(f"unknown measurement {kind!r}; use fx, fy, or ixj:<i>")
 
 
+def _protocol_measurement(protocol: str, n: int) -> Operator:
+    """The dense measurement a protocol reads; built only for --dump-op."""
+    if protocol == "pseudopure":
+        return w_projector(n)
+    if protocol == "cn-thermal":
+        return total_spin(n, "x")
+    return single_spin(n, 1, "x")
+
+
 def cmd_classify(args) -> int:
     eps = engine.Resolution(args.eps)
+    f = _load_function(args)
     if args.protocol == "pseudopure":
-        f = _load_function(args)
         verdict = engine.dj_decide_pseudopure(f, args.alpha, eps)
         n = f.n
-        m = w_projector(n)
         config_sys = None
     elif args.protocol == "cn-thermal":
-        f = _load_function(args)
         sys_obj = _resolve_system(args, f.n)
         verdict = engine.cn_decide_thermal(f, sys_obj, eps)
         n = f.n
-        m = total_spin(n, "x")
         config_sys = states.system_to_dict(sys_obj)
     else:  # lifted
-        f = _load_function(args)
         sys_obj = _resolve_system(args, f.n + 1)
         verdict = engine.dj_decide_lifted(f, sys_obj, eps)
         n = sys_obj.n
-        m = single_spin(n, 1, "x")
         config_sys = states.system_to_dict(sys_obj)
     if args.dump_op:
-        dump_operator(m, args.dump_op)
+        dump_operator(_protocol_measurement(args.protocol, n), args.dump_op)
     record = {
         "command": "classify",
         "config": {
@@ -139,7 +143,7 @@ def cmd_classify(args) -> int:
             "epsilon": args.eps,
             "seed": args.seed,
         },
-        "result": engine.verdict_record(verdict, n, spectral_range(m)),
+        "result": engine.verdict_record(verdict, n),
     }
     _emit(record, args.out)
     return 2 if verdict.decided is engine.Decision.INCONCLUSIVE else 0
@@ -187,7 +191,7 @@ def cmd_survey(args) -> int:
         "config": {"mode": args.mode, "n": n, "out": args.out},
         "result": summary,
     }
-    print(json.dumps(record))
+    print(json.dumps(record, allow_nan=False))
     return 0
 
 
@@ -275,7 +279,7 @@ def cmd_signal(args) -> int:
             "peaks": [[omega, mag] for omega, mag in peaks],
         },
     }
-    print(json.dumps(record))
+    print(json.dumps(record, allow_nan=False))
     return 0
 
 

@@ -1,10 +1,16 @@
 """Expectation-value readout and the oracle decision protocols.
 
-Two independent evaluation routes are kept deliberately separate: the
-direct route conjugates the state by the oracle and contracts with the
-measurement, while the functional route sums a sign-weighted quadratic
-form over a precomputed coefficient matrix.  Tests pit one against the
-other; do not collapse them.
+The three protocols run on the structured route, which builds no matrix:
+the pulsed thermal state and the transverse measurements are sums of
+bit-flip terms, and the pseudopure state and the projector measurement
+are identity plus a rank-one projector, so each readout is an O(N * n)
+sum over the sign vector and each spectral range is known in closed form.
+
+Two dense evaluation routes are kept deliberately separate as its
+oracles: the direct route conjugates the state by the oracle and
+contracts with the measurement, while the functional route sums a
+sign-weighted quadratic form over a precomputed coefficient matrix.
+Tests pit all three against each other; do not collapse them.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from evqc.funcspace import (
     constant_zero,
     lift,
 )
-from evqc.spinops import Operator, single_spin, spectral_range, total_spin, w_projector
-from evqc.states import DensityMatrix, SpinSystem, pseudopure, pulsed_thermal
+from evqc.spinops import Operator, _check_register, spectral_range
+from evqc.states import DensityMatrix, SpinSystem
 
 # Residual imaginary part tolerated before declaring an input non-hermitian.
 IMAG_TOL = 1e-10
@@ -44,8 +50,8 @@ class Resolution:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,7 @@ class Verdict:
     expectation: float
     gap_reference: float
     resolution_used: Resolution
+    lam: float  # spectral range of the measurement; the margin is epsilon * lam
 
 
 def _as_real(value: complex, what: str) -> float:
@@ -125,6 +132,58 @@ def _cross_check_forms(bmat: np.ndarray, s: np.ndarray, value: complex) -> None:
         )
 
 
+def transverse_readout(sys: SpinSystem, f: BoolFunc, spins) -> float:
+    """Readout of the x order of the given spins (1-based) on the pulsed
+    thermal state after the phase oracle of f, without building a matrix.
+
+    Equals -(theta / 4N) * sum_i omega_i c_i with the bit-flip correlation
+    c_i = sum_j s_j s_(j XOR 2**(n-i)) and s = (-1)**f.  Every c_i is an
+    exact integer and the sum over spins is exactly rounded, so readouts
+    that cancel in real arithmetic come out as exact zeros.
+    """
+    if f.n != sys.n:
+        raise ValueError(f"function on {f.n} bits does not match {sys.n} spins")
+    spins = tuple(spins)
+    if not spins or any(not 1 <= i <= sys.n for i in spins):
+        raise ValueError(f"spins {spins} must be a nonempty selection from 1..{sys.n}")
+    bits = f.bits()
+    total = math.fsum(float(sys.omega[i - 1]) * _flip_correlation(bits, sys.n, i) for i in spins)
+    # Adding 0.0 turns the -0.0 of an exact cancellation into 0.0.
+    return -sys.theta * total / (4.0 * sys.size) + 0.0
+
+
+def _flip_correlation(bits: np.ndarray, n: int, i: int) -> int:
+    """c_i = sum_j s_j s_(j XOR 2**(n-i)) for s = (-1)**bits."""
+    # Axis 1 splits each block on bit n-i, pairing j with j XOR 2**(n-i);
+    # every unordered pair enters c_i twice, +1 when equal and -1 when not.
+    halves = bits.reshape(-1, 2, 1 << (n - i))
+    flips = int(np.count_nonzero(halves[:, 0] != halves[:, 1]))
+    c = bits.size - 4 * flips
+    if __debug__:
+        s = 1.0 - 2.0 * bits
+        gathered = float(s @ s[np.arange(bits.size) ^ (1 << (n - i))])
+        if gathered != c:
+            raise AssertionError(
+                f"bit-flip correlation of spin {i} disagrees: {c} by halves, {gathered} by gather"
+            )
+    return c
+
+
+def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
+    """Readout of the uniform-superposition projector W on the pseudopure
+    state after the phase oracle of f, without building a matrix.
+
+    pseudopure(n, alpha) is (1 - alpha/N) I/N + (alpha/N) W, so the readout
+    is (1 - alpha/N)/N + (alpha/N) * (sum_j s_j / N)**2.  The mean sign is
+    exact, because sum_j s_j = N - 2 * (number of ones).
+    """
+    if f.n != n:
+        raise ValueError(f"function on {f.n} bits does not match {n} spins")
+    size = 1 << n
+    mean = (size - 2 * f.ones) / size
+    return (1.0 - alpha / size) / size + (alpha / size) * mean * mean
+
+
 def is_balanced_wrt(f: BoolFunc, b: Operator, tol: float | None = None) -> bool:
     """Whether the sign-weighted sum vanishes for this coefficient matrix.
 
@@ -177,6 +236,8 @@ def _decide(
     margin the machine cannot tell them apart and the verdict is
     Inconclusive.
     """
+    if not all(math.isfinite(v) for v in (e, other_ref, *const_refs)):
+        raise ValueError(f"readout {e!r} or a reference is not finite; no verdict is possible")
     margin = eps.epsilon * lam
     d_const = min(abs(e - r) for r in const_refs)
     d_other = abs(e - other_ref)
@@ -191,6 +252,7 @@ def _decide(
         expectation=e,
         gap_reference=const_refs[0],
         resolution_used=eps,
+        lam=lam,
     )
 
 
@@ -198,19 +260,18 @@ def dj_decide_pseudopure(f: BoolFunc, alpha: float, eps: Resolution) -> Verdict:
     """Constant-vs-balanced decision on a pseudopure register.
 
     Measures the uniform-superposition projector after the oracle.  Both
-    references are produced by running the same engine on representative
+    references are produced by running the same readout on representative
     class members, never from closed forms.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha={alpha:g} outside (0, 1]")
     n = f.n
-    m = w_projector(n)
-    rho = pseudopure(n, alpha)
-    ref_const = expectation(m, rho, constant_zero(n))
-    ref_balanced = expectation(m, rho, canonical_balanced(n))
-    e = expectation(m, rho, f)
-    lam = spectral_range(m)
-    return _decide(e, [ref_const], ref_balanced, Decision.NOT_BALANCED, lam, eps)
+    _check_register(n)
+    ref_const = projector_readout(n, alpha, constant_zero(n))
+    ref_balanced = projector_readout(n, alpha, canonical_balanced(n))
+    e = projector_readout(n, alpha, f)
+    # A projector has eigenvalues 0 and 1.
+    return _decide(e, [ref_const], ref_balanced, Decision.NOT_BALANCED, 1.0, eps)
 
 
 def cn_decide_thermal(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
@@ -221,18 +282,17 @@ def cn_decide_thermal(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
     C_N is that the naturally prepared state already separates it from
     the constants.
     """
+    _check_register(f.n)
     if f.n != sys.n:
         raise ValueError(f"function on {f.n} bits does not match {sys.n} spins")
     if sys.n < 2:
         raise ValueError("the C_N protocol needs n >= 2")
-    m = total_spin(sys.n, "x")
-    rho = pulsed_thermal(sys)
-    b = b_matrix(rho, m)
-    ref_const = _as_real(s_functional(b, constant_zero(sys.n)), "reference")
-    ref_cn = _as_real(s_functional(b, canonical_cn(sys.n)), "reference")
-    e = _as_real(s_functional(b, f), "expectation")
-    lam = spectral_range(m)
-    return _decide(e, [ref_const], ref_cn, Decision.NOT_IN_CLASS, lam, eps)
+    spins = range(1, sys.n + 1)
+    ref_const = transverse_readout(sys, constant_zero(sys.n), spins)
+    ref_cn = transverse_readout(sys, canonical_cn(sys.n), spins)
+    e = transverse_readout(sys, f, spins)
+    # Total x spin of n spin-1/2 nuclei has eigenvalues -n/2 .. n/2.
+    return _decide(e, [ref_const], ref_cn, Decision.NOT_IN_CLASS, float(sys.n), eps)
 
 
 def dj_decide_lifted(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
@@ -245,24 +305,24 @@ def dj_decide_lifted(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
     """
     if sys.n != f.n + 1:
         raise ValueError(f"lifted protocol needs {f.n + 1} spins for a {f.n}-bit function")
-    m = single_spin(sys.n, 1, "x")
-    rho = pulsed_thermal(sys)
-    b = b_matrix(rho, m)
-    ref_zero = _as_real(s_functional(b, lift(constant_zero(f.n))), "reference")
-    ref_one = _as_real(s_functional(b, lift(constant_one(f.n))), "reference")
-    ref_balanced = _as_real(s_functional(b, lift(canonical_balanced(f.n))), "reference")
-    e = _as_real(s_functional(b, lift(f)), "expectation")
-    lam = spectral_range(m)
-    return _decide(e, [ref_zero, ref_one], ref_balanced, Decision.NOT_BALANCED, lam, eps)
+    _check_register(sys.n)
+    spin = (1,)
+    ref_zero = transverse_readout(sys, lift(constant_zero(f.n)), spin)
+    ref_one = transverse_readout(sys, lift(constant_one(f.n)), spin)
+    ref_balanced = transverse_readout(sys, lift(canonical_balanced(f.n)), spin)
+    e = transverse_readout(sys, lift(f), spin)
+    # One spin-1/2 component has eigenvalues -1/2 and 1/2.
+    return _decide(e, [ref_zero, ref_one], ref_balanced, Decision.NOT_BALANCED, 1.0, eps)
 
 
-def verdict_record(v: Verdict, n: int, lam: float) -> dict:
-    """Flat mapping consumed by the report writer."""
+def verdict_record(v: Verdict, n: int, lam: float | None = None) -> dict:
+    """Flat mapping consumed by the report writer; lambda defaults to the
+    spectral range the verdict was gated by."""
     return {
         "decided": v.decided.value,
         "expectation": v.expectation,
         "gap_reference": v.gap_reference,
         "epsilon": v.resolution_used.epsilon,
-        "lambda": lam,
+        "lambda": v.lam if lam is None else lam,
         "n": n,
     }

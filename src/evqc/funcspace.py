@@ -50,11 +50,8 @@ class BoolFunc:
             raise ValueError(f"need at least one argument bit, got n={self.n}")
         if not 0 <= self.mask < (1 << self.size):
             raise ValueError("mask does not fit a %d-entry truth table" % self.size)
-        bits = np.fromiter(
-            ((self.mask >> j) & 1 for j in range(self.size)),
-            dtype=np.uint8,
-            count=self.size,
-        )
+        packed = np.frombuffer(self.mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.unpackbits(packed, count=self.size, bitorder="little")
         bits.setflags(write=False)
         object.__setattr__(self, "_bits", bits)
 
@@ -105,7 +102,7 @@ class BoolFunc:
         return format_function(self)
 
     def __str__(self) -> str:
-        return "".join(str(v) for v in self.table)
+        return (self._bits + ord("0")).tobytes().decode("ascii")
 
 
 def parse_function(text: str) -> BoolFunc:

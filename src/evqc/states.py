@@ -49,12 +49,12 @@ class SpinSystem:
         omega = np.array(self.omega, dtype=float)
         if omega.shape != (self.n,):
             raise ValueError(f"omega must have shape ({self.n},), got {omega.shape}")
-        if np.any(omega <= 0):
-            raise ValueError("all frequencies must be positive")
+        if not np.all(np.isfinite(omega)) or np.any(omega <= 0):
+            raise ValueError("all frequencies must be positive and finite")
         omega.setflags(write=False)
         object.__setattr__(self, "omega", omega)
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
+        if not (np.isfinite(self.theta) and self.theta > 0):
+            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
         seen = set()
         normalized = []
         for i, j, strength in self.couplings:
@@ -83,14 +83,21 @@ def parse_system(data: dict) -> SpinSystem:
     """Build a SpinSystem from the JSON configuration mapping."""
     try:
         n = int(data["n"])
-        omega = data["omega"]
+        omega = np.asarray(data["omega"], dtype=float)
         theta = float(data["theta"])
     except KeyError as missing:
         raise ValueError(f"spin system config lacks key {missing}") from None
-    couplings = tuple(
-        (int(i), int(j), float(strength)) for i, j, strength in data.get("couplings", ())
-    )
-    return SpinSystem(n=n, omega=np.asarray(omega, dtype=float), theta=theta, couplings=couplings)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"malformed spin system config: {err}") from None
+    try:
+        couplings = tuple(
+            (int(i), int(j), float(strength)) for i, j, strength in data.get("couplings", ())
+        )
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"couplings must be a list of [i, j, J] triples, got {data['couplings']!r}"
+        ) from None
+    return SpinSystem(n=n, omega=omega, theta=theta, couplings=couplings)
 
 
 def load_system(path) -> SpinSystem:

@@ -231,3 +231,63 @@ def test_top_level_usage_errors(capsys):
     assert rc == 1
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 1
+
+
+def assert_one_line_error(rc, record, err):
+    assert rc == 1
+    assert record is None
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_signal_class_takes_size_from_system(capsys, tmp_path):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps({"n": 3, "omega": [2513.27, 3141.59, 3769.91], "theta": THETA}))
+    rc, rec, _ = run(
+        capsys, "signal", "--sys", str(sys_path), "--class", "cn", "--seed", "4",
+        "--dt", "1e-4", "--count", "8", "--out", str(tmp_path / "t.csv"),
+    )
+    assert rc == 0
+    assert len(rec["config"]["function"]) == 8
+    assert rec["config"]["function"].count("1") in (2, 6)
+
+
+@pytest.mark.parametrize("system", [
+    {"n": 2, "omega": [2513.27, "nan"], "theta": THETA},
+    {"n": 2, "omega": [2513.27, "inf"], "theta": THETA},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": "nan"},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": "inf"},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": 5},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, None, 5.0]]},
+])
+def test_classify_rejects_bad_system_in_one_line(capsys, tmp_path, system):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(system))
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "2",
+        "--eps", "1e-6", "--sys", str(sys_path),
+    )
+    assert_one_line_error(rc, rec, err)
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_classify_rejects_non_finite_resolution(capsys, eps):
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2",
+        "--eps", eps,
+    )
+    assert_one_line_error(rc, rec, err)
+
+
+def test_reports_refuse_nan(capsys, monkeypatch):
+    from evqc import engine
+
+    record = engine.verdict_record
+    monkeypatch.setattr(
+        engine, "verdict_record", lambda *a: {**record(*a), "expectation": float("nan")}
+    )
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2",
+        "--eps", "0.1",
+    )
+    assert_one_line_error(rc, rec, err)

@@ -1,3 +1,7 @@
+import json
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,11 @@ from evqc.engine import (
     distinguishable,
     expectation,
     is_balanced_wrt,
+    projector_readout,
     s_functional,
     satisfiability_gap,
     trace_expectation,
+    transverse_readout,
     verdict_record,
 )
 from evqc.funcspace import (
@@ -27,9 +33,10 @@ from evqc.funcspace import (
     constant_zero,
     enumerate_class,
     imbalance,
+    lift,
     sample_cn,
 )
-from evqc.spinops import Operator, total_spin, w_projector
+from evqc.spinops import Operator, single_spin, spectral_range, total_spin, w_projector
 from evqc.states import SpinSystem, demo_system, pseudopure, pulsed_thermal, pure_w
 
 
@@ -185,6 +192,12 @@ def test_resolution_validation():
         Resolution(-0.1)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_resolution_rejects_non_finite(eps):
+    with pytest.raises(ValueError, match="finite"):
+        Resolution(eps)
+
+
 def test_dj_pseudopure_decides_constant():
     v = dj_decide_pseudopure(constant_one(2), 1.0, Resolution(0.1))
     assert v.decided is Decision.NOT_BALANCED
@@ -200,6 +213,14 @@ def test_dj_pseudopure_decides_balanced():
 
 def test_dj_pseudopure_inconclusive_at_coarse_resolution():
     v = dj_decide_pseudopure(canonical_balanced(2), 1.0, Resolution(0.3))
+    assert v.decided is Decision.INCONCLUSIVE
+
+
+def test_dj_pseudopure_margin_boundary_uses_exact_lambda():
+    # The balanced readout sits exactly eps * lambda = 0.25 from the
+    # constant reference; a lambda rounded below 1 would wrongly decide.
+    v = dj_decide_pseudopure(canonical_balanced(2), 1.0, Resolution(0.25))
+    assert v.lam == 1.0
     assert v.decided is Decision.INCONCLUSIVE
 
 
@@ -298,3 +319,122 @@ def test_dual_routes_agree(rng):
         functional = s_functional(b_matrix(rho, m), f)
         assert abs(functional.imag) < 1e-10
         assert abs(direct - functional.real) < 1e-10
+
+
+def random_system(n, rng):
+    omega = 2.0 * np.pi * rng.uniform(300.0, 700.0, size=n)
+    return SpinSystem(n=n, omega=omega, theta=float(rng.uniform(1e-9, 1e-7)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_transverse_readout_matches_dense_routes(n, rng):
+    # Every spin selection a protocol uses: all spins (C_N) and one spin
+    # (lifted, spin 1), here every single spin.
+    selections = [(tuple(range(1, n + 1)), total_spin(n, "x"))]
+    selections += [((i,), single_spin(n, i, "x")) for i in range(1, n + 1)]
+    for _ in range(2):
+        sys = random_system(n, rng)
+        rho = pulsed_thermal(sys)
+        funcs = [random_boolfunc(n, rng), constant_one(n), sample_cn(n, int(rng.integers(1000)))]
+        for spins, m in selections:
+            b = b_matrix(rho, m)
+            scale = sys.theta * float(sum(sys.omega[i - 1] for i in spins)) / 4.0
+            for f in funcs:
+                e = transverse_readout(sys, f, spins)
+                assert abs(e - expectation(m, rho, f)) <= 1e-12 * scale
+                assert abs(e - s_functional(b, f).real) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_projector_readout_matches_dense_routes(n, rng):
+    m = w_projector(n)
+    for alpha in (float(rng.uniform(0.05, 1.0)), 1.0):
+        rho = pseudopure(n, alpha)
+        b = b_matrix(rho, m)
+        for f in (random_boolfunc(n, rng), constant_zero(n), canonical_balanced(n)):
+            e = projector_readout(n, alpha, f)
+            assert abs(e - expectation(m, rho, f)) <= 1e-12 * abs(e)
+            assert abs(e - s_functional(b, f).real) <= 1e-12 * abs(e)
+
+
+def test_structured_readouts_reject_mismatched_input():
+    sys = demo_system(3)
+    with pytest.raises(ValueError):
+        transverse_readout(sys, constant_zero(2), (1,))
+    with pytest.raises(ValueError):
+        transverse_readout(sys, constant_zero(3), (4,))
+    with pytest.raises(ValueError):
+        transverse_readout(sys, constant_zero(3), ())
+    with pytest.raises(ValueError):
+        projector_readout(3, 1.0, constant_zero(2))
+
+
+def _is_positive_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_structured_cancellations_are_positive_zero(n, rng):
+    sys = random_system(n, rng)
+    for seed in range(3):
+        assert _is_positive_zero(transverse_readout(sys, sample_cn(n, seed), range(1, n + 1)))
+    ones = rng.permutation(1 << (n - 1))[: 1 << (n - 2)]
+    balanced = BoolFunc(n - 1, sum(1 << int(j) for j in ones))
+    assert _is_positive_zero(transverse_readout(sys, lift(balanced), (1,)))
+    v = cn_decide_thermal(sample_cn(n, 7), sys, Resolution(1e-6))
+    assert _is_positive_zero(v.expectation)
+    assert json.dumps(verdict_record(v, n)).count('"expectation": 0.0,') == 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_protocol_lambda_matches_dense_spectral_range(n):
+    sys = demo_system(n)
+    eps = Resolution(1e-6)
+    cases = [
+        (cn_decide_thermal(constant_zero(n), sys, eps), total_spin(n, "x")),
+        (dj_decide_lifted(constant_zero(n - 1), sys, eps), single_spin(n, 1, "x")),
+        (dj_decide_pseudopure(constant_zero(n), 1.0, eps), w_projector(n)),
+    ]
+    for v, m in cases:
+        assert abs(v.lam - spectral_range(m)) <= 1e-10
+        assert verdict_record(v, n)["lambda"] == v.lam
+    assert cases[0][0].lam == float(n)
+    assert cases[1][0].lam == cases[2][0].lam == 1.0
+
+
+def test_protocols_reject_past_dense_cap():
+    eps = Resolution(1e-6)
+    # SpinSystem itself refuses n = 13, so the protocols see a stand-in.
+    sys13 = SimpleNamespace(n=13, omega=np.full(13, 2.0 * np.pi * 500.0), theta=2e-8, size=1 << 13)
+    with pytest.raises(ValueError, match="outside"):
+        dj_decide_pseudopure(constant_zero(13), 1.0, eps)
+    with pytest.raises(ValueError, match="outside"):
+        cn_decide_thermal(constant_zero(13), sys13, eps)
+    with pytest.raises(ValueError, match="outside"):
+        dj_decide_lifted(constant_zero(12), sys13, eps)
+
+
+def test_decide_refuses_non_finite_readout():
+    sys = SimpleNamespace(n=2, omega=np.array([1e308, 1e308]), theta=1e10, size=4)
+    with pytest.raises(ValueError, match="not finite"):
+        cn_decide_thermal(constant_zero(2), sys, Resolution(1e-6))
+
+
+@pytest.mark.parametrize("protocol", ["pseudopure", "cn-thermal", "lifted"])
+def test_classify_builds_no_matrix_without_dump_op(protocol, monkeypatch, capsys, tmp_path):
+    from evqc import cli, spinops, states
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    for module in (spinops, states, cli):
+        for name in ("single_spin", "total_spin", "w_projector", "spectral_range",
+                     "pulsed_thermal", "pseudopure", "thermal_state"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(spinops.Operator, "__post_init__", refuse)
+    argv = ["classify", "--protocol", protocol, "--class", "balanced", "--n", "6", "--eps", "1e-6"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["lambda"] in (1.0, 6.0)
+    with pytest.raises(AssertionError, match="dense operator"):
+        cli.main(argv + ["--dump-op", str(tmp_path / "op.txt")])

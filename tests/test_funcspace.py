@@ -59,6 +59,16 @@ def test_boolfunc_basic():
     np.testing.assert_array_equal(f.signs(), [1.0, 1.0, -1.0, 1.0])
 
 
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_bit_table_matches_per_bit_reference(nm):
+    n, mask = nm
+    f = BoolFunc(n, mask)
+    reference = [(mask >> j) & 1 for j in range(1 << n)]
+    assert f.bits().tolist() == reference
+    assert not f.bits().flags.writeable
+    assert str(f) == "".join(map(str, reference))
+
+
 def test_boolfunc_validation():
     with pytest.raises(ValueError):
         BoolFunc(0, 0)
