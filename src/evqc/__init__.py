@@ -65,6 +65,7 @@ from evqc.timedomain import (
     heisenberg_op,
     signal,
     spectrum,
+    transverse_signal,
 )
 
 __version__ = "0.1.0"

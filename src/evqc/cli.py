@@ -40,7 +40,12 @@ def _write_atomic(path: Path, text: str) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            # mkstemp creates the file private (0600); give it the mode a
+            # plain open() would, as the umask allows.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -93,15 +98,14 @@ def _resolve_system(args, n: int) -> states.SpinSystem:
     return states.demo_system(n)
 
 
-def _measurement(kind: str, n: int) -> Operator:
-    if kind == "fx":
-        return total_spin(n, "x")
-    if kind == "fy":
-        return total_spin(n, "y")
-    if kind.startswith("ixj:"):
-        i = int(kind.split(":", 1)[1])
-        return single_spin(n, i, "x")
-    raise _UsageError(f"unknown measurement {kind!r}; use fx, fy, or ixj:<i>")
+def _measurement(kind: str, n: int) -> tuple[tuple[int, ...], str]:
+    """--measure as the measured spins and their transverse axis."""
+    if kind in ("fx", "fy"):
+        return tuple(range(1, n + 1)), kind[1]
+    prefix, _, index = kind.partition(":")
+    if prefix == "ixj" and index.isdecimal() and 1 <= int(index) <= n:
+        return (int(index),), "x"
+    raise _UsageError(f"unknown measurement {kind!r}; use fx, fy, or ixj:<i> with 1 <= i <= {n}")
 
 
 def _protocol_measurement(protocol: str, n: int) -> Operator:
@@ -230,6 +234,7 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_signal(args) -> int:
+    timedomain.check_sampling(args.dt, args.count)
     if args.sys:
         sys_obj = states.load_system(args.sys)
     elif args.n is not None:
@@ -237,29 +242,24 @@ def cmd_signal(args) -> int:
     else:
         raise _UsageError("signal needs --sys or --n")
     n = sys_obj.n
-    m = _measurement(args.measure, n)
-    rho = states.pulsed_thermal(sys_obj) if args.state == "pulsed" else states.thermal_state(sys_obj)
-    f = None
-    if args.fn or args.func_class:
-        f = _load_function(args, expect_bits=n)
-        signs = f.signs()
-        flipped = rho.mat * np.outer(signs, signs)
-        rho = states.DensityMatrix(Operator(flipped, hermitian=True))
-    h = timedomain.hamiltonian(sys_obj)
-    trace = timedomain.signal(rho, h, m, dt=args.dt, count=args.count)
+    spins, axis = _measurement(args.measure, n)
+    f = _load_function(args, expect_bits=n) if args.fn or args.func_class else None
+    if args.state == "pulsed":
+        trace = timedomain.transverse_signal(sys_obj, f, spins, axis, args.dt, args.count)
+    else:
+        # The thermal state is diagonal and stays so under any phase oracle,
+        # while a transverse measurement has no diagonal: the readout is 0.
+        trace = timedomain.SignalTrace(t_start=0.0, dt=args.dt, samples=np.zeros(args.count))
     spec = timedomain.spectrum(trace)
     peaks = timedomain.find_peaks(spec)
     if args.dump_op:
+        m = total_spin(n, axis) if args.measure in ("fx", "fy") else single_spin(n, spins[0], axis)
         dump_operator(m, args.dump_op)
 
     out = Path(args.out)
     spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
-    tmp_trace = out.with_name(out.name + ".part")
-    timedomain.write_trace_csv(trace, tmp_trace)
-    os.replace(tmp_trace, out)
-    tmp_spec = spec_path.with_name(spec_path.name + ".part")
-    timedomain.write_spectrum_csv(spec, tmp_spec)
-    os.replace(tmp_spec, spec_path)
+    _write_atomic(out, timedomain.trace_csv(trace))
+    _write_atomic(spec_path, timedomain.spectrum_csv(spec))
 
     record = {
         "command": "signal",

@@ -143,13 +143,18 @@ def transverse_readout(sys: SpinSystem, f: BoolFunc, spins) -> float:
     """
     if f.n != sys.n:
         raise ValueError(f"function on {f.n} bits does not match {sys.n} spins")
-    spins = tuple(spins)
-    if not spins or any(not 1 <= i <= sys.n for i in spins):
-        raise ValueError(f"spins {spins} must be a nonempty selection from 1..{sys.n}")
+    spins = _check_spins(spins, sys.n)
     bits = f.bits()
     total = math.fsum(float(sys.omega[i - 1]) * _flip_correlation(bits, sys.n, i) for i in spins)
     # Adding 0.0 turns the -0.0 of an exact cancellation into 0.0.
     return -sys.theta * total / (4.0 * sys.size) + 0.0
+
+
+def _check_spins(spins, n: int) -> tuple[int, ...]:
+    spins = tuple(spins)
+    if not spins or any(not 1 <= i <= n for i in spins):
+        raise ValueError(f"spins {spins} must be a nonempty selection from 1..{n}")
+    return spins
 
 
 def _flip_correlation(bits: np.ndarray, n: int, i: int) -> int:

@@ -70,6 +70,13 @@ def _check_register(n: int) -> None:
         raise ValueError(f"register size n={n} outside dense range 1..{MAX_DENSE_N}")
 
 
+def spin_z_column(n: int, i: int) -> np.ndarray:
+    """Diagonal of Iz for spin i: +1/2 where bit i (counted from the most
+    significant) is 0, else -1/2."""
+    idx = np.arange(1 << n)
+    return 0.5 - ((idx >> (n - i)) & 1).astype(float)
+
+
 def single_spin(n: int, i: int, axis: str) -> Operator:
     """Angular momentum component of spin i embedded in an n-spin register.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evqc.spinops import MAX_DENSE_N, Operator, single_spin, w_projector
+from evqc.spinops import MAX_DENSE_N, Operator, single_spin, spin_z_column, w_projector
 
 # Past this the linear truncation of exp(-H/kT) is no longer trustworthy.
 HIGH_TEMPERATURE_LIMIT = 0.1
@@ -147,13 +147,6 @@ class DensityMatrix:
         return self.min_eigenvalue() >= -tol
 
 
-def _spin_z_diag(n: int, i: int) -> np.ndarray:
-    # +1/2 where bit i (counted from the most significant) is 0, else -1/2.
-    idx = np.arange(1 << n)
-    bit = (idx >> (n - i)) & 1
-    return 0.5 - bit.astype(float)
-
-
 def thermal_state(sys: SpinSystem) -> DensityMatrix:
     """Equilibrium state, linear in theta: (1 - theta * sum_i omega_i Iz_i) / N.
 
@@ -162,7 +155,7 @@ def thermal_state(sys: SpinSystem) -> DensityMatrix:
     size = sys.size
     diag = np.full(size, 1.0 / size)
     for i in range(1, sys.n + 1):
-        diag = diag - (sys.theta / size) * sys.omega[i - 1] * _spin_z_diag(sys.n, i)
+        diag = diag - (sys.theta / size) * sys.omega[i - 1] * spin_z_column(sys.n, i)
     return DensityMatrix(Operator(np.diag(diag.astype(complex)), hermitian=True, diagonal=True))
 
 

@@ -2,20 +2,36 @@
 
 The internal Hamiltonian is diagonal in the computational basis (weak
 coupling, hbar = 1), so Heisenberg evolution of a measurement reduces to
-multiplying each entry by a phase.  A dense matrix-exponential fallback
-is kept solely so tests can cross-validate the fast path.
+multiplying each entry by a phase, and every readout is a sum of spectral
+lines.
+
+`transverse_signal` samples the readout of transverse order on the pulsed
+thermal state after a phase oracle without building a matrix: each spin
+contributes a few lines, split by its couplings, weighted by exact integer
+bit-flip correlations.  The dense routes are kept deliberately separate as
+its oracles: `signal` sums the lines of a state and a measurement matrix,
+`heisenberg_op` moves a measurement by entrywise phases, and
+`heisenberg_dense` does the same through a matrix exponential.  Tests pit
+them against each other; do not collapse them.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 
-from evqc.spinops import Operator
+from evqc.engine import _check_spins
+from evqc.funcspace import BoolFunc
+from evqc.spinops import Operator, spin_z_column
 from evqc.states import DensityMatrix, SpinSystem
+
+# Phase evaluations per block of sample times, so that memory stays
+# bounded whatever the sample count.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,19 +76,14 @@ class SignalTrace:
         return self.t_start + self.dt * np.arange(self.samples.size)
 
 
-def _spin_z_column(n: int, i: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return 0.5 - ((idx >> (n - i)) & 1).astype(float)
-
-
 def hamiltonian(sys: SpinSystem) -> Hamiltonian:
     """Zeeman terms plus scalar couplings: sum_i omega_i Iz_i
     + sum_(i<j) 2 pi J_ij Iz_i Iz_j."""
     diag = np.zeros(sys.size)
     for i in range(1, sys.n + 1):
-        diag += sys.omega[i - 1] * _spin_z_column(sys.n, i)
+        diag += sys.omega[i - 1] * spin_z_column(sys.n, i)
     for i, j, strength in sys.couplings:
-        diag += 2.0 * np.pi * strength * _spin_z_column(sys.n, i) * _spin_z_column(sys.n, j)
+        diag += 2.0 * np.pi * strength * spin_z_column(sys.n, i) * spin_z_column(sys.n, j)
     op = Operator(np.diag(diag.astype(complex)), hermitian=True, diagonal=True)
     return Hamiltonian(op=op, source=sys)
 
@@ -96,26 +107,101 @@ def heisenberg_dense(m: Operator, h: Hamiltonian, t: float) -> Operator:
     return Operator(u @ m.mat @ u.conj().T)
 
 
-def signal(rho: DensityMatrix, h: Hamiltonian, m: Operator, dt: float, count: int) -> SignalTrace:
-    """Sample Tr(rho M(t)) at t = k dt for k = 0..count-1."""
-    if rho.dim != m.dim or rho.dim != h.op.dim:
-        raise ValueError("state, measurement, and Hamiltonian dimensions differ")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+def check_sampling(dt: float, count: int) -> None:
+    """Reject sampling that cannot give a finite trace and spectrum."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if count < 1:
         raise ValueError("need at least one sample")
-    weights = rho.mat * m.mat.T  # entry (a, b): rho_ab M_ba
-    freq = h.diag[None, :] - h.diag[:, None]  # phase rate per entry
-    flat_w = weights.ravel()
-    keep = flat_w != 0
-    w = flat_w[keep]
-    omega = freq.ravel()[keep]
-    t = dt * np.arange(count)
-    values = np.exp(1j * np.outer(t, omega)) @ w
+    try:
+        last = dt * (count - 1)
+    except OverflowError:  # count beyond the float range
+        last = math.inf
+    if not math.isfinite(last):
+        raise ValueError(f"last sample time dt * (count - 1) is not finite for dt={dt!r}, count={count}")
+    if not math.isfinite(2.0 * math.pi / dt):
+        raise ValueError(f"dt={dt!r} is too small for a finite spectrum frequency grid")
+
+
+def _line_sum(kernel, freqs: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_l amps_l * kernel(freqs_l * t) at every sample time t."""
+    if not math.isfinite(float(np.abs(freqs).max(initial=0.0)) * float(times[-1])):
+        raise ValueError("the phase at the last sample time is not finite; shorten dt * count")
+    rows = max(1, _BLOCK_ELEMENTS // max(1, freqs.size))
+    return np.concatenate(
+        [kernel(np.outer(times[k:k + rows], freqs)) @ amps for k in range(0, times.size, rows)]
+    )
+
+
+def signal(rho: DensityMatrix, h: Hamiltonian, m: Operator, dt: float, count: int) -> SignalTrace:
+    """Sample Tr(rho M(t)) at t = k dt for k = 0..count-1.
+
+    Every nonzero weight rho_ab M_ba oscillates at H_bb - H_aa; weights at
+    the same frequency are summed before any phase is evaluated.
+    """
+    if rho.dim != m.dim or rho.dim != h.op.dim:
+        raise ValueError("state, measurement, and Hamiltonian dimensions differ")
+    check_sampling(dt, count)
+    weights = (rho.mat * m.mat.T).ravel()  # entry (a, b): rho_ab M_ba
+    freq = (h.diag[None, :] - h.diag[:, None]).ravel()  # phase rate per entry
+    keep = weights != 0
+    w = weights[keep]
+    lines, inverse = np.unique(freq[keep], return_inverse=True)
+    amps = np.bincount(inverse, w.real, lines.size) + 1j * np.bincount(inverse, w.imag, lines.size)
+    values = _line_sum(lambda x: np.exp(1j * x), lines, amps, dt * np.arange(count))
     worst = float(np.abs(values.imag).max(initial=0.0))
     if worst > 1e-10 * max(1.0, float(np.abs(values.real).max(initial=0.0))):
         raise ValueError(f"signal came out complex (residue {worst:g}); inputs are not hermitian")
     return SignalTrace(t_start=0.0, dt=dt, samples=values.real)
+
+
+def transverse_signal(
+    sys: SpinSystem, f: BoolFunc | None, spins, axis: str, dt: float, count: int
+) -> SignalTrace:
+    """Sample Tr(rho M(t)) at t = k dt for k = 0..count-1 without building
+    a matrix, for M the sum of I^axis_i over the given spins (1-based) and
+    rho the pulsed thermal state after the phase oracle of f (none if f is
+    None).
+
+    Only the basis pairs a, a XOR 2**(n-i) with bit i of a clear
+    contribute, at the line Delta = omega_i + 2 pi sum_j J_ij z_j(a), so
+    the signal is -(theta / 2N) sum_i omega_i sum_l c_(i,l) cos(Delta_l t),
+    with sin for the y axis.  c_(i,l) is the exact integer sum of
+    s_a s_(a XOR 2**(n-i)) over the states a on line l, with s = (-1)**f.
+    Lines are summed from the couplings in one fixed order, so states with
+    the same neighbour pattern give bitwise-equal lines and each spin has
+    at most 2**(its coupling count) of them.
+    """
+    check_sampling(dt, count)
+    if axis not in ("x", "y"):
+        raise ValueError(f"transverse axis must be x or y, got {axis!r}")
+    spins = _check_spins(spins, sys.n)
+    n = sys.n
+    if f is None:
+        bits = np.zeros(sys.size, dtype=np.uint8)
+    elif f.n != n:
+        raise ValueError(f"function on {f.n} bits does not match {n} spins")
+    else:
+        bits = f.bits()
+    amps, lines = [], []
+    for i in spins:
+        delta = np.full(sys.size, sys.omega[i - 1])
+        for a, b, strength in sys.couplings:
+            if i in (a, b):
+                delta = delta + 2.0 * np.pi * strength * spin_z_column(n, b if a == i else a)
+        # Axis 1 splits each block on bit n-i: index 0 holds the states a
+        # with bit i clear, index 1 their partners a XOR 2**(n-i).
+        halves = bits.reshape(-1, 2, 1 << (n - i))
+        pair_signs = 1 - 2 * (halves[:, 0] != halves[:, 1]).ravel()
+        line, inverse = np.unique(delta.reshape(-1, 2, 1 << (n - i))[:, 0].ravel(), return_inverse=True)
+        c = np.bincount(inverse, pair_signs, line.size)
+        keep = c != 0
+        amps.append(sys.omega[i - 1] * c[keep])
+        lines.append(line[keep])
+    kernel = np.cos if axis == "x" else np.sin
+    values = _line_sum(kernel, np.concatenate(lines), np.concatenate(amps), dt * np.arange(count))
+    # Adding 0.0 turns the -0.0 of an exact cancellation into 0.0.
+    return SignalTrace(t_start=0.0, dt=dt, samples=-sys.theta / (2.0 * sys.size) * values + 0.0)
 
 
 def spectrum(trace: SignalTrace) -> list[tuple[float, float]]:
@@ -142,17 +228,20 @@ def find_peaks(spec: list[tuple[float, float]], rel_threshold: float = 0.05) -> 
     return peaks
 
 
+def trace_csv(trace: SignalTrace) -> str:
+    """The trace as CSV text: a k,t,value header, then one row per sample."""
+    rows = zip(trace.times.tolist(), trace.samples.tolist())
+    return "k,t,value\r\n" + "".join(f"{k},{t:.17g},{v:.17g}\r\n" for k, (t, v) in enumerate(rows))
+
+
+def spectrum_csv(spec: list[tuple[float, float]]) -> str:
+    """The spectrum as CSV text: an omega,magnitude header, then one row per bin."""
+    return "omega,magnitude\r\n" + "".join(f"{w:.17g},{mag:.17g}\r\n" for w, mag in spec)
+
+
 def write_trace_csv(trace: SignalTrace, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t", "value"])
-        for k, (t, v) in enumerate(zip(trace.times, trace.samples)):
-            writer.writerow([k, f"{t:.17g}", f"{v:.17g}"])
+    Path(path).write_text(trace_csv(trace), encoding="ascii", newline="")
 
 
 def write_spectrum_csv(spec: list[tuple[float, float]], path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "magnitude"])
-        for omega, mag in spec:
-            writer.writerow([f"{omega:.17g}", f"{mag:.17g}"])
+    Path(path).write_text(spectrum_csv(spec), encoding="ascii", newline="")

@@ -291,3 +291,117 @@ def test_reports_refuse_nan(capsys, monkeypatch):
         "--eps", "0.1",
     )
     assert_one_line_error(rc, rec, err)
+
+
+def test_signal_builds_no_matrix_without_dump_op(monkeypatch, capsys, tmp_path):
+    from evqc import cli, spinops, states, timedomain
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    for module in (spinops, states, cli, timedomain):
+        for name in ("single_spin", "total_spin", "w_projector", "spectral_range",
+                     "pulsed_thermal", "pseudopure", "thermal_state", "hamiltonian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(spinops.Operator, "__post_init__", refuse)
+    base = ["signal", "--n", "6", "--class", "cn", "--dt", "1e-4", "--count", "64",
+            "--out", str(tmp_path / "t.csv")]
+    for extra in ([], ["--measure", "fy"], ["--measure", "ixj:3"], ["--state", "thermal"]):
+        assert cli.main(base + extra) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "signal"
+    with pytest.raises(AssertionError, match="dense operator"):
+        cli.main(base + ["--dump-op", str(tmp_path / "op.txt")])
+
+
+def test_signal_thermal_reads_exact_zeros(capsys, tmp_path):
+    out = tmp_path / "flat.csv"
+    rc, rec, _ = run(
+        capsys, "signal", "--n", "3", "--state", "thermal", "--class", "balanced",
+        "--measure", "fy", "--dt", "1e-4", "--count", "16", "--out", str(out),
+    )
+    assert rc == 0
+    assert rec["config"]["function"] == "11110000"
+    assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["0"] * 16
+
+
+@pytest.mark.parametrize("measure", ["fx", "fy", "ixj:2"])
+def test_signal_dump_op_is_the_dense_measurement(capsys, tmp_path, measure):
+    from evqc.spinops import dump_operator, single_spin, total_spin
+
+    dump = tmp_path / "op.txt"
+    rc, _, _ = run(
+        capsys, "signal", "--n", "3", "--measure", measure, "--dt", "1e-4", "--count", "8",
+        "--out", str(tmp_path / "t.csv"), "--dump-op", str(dump),
+    )
+    assert rc == 0
+    expected = single_spin(3, 2, "x") if measure == "ixj:2" else total_spin(3, measure[1])
+    dump_operator(expected, tmp_path / "expected.txt")
+    assert dump.read_bytes() == (tmp_path / "expected.txt").read_bytes()
+
+
+@pytest.mark.parametrize("measure", ["ixj:0", "ixj:4", "ixj:abc", "ixj:", "fz"])
+def test_signal_rejects_bad_measurement_in_one_line(capsys, tmp_path, measure):
+    rc, rec, err = run(
+        capsys, "signal", "--n", "3", "--measure", measure, "--dt", "1e-4", "--count", "8",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert_one_line_error(rc, rec, err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt, count", [
+    ("inf", "8"), ("nan", "8"), ("-inf", "8"), ("1e308", "8"), ("0", "8"), ("-1e-4", "8"),
+    ("1e-320", "8"), ("1e-4", "0"), ("1e-4", "1" + "0" * 400),
+])
+def test_signal_rejects_unusable_sampling_before_any_work(capsys, tmp_path, dt, count):
+    rc, rec, err = run(
+        capsys, "signal", "--n", "2", f"--dt={dt}", f"--count={count}",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert_one_line_error(rc, rec, err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocked", ["trace.csv", "trace.spectrum.csv"])
+def test_signal_failed_write_leaves_no_temp_file(capsys, tmp_path, blocked):
+    (tmp_path / blocked).mkdir()
+    rc, rec, err = run(
+        capsys, "signal", "--n", "2", "--dt", "1e-4", "--count", "8",
+        "--out", str(tmp_path / "trace.csv"),
+    )
+    assert_one_line_error(rc, rec, err)
+    assert {p.name for p in tmp_path.iterdir()} <= {"trace.csv", "trace.spectrum.csv"}
+
+
+def test_written_files_take_the_umask_mode(capsys, tmp_path):
+    import os
+
+    old = os.umask(0o027)
+    try:
+        rc, _, _ = run(
+            capsys, "signal", "--n", "2", "--dt", "1e-4", "--count", "8",
+            "--out", str(tmp_path / "trace.csv"),
+        )
+    finally:
+        os.umask(old)
+    assert rc == 0
+    for name in ("trace.csv", "trace.spectrum.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
+
+
+def test_signal_coupled_doublet_peaks(capsys, tmp_path):
+    # bin-exact sampling: every expected line sits on an FFT bin
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps({
+        "n": 2, "omega": (2 * np.pi * np.array([50.0, 80.0])).tolist(), "theta": THETA,
+        "couplings": [[1, 2, 5.0]],
+    }))
+    rc, rec, _ = run(
+        capsys, "signal", "--sys", str(sys_path), "--dt", repr(1.0 / 512), "--count", "1024",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert rc == 0
+    positive = sorted(w for w, _ in rec["result"]["peaks"] if w > 0)
+    np.testing.assert_allclose(positive, 2 * np.pi * np.array([47.5, 52.5, 77.5, 82.5]), atol=1e-9)

@@ -1,11 +1,15 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_boolfunc, random_density, random_hermitian
+from evqc import timedomain
+from evqc.engine import transverse_readout
+from evqc.funcspace import canonical_balanced, constant_one, sample_cn
 from evqc.spinops import Operator, single_spin, total_spin
-from evqc.states import SpinSystem, pulsed_thermal, thermal_state
+from evqc.states import DensityMatrix, SpinSystem, pulsed_thermal, thermal_state
 from evqc.timedomain import (
     Hamiltonian,
     SignalTrace,
@@ -15,6 +19,9 @@ from evqc.timedomain import (
     heisenberg_op,
     signal,
     spectrum,
+    spectrum_csv,
+    trace_csv,
+    transverse_signal,
     write_spectrum_csv,
     write_trace_csv,
 )
@@ -211,3 +218,161 @@ def test_csv_writers_roundtrip(tmp_path):
     assert rows[0] == ["omega", "magnitude"]
     assert len(rows) == 4
     assert [float(r[0]) for r in rows[1:]] == [w for w, _ in spec]
+
+
+def _coupled_system(n, topology, rng):
+    omega = 2.0 * np.pi * rng.uniform(400.0, 600.0, n)
+    if topology == "chain":
+        pairs = [(i, i + 1) for i in range(1, n)]
+    elif topology == "all":
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    else:
+        pairs = []
+    couplings = tuple((i, j, float(rng.uniform(5.0, 15.0))) for i, j in pairs)
+    return SpinSystem(n=n, omega=omega, theta=THETA, couplings=couplings)
+
+
+def _oracle_state(sys, f):
+    rho = pulsed_thermal(sys)
+    if f is None:
+        return rho
+    s = f.signs()
+    return DensityMatrix(Operator(rho.mat * np.outer(s, s), hermitian=True))
+
+
+@pytest.mark.parametrize("topology", ["chain", "all", "none"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_transverse_signal_matches_dense_signal(n, topology, rng):
+    sys = _coupled_system(n, topology, rng)
+    h = hamiltonian(sys)
+    oracles = [None, constant_one(n), canonical_balanced(n)]
+    if n >= 2:
+        oracles.append(sample_cn(n, n))
+    measures = [(tuple(range(1, n + 1)), "x"), (tuple(range(1, n + 1)), "y")]
+    measures += [((i,), "x") for i in range(1, n + 1)]
+    dt, count = 1.3e-4, 61
+    for f in oracles:
+        rho = _oracle_state(sys, f)
+        for spins, axis in measures:
+            m = total_spin(n, axis) if len(spins) > 1 else single_spin(n, spins[0], axis)
+            dense = signal(rho, h, m, dt, count).samples
+            fast = transverse_signal(sys, f, spins, axis, dt, count).samples
+            scale = THETA * float(sys.omega[list(np.array(spins) - 1)].sum()) / 4.0
+            assert np.abs(fast - dense).max() <= 1e-12 * scale, (f, spins, axis)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transverse_signal_starts_at_the_readout(n, rng):
+    sys = _coupled_system(n, "chain", rng)
+    f = random_boolfunc(n, rng)
+    for spins in (range(1, n + 1), (1,), (n,)):
+        first = transverse_signal(sys, f, spins, "x", 1e-4, 3).samples[0]
+        readout = transverse_readout(sys, f, spins)
+        assert abs(first - readout) <= 1e-12 * THETA * float(sys.omega.sum()) / 4.0
+        # sin(0) = 0: the y order starts from nothing.
+        assert transverse_signal(sys, f, spins, "y", 1e-4, 3).samples[0] == 0.0
+
+
+def test_transverse_signal_groups_lines_per_spin(rng):
+    # A chain end has one neighbour, so two lines; the closed form of the
+    # coupled pair is the doublet omega_i +- pi J.
+    sys = SpinSystem(n=2, omega=np.array([800.0, 1300.0]), theta=THETA, couplings=((1, 2, 5.0),))
+    dt, count = 1e-3, 40
+    t = dt * np.arange(count)
+    trace = transverse_signal(sys, None, (1,), "x", dt, count)
+    split = np.pi * 5.0
+    predicted = -(THETA * 800.0 / 8.0) * (np.cos((800.0 + split) * t) + np.cos((800.0 - split) * t))
+    np.testing.assert_allclose(trace.samples, predicted, rtol=0, atol=1e-12 * THETA * 800.0)
+
+
+def test_transverse_signal_guards():
+    sys = SpinSystem(n=2, omega=np.array([5.0, 6.0]), theta=THETA)
+    with pytest.raises(ValueError):
+        transverse_signal(sys, canonical_balanced(3), (1,), "x", 1e-4, 4)
+    with pytest.raises(ValueError):
+        transverse_signal(sys, None, (3,), "x", 1e-4, 4)
+    with pytest.raises(ValueError):
+        transverse_signal(sys, None, (), "x", 1e-4, 4)
+    with pytest.raises(ValueError):
+        transverse_signal(sys, None, (1,), "z", 1e-4, 4)
+    with pytest.raises(ValueError):
+        transverse_signal(sys, None, (1,), "x", float("inf"), 4)
+    with pytest.raises(ValueError):
+        transverse_signal(sys, None, (1,), "x", 1e-4, 0)
+
+
+@pytest.mark.parametrize(
+    "dt, count",
+    [(float("inf"), 4), (float("nan"), 4), (-1e-4, 4), (0.0, 4), (1e308, 3), (1e-320, 4),
+     (1e-4, 0), (1.0, 10**400)],
+)
+def test_check_sampling_rejects_unusable_sampling(dt, count):
+    with pytest.raises(ValueError):
+        timedomain.check_sampling(dt, count)
+
+
+def test_phase_overflow_is_rejected():
+    sys = SpinSystem(n=1, omega=np.array([5.0]), theta=THETA)
+    with pytest.raises(ValueError, match="phase"):
+        transverse_signal(sys, None, (1,), "x", 1e308, 2)
+    with pytest.raises(ValueError, match="phase"):
+        signal(pulsed_thermal(sys), hamiltonian(sys), single_spin(1, 1, "x"), 1e308, 2)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_grouped_dense_signal_matches_matrix_exponential(block, rng, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(timedomain, "_BLOCK_ELEMENTS", block)
+    sys = _coupled_system(3, "all", rng)
+    h = hamiltonian(sys)
+    rho = random_density(8, rng)
+    m = random_hermitian(8, rng)
+    dt, count = 2.1e-4, 23  # 23 is not a multiple of any block
+    trace = signal(rho, h, m, dt, count)
+    for k in range(count):
+        direct = complex(np.trace(rho.mat @ heisenberg_dense(m, h, k * dt).mat))
+        assert abs(trace.samples[k] - direct.real) < 1e-12
+
+
+def test_dense_signal_rejects_a_complex_readout(rng):
+    sys = _coupled_system(2, "chain", rng)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    with pytest.raises(ValueError, match="complex"):
+        signal(random_density(4, rng), hamiltonian(sys), Operator(z), 1e-4, 8)
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_blocked_transverse_signal_matches_one_block(block, rng, monkeypatch):
+    sys = _coupled_system(5, "chain", rng)
+    f = random_boolfunc(5, rng)
+    whole = transverse_signal(sys, f, range(1, 6), "y", 1e-4, 37).samples
+    monkeypatch.setattr(timedomain, "_BLOCK_ELEMENTS", block)
+    blocked = transverse_signal(sys, f, range(1, 6), "y", 1e-4, 37).samples
+    assert np.abs(blocked - whole).max() <= 1e-13 * THETA * float(sys.omega.sum()) / 4.0
+
+
+def _csv_module_text(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def test_csv_text_matches_the_csv_module(rng, tmp_path):
+    samples = np.concatenate([rng.standard_normal(50) * 1e-7, [0.0, -0.0, 1e-300, -5e-324, 1e300]])
+    trace = SignalTrace(t_start=0.0, dt=1.0 / 3.0, samples=samples)
+    expected = _csv_module_text(
+        ["k", "t", "value"],
+        ([k, f"{t:.17g}", f"{v:.17g}"] for k, (t, v) in enumerate(zip(trace.times, trace.samples))),
+    )
+    assert trace_csv(trace) == expected
+    write_trace_csv(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
+
+    spec = spectrum(trace)
+    expected = _csv_module_text(["omega", "magnitude"], ([f"{w:.17g}", f"{m:.17g}"] for w, m in spec))
+    assert spectrum_csv(spec) == expected
+    write_spectrum_csv(spec, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == expected.encode("ascii")
