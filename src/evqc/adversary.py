@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evqc.funcspace import BoolFunc, constant_zero, is_in_cn
+from evqc.funcspace import BoolFunc, constant_zero, is_in_cn, mask_from_support
 
 EXHAUSTIVE_LIMIT = 3  # all query sets of size N/2 are walked up to here
 
@@ -59,11 +59,7 @@ def cn_witness(n: int, queried) -> BoolFunc:
     even = [j for j in unchecked if (j ^ pivot).bit_count() % 2 == 0]
     odd = [j for j in unchecked if (j ^ pivot).bit_count() % 2 == 1]
     side = even if len(even) >= len(odd) else odd
-    support = side[: size // 4]
-    mask = 0
-    for j in support:
-        mask |= 1 << j
-    witness = BoolFunc(n, mask)
+    witness = BoolFunc(n, mask_from_support(size, side[: size // 4]))
     # Construction guarantees both properties; fail loudly if not.
     assert is_in_cn(witness)
     assert all(witness(q) == 0 for q in transcript.queried)

@@ -91,8 +91,7 @@ class BoolFunc:
             raise ValueError(f"table length {size} is not a power of two >= 2")
         if any(v not in (0, 1) for v in values):
             raise ValueError("truth table entries must be 0 or 1")
-        mask = sum(1 << j for j, v in enumerate(values) if v)
-        return cls(n, mask)
+        return cls(n, mask_from_bits(values))
 
     @classmethod
     def from_text(cls, text: str) -> "BoolFunc":
@@ -135,8 +134,25 @@ def parse_function(text: str) -> BoolFunc:
         raise ValueError(f"table line has {len(body)} entries, expected {size}")
     if set(body) - {"0", "1"}:
         raise ValueError("table line may only contain 0 and 1")
-    mask = sum(1 << j for j, ch in enumerate(body) if ch == "1")
-    return BoolFunc(n, mask)
+    bits = np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("1")
+    return BoolFunc(n, mask_from_bits(bits))
+
+
+def mask_from_bits(bits) -> int:
+    """Pack a 0/1 truth table, argument 0 first, into a mask (bit j = f(j)).
+
+    O(N) through packbits and int.from_bytes; shifting bits one at a time
+    into a growing integer would be O(N^2).
+    """
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def mask_from_support(size: int, support) -> int:
+    """Mask of the size-entry truth table that is 1 exactly on support."""
+    bits = np.zeros(size, dtype=np.uint8)
+    bits[np.fromiter(support, dtype=np.intp)] = 1
+    return mask_from_bits(bits)
 
 
 def format_function(f: BoolFunc) -> str:
@@ -240,10 +256,10 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
         )
     size = 1 << n
     if cls is FunctionClass.BALANCED_W:
-        members = [
-            _mask_from(support)
-            for support in itertools.combinations(range(size), size // 2)
-        ]
+        # Capped at n <= ENUMERATION_LIMIT, every mask fits in 16 bits, so
+        # adding up the chosen powers of two is the cheapest way to build it.
+        powers = [1 << j for j in range(size)]
+        members = [sum(ones) for ones in itertools.combinations(powers, size // 2)]
     elif cls is FunctionClass.CLASS_CN:
         if n < 2:
             raise ValueError("class C_N is undefined for n < 2")
@@ -253,7 +269,7 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
             if all((a ^ b).bit_count() != 1 for a, b in itertools.combinations(support, 2))
         ]
         full = (1 << size) - 1
-        masks = {_mask_from(s) for s in bases}
+        masks = {mask_from_support(size, s) for s in bases}
         masks |= {full ^ m for m in masks}
         members = sorted(masks)
     else:
@@ -264,11 +280,13 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
         yield f
 
 
-def _mask_from(support) -> int:
-    mask = 0
-    for j in support:
-        mask |= 1 << j
-    return mask
+def _even_parity_arguments(n: int) -> np.ndarray:
+    """The arguments with an even number of set bits, ascending."""
+    # Bit parity of 0..2^(k+1)-1 is that of 0..2^k-1 followed by its flip.
+    parity = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        parity = np.concatenate((parity, parity ^ 1))
+    return np.flatnonzero(parity == 0)
 
 
 def sample_cn(n: int, seed: int) -> BoolFunc:
@@ -282,9 +300,8 @@ def sample_cn(n: int, seed: int) -> BoolFunc:
         raise ValueError("class C_N is undefined for n < 2")
     size = 1 << n
     rng = np.random.default_rng(seed)
-    evens = np.array([j for j in range(size) if j.bit_count() % 2 == 0])
-    picked = rng.choice(evens, size=size // 4, replace=False)
-    return BoolFunc(n, _mask_from(int(j) for j in picked))
+    picked = rng.choice(_even_parity_arguments(n), size=size // 4, replace=False)
+    return BoolFunc(n, mask_from_support(size, picked))
 
 
 def constant_zero(n: int) -> BoolFunc:
@@ -305,5 +322,4 @@ def canonical_cn(n: int) -> BoolFunc:
     if n < 2:
         raise ValueError("class C_N is undefined for n < 2")
     size = 1 << n
-    evens = [j for j in range(size) if j.bit_count() % 2 == 0]
-    return BoolFunc(n, _mask_from(evens[: size // 4]))
+    return BoolFunc(n, mask_from_support(size, _even_parity_arguments(n)[: size // 4]))

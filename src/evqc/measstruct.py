@@ -18,8 +18,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from evqc.engine import expectation
-from evqc.funcspace import BoolFunc, permute
-from evqc.spinops import Operator, eig_multiset, total_spin, w_projector
+from evqc.funcspace import BoolFunc, mask_from_bits, permute
+from evqc.spinops import Operator, eig_multiset, require_hermitian, total_spin, w_projector
 from evqc.states import DensityMatrix
 
 FEASIBILITY_TOL = 1e-6  # eigenvalue-match gate for accepted candidates
@@ -65,13 +65,32 @@ class InvariantForm:
 
     def reconstruct(self) -> Operator:
         """Assemble the hermitian matrix c * W + diag(d) + A."""
-        size = self.dim
-        mat = np.full((size, size), self.c / size, dtype=complex)
-        mat[np.diag_indices(size)] += self.d
-        rows, cols = np.triu_indices(size, 1)
-        mat[rows, cols] += 1j * self.a_upper
-        mat[cols, rows] -= 1j * self.a_upper
-        return Operator(mat, hermitian=True)
+        return Operator(_assembler(self.dim)(self.c, self.d, self.a_upper), hermitian=True)
+
+
+def _assembler(size: int):
+    """assemble(c, d, a_upper) -> c * W + diag(d) + A for one dimension.
+
+    The indices and the complex buffer are made once; every call rewrites
+    the same buffer and returns it, so a caller that keeps the matrix past
+    the next call must copy it (Operator and eigvalsh both do).
+    """
+    rows, cols = np.triu_indices(size, 1)
+    diag = np.arange(size) * (size + 1)
+    upper = rows * size + cols
+    lower = cols * size + rows
+    mat = np.empty((size, size), dtype=complex)
+    flat = mat.reshape(-1)
+
+    def assemble(c: float, d: np.ndarray, a_upper: np.ndarray) -> np.ndarray:
+        flat.fill(c / size)
+        flat[diag] += d
+        ia = 1j * a_upper
+        flat[upper] += ia
+        flat[lower] -= ia
+        return mat
+
+    return assemble
 
 
 def decompose_invariant(m: Operator, tol: float = 1e-8) -> InvariantForm:
@@ -85,9 +104,7 @@ def decompose_invariant(m: Operator, tol: float = 1e-8) -> InvariantForm:
     size = m.dim
     if size < 2:
         raise ValueError("need dimension >= 2")
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if np.abs(mat - mat.conj().T).max() > 1e-10 * scale:
-        raise ValueError("decompose_invariant requires a hermitian operator")
+    require_hermitian(m, "decompose_invariant")
     rows, cols = np.triu_indices(size, 1)
     sym = (mat + mat.T)[rows, cols]
     # Hermitian input makes these real up to rounding.
@@ -126,7 +143,7 @@ def check_permutation_invariance(
     n_bits = (m.dim - 1).bit_length()
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        f = BoolFunc(n_bits, _random_mask(rng, m.dim))
+        f = BoolFunc(n_bits, mask_from_bits(rng.integers(0, 2, size=m.dim)))
         l, k = _random_pair(rng, m.dim)
         if abs(expectation(m, rho, f) - expectation(m, rho, permute(f, l, k))) > tol:
             return False
@@ -170,15 +187,6 @@ def _require_pseudopure_family(rho: DensityMatrix) -> None:
     )
     if not uniform:
         raise ValueError("permutation invariance is only claimed for pseudopure-family states")
-
-
-def _random_mask(rng: np.random.Generator, size: int) -> int:
-    bits = rng.integers(0, 2, size=size)
-    mask = 0
-    for j in range(size):
-        if bits[j]:
-            mask |= 1 << j
-    return mask
 
 
 def _random_pair(rng: np.random.Generator, size: int) -> tuple[int, int]:
@@ -248,17 +256,13 @@ class SearchResult:
         }
 
 
-def _pack(c: float, d: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.concatenate(([c], d, a))
-
-
-def _form_from_params(x: np.ndarray, size: int) -> InvariantForm:
+def _split_params(x: np.ndarray, size: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c, d, a_upper) from the search vector, projected to zero trace."""
     c = float(x[0])
     d = np.array(x[1 : 1 + size], dtype=float)
-    a = np.array(x[1 + size :], dtype=float)
     # Zero-trace projection: shift the diagonal, leaving c alone.
     d -= (c + d.sum()) / size
-    return InvariantForm(c=c, d=d, a_upper=a)
+    return c, d, x[1 + size :]
 
 
 def search_max_c_ratio(
@@ -288,12 +292,15 @@ def search_max_c_ratio(
     phase_budget = max(60, budget // (restarts * (len(_MU_SCHEDULE) + 2)))
     polish_budget = 2 * phase_budget
 
+    assemble = _assembler(size)
+
     def assess(x: np.ndarray) -> tuple[float, float]:
-        form = _form_from_params(x, size)
-        vals = np.linalg.eigvalsh(form.reconstruct().mat)
+        # Runs once per objective evaluation: no InvariantForm, no Operator.
+        c, d, a = _split_params(x, size)
+        vals = np.linalg.eigvalsh(assemble(c, d, a))
         mism = float(np.sum((vals - target) ** 2))
         spread = float(vals[-1] - vals[0])
-        return mism, abs(form.c) / max(spread, 1e-12)
+        return mism, abs(c) / max(spread, 1e-12)
 
     evaluations = 0
     best: SearchResult | None = None
@@ -326,8 +333,9 @@ def search_max_c_ratio(
         x = res.x
         evaluations += res.nfev
 
-        form = _form_from_params(x, size)
-        vals = np.linalg.eigvalsh(form.reconstruct().mat)
+        form = InvariantForm(*_split_params(x, size))
+        checked = Operator(assemble(form.c, form.d, form.a_upper), hermitian=True)
+        vals = np.linalg.eigvalsh(checked.mat)
         residual = float(np.abs(vals - target).max())
         spread = float(vals[-1] - vals[0])
         ratio = abs(form.c) / max(spread, 1e-12)

@@ -24,6 +24,13 @@ _HALF_SPIN = {
 MAX_DENSE_N = 12
 
 
+def is_hermitian(mat: np.ndarray) -> bool:
+    """Whether mat equals its conjugate transpose to within
+    1e-10 * max(1, max|M|); a non-finite matrix never does."""
+    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
+    return bool(np.abs(mat - mat.conj().T).max() <= 1e-10 * scale)
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Immutable dense operator with verified structural flags.
@@ -43,11 +50,12 @@ class Operator:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-        if self.hermitian and np.abs(mat - mat.conj().T).max() > 1e-10 * scale:
+        if self.hermitian and not is_hermitian(mat):
             raise ValueError("hermitian flag set on a non-hermitian matrix")
-        if self.diagonal and np.abs(mat - np.diag(np.diag(mat))).max() > 1e-12 * scale:
-            raise ValueError("diagonal flag set on a matrix with off-diagonal entries")
+        if self.diagonal:
+            scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
+            if np.abs(mat - np.diag(np.diag(mat))).max() > 1e-12 * scale:
+                raise ValueError("diagonal flag set on a matrix with off-diagonal entries")
         if self.unitary:
             if self.diagonal:
                 defect = np.abs(np.abs(np.diag(mat)) - 1.0).max()
@@ -143,11 +151,9 @@ class EigenSpectrum:
         return self.values.size
 
 
-def _require_hermitian(m: Operator, what: str) -> None:
-    if m.hermitian:
-        return
-    scale = max(1.0, float(np.abs(m.mat).max(initial=0.0)))
-    if np.abs(m.mat - m.mat.conj().T).max() > 1e-10 * scale:
+def require_hermitian(m: Operator, what: str) -> None:
+    """Raise unless m is hermitian; a set hermitian flag was already checked."""
+    if not (m.hermitian or is_hermitian(m.mat)):
         raise ValueError(f"{what} requires a hermitian operator")
 
 
@@ -157,7 +163,7 @@ def eig_multiset(m: Operator) -> EigenSpectrum:
     The sum is cross-checked against the trace before returning; a
     mismatch means the eigensolver or the input is broken.
     """
-    _require_hermitian(m, "eig_multiset")
+    require_hermitian(m, "eig_multiset")
     values = np.linalg.eigvalsh(m.mat)
     residue = abs(float(values.sum()) - m.trace.real)
     scale = max(1.0, float(np.abs(values).max(initial=0.0)) * m.dim)
@@ -211,6 +217,5 @@ def load_operator(path) -> Operator:
         re_s, im_s = ln.split(",")
         flat[idx] = complex(float(re_s), float(im_s))
     mat = flat.reshape(dim, dim)
-    hermitian = bool(np.abs(mat - mat.conj().T).max() <= 1e-10 * max(1.0, np.abs(mat).max(initial=0.0)))
     diagonal = bool(np.abs(mat - np.diag(np.diag(mat))).max() == 0.0)
-    return Operator(mat, hermitian=hermitian, diagonal=diagonal)
+    return Operator(mat, hermitian=is_hermitian(mat), diagonal=diagonal)

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evqc.spinops import MAX_DENSE_N, Operator, single_spin, spin_z_column, w_projector
+from evqc.spinops import (
+    MAX_DENSE_N,
+    Operator,
+    is_hermitian,
+    single_spin,
+    spin_z_column,
+    w_projector,
+)
 
 # Past this the linear truncation of exp(-H/kT) is no longer trustworthy.
 HIGH_TEMPERATURE_LIMIT = 0.1
@@ -126,8 +133,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         mat = self.op.mat
-        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-        if np.abs(mat - mat.conj().T).max() > 1e-10 * scale:
+        if not (self.op.hermitian or is_hermitian(mat)):
             raise ValueError("density matrix must be hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
             raise ValueError(f"density matrix trace {np.trace(mat):} is not 1")

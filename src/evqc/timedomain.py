@@ -33,6 +33,10 @@ from evqc.states import DensityMatrix, SpinSystem
 # bounded whatever the sample count.
 _BLOCK_ELEMENTS = 1 << 16
 
+# Largest accepted sample count.  The trace, its spectrum and both CSV
+# texts are held whole in memory; `signal` at this count peaks near 460 MB.
+MAX_SAMPLES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
@@ -113,10 +117,9 @@ def check_sampling(dt: float, count: int) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if count < 1:
         raise ValueError("need at least one sample")
-    try:
-        last = dt * (count - 1)
-    except OverflowError:  # count beyond the float range
-        last = math.inf
+    if count > MAX_SAMPLES:
+        raise ValueError(f"count={count} exceeds the ceiling of {MAX_SAMPLES} samples")
+    last = dt * (count - 1)
     if not math.isfinite(last):
         raise ValueError(f"last sample time dt * (count - 1) is not finite for dt={dt!r}, count={count}")
     if not math.isfinite(2.0 * math.pi / dt):

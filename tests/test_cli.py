@@ -405,3 +405,25 @@ def test_signal_coupled_doublet_peaks(capsys, tmp_path):
     assert rc == 0
     positive = sorted(w for w, _ in rec["result"]["peaks"] if w > 0)
     np.testing.assert_allclose(positive, 2 * np.pi * np.array([47.5, 52.5, 77.5, 82.5]), atol=1e-9)
+
+
+def test_signal_rejects_count_above_ceiling(capsys, tmp_path):
+    from evqc.timedomain import MAX_SAMPLES
+
+    rc, rec, err = run(
+        capsys, "signal", "--n", "2", "--dt", "1e-4", f"--count={MAX_SAMPLES + 1}",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert_one_line_error(rc, rec, err)
+    assert "ceiling" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_rejects_large_table_file_in_one_line(capsys, tmp_path):
+    fn = tmp_path / "f.fn"
+    fn.write_text("n=20\n" + "01" * (1 << 19) + "\n")
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "pseudopure", "--fn", str(fn), "--eps", "0.1",
+    )
+    assert_one_line_error(rc, rec, err)
+    assert "n=20" in err and "1..12" in err

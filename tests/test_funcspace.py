@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,8 @@ from evqc.funcspace import (
     imbalance,
     is_in_cn,
     lift,
+    mask_from_bits,
+    mask_from_support,
     parse_function,
     permute,
     sample_cn,
@@ -262,3 +266,48 @@ def test_canonical_representatives():
     assert canonical_balanced(2).table == (1, 1, 0, 0)
     with pytest.raises(ValueError):
         canonical_cn(1)
+
+
+def loop_mask(bits):
+    """Reference codec: one shift per set bit."""
+    mask = 0
+    for j, b in enumerate(bits):
+        if b:
+            mask |= 1 << j
+    return mask
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 64, 1000, 4096])
+def test_mask_from_bits_matches_loop(size, rng):
+    for _ in range(5):
+        bits = rng.integers(0, 2, size=size)
+        assert mask_from_bits(bits) == loop_mask(bits)
+        assert mask_from_bits(bits.tolist()) == loop_mask(bits)
+        support = np.flatnonzero(bits)
+        assert mask_from_support(size, support) == loop_mask(bits)
+        assert mask_from_support(size, support.tolist()) == loop_mask(bits)
+    assert mask_from_bits(np.ones(size, dtype=np.uint8)) == (1 << size) - 1
+    assert mask_from_support(size, []) == 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 11])
+def test_table_codecs_round_trip(n, rng):
+    f = BoolFunc(n, loop_mask(rng.integers(0, 2, size=1 << n)))
+    assert BoolFunc.from_table(f.table) == f
+    assert parse_function(format_function(f)) == f
+
+
+def test_seeded_masks_frozen():
+    """sample_cn, canonical_cn and the adversary witness draw the same
+    masks from the same seeds as the per-bit loops they replaced."""
+    from evqc.adversary import cn_witness
+
+    masks = [sample_cn(n, seed).mask for n in range(2, 13) for seed in (0, 1, 7)]
+    masks += [canonical_cn(n).mask for n in range(2, 13)]
+    draws = np.random.default_rng(5)
+    for n in range(2, 11):
+        size = 1 << n
+        queried = draws.choice(size, size=int(draws.integers(0, size // 2 + 1)), replace=False)
+        masks.append(cn_witness(n, [int(q) for q in queried]).mask)
+    digest = hashlib.sha256(repr(masks).encode()).hexdigest()
+    assert digest == "ed207b82594a28c181bc44e844c9859ce15659e175cd48cc0e77ed6861b7cda1"

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from evqc import measstruct, spinops
 from evqc.engine import expectation
 from evqc.funcspace import BoolFunc, imbalance, permute
 from evqc.measstruct import (
@@ -175,3 +179,51 @@ def test_search_guards():
         search_max_c_ratio(1, budget=50)
     with pytest.raises(ValueError):
         search_max_c_ratio(1, restarts=0)
+
+
+# (n, budget, seed, restarts) -> sha256 of json.dumps(to_record()) and the
+# evaluation count.  Frozen from the route that built an InvariantForm and a
+# validated Operator on every evaluation; the lean evaluation path must
+# reproduce every record and count bit for bit.
+GOLDEN_SEARCHES = [
+    ((1, 500, 0, 1), "f5b7799bc3d72d8f0fc5972c623167d6e930b675b684641c4c17c2563de7aa9e", 464),
+    ((1, 2000, 7, 2), "3214136ef49dfe323b91c724416159610f6c3ec17397b3f5b7a4ba74e04fcf97", 1364),
+    ((2, 1000, 1, 1), "f367aab9d00c8faaa83c8b6504e485d43a69fbf3b499e84abf573d1470d6c73e", 996),
+    ((2, 2000, 2, 1), "d612cb6dabfe91e60b8a0a03b4418298202d6055869d9ead3b526fc7d4dfdfff", 1998),
+    ((2, 3000, 5, 2), "0526aba7b1ac7433a0e8e0a6d401b1b143cc051c74e62a9c724023f85e9a4dc4", 3000),
+    ((3, 1500, 2, 1), "5d61440436953581df51cc534a6d457f4a8579249671ff007fc5da9e74a09b91", 1500),
+]
+
+
+@pytest.mark.parametrize("config, digest, evaluations", GOLDEN_SEARCHES)
+def test_search_matches_golden_records(config, digest, evaluations):
+    n, budget, seed, restarts = config
+    result = search_max_c_ratio(n, budget=budget, seed=seed, restarts=restarts)
+    assert hashlib.sha256(json.dumps(result.to_record()).encode()).hexdigest() == digest
+    assert result.evaluations == evaluations
+
+
+def test_search_validates_once_per_restart_not_per_evaluation(monkeypatch):
+    calls = {"Operator": 0, "InvariantForm": 0, "triu_indices": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        spinops.Operator, "__post_init__", counting("Operator", spinops.Operator.__post_init__)
+    )
+    monkeypatch.setattr(
+        InvariantForm, "__post_init__", counting("InvariantForm", InvariantForm.__post_init__)
+    )
+    monkeypatch.setattr(measstruct.np, "triu_indices", counting("triu_indices", np.triu_indices))
+    n, restarts = 2, 3
+    result = search_max_c_ratio(n, budget=3000, seed=5, restarts=restarts)
+    # The reference spectrum builds n + 1 operators; each restart's
+    # candidate builds one form and one operator.
+    assert calls["Operator"] <= n + 1 + restarts
+    assert calls["InvariantForm"] <= restarts
+    assert calls["triu_indices"] == 1
+    assert result.evaluations > 100 * restarts

@@ -7,6 +7,7 @@ from evqc.spinops import (
     Operator,
     dump_operator,
     eig_multiset,
+    is_hermitian,
     load_operator,
     oracle,
     single_spin,
@@ -161,3 +162,34 @@ def test_load_detects_diagonal(tmp_path):
     back = load_operator(path)
     assert back.diagonal
     assert back.hermitian
+
+
+def test_is_hermitian_tolerance_scales_with_largest_entry():
+    for big in (1.0, 1e6):
+        base = np.array([[big, 1.0], [1.0, 0.0]], dtype=complex)
+        inside = base.copy()
+        inside[0, 1] += 0.5e-10 * big
+        outside = base.copy()
+        outside[0, 1] += 2e-10 * big
+        assert is_hermitian(base)
+        assert is_hermitian(inside)
+        assert not is_hermitian(outside)
+    assert not is_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_every_hermiticity_check_keeps_its_message(tmp_path):
+    from evqc.measstruct import decompose_invariant
+    from evqc.states import DensityMatrix
+
+    skew = np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="hermitian flag set on a non-hermitian matrix"):
+        Operator(skew, hermitian=True)
+    with pytest.raises(ValueError, match="eig_multiset requires a hermitian operator"):
+        eig_multiset(Operator(skew))
+    with pytest.raises(ValueError, match="density matrix must be hermitian"):
+        DensityMatrix(Operator(skew))
+    with pytest.raises(ValueError, match="decompose_invariant requires a hermitian operator"):
+        decompose_invariant(Operator(skew))
+    path = tmp_path / "skew.txt"
+    dump_operator(Operator(skew), path)
+    assert not load_operator(path).hermitian

@@ -376,3 +376,9 @@ def test_csv_text_matches_the_csv_module(rng, tmp_path):
     assert spectrum_csv(spec) == expected
     write_spectrum_csv(spec, tmp_path / "s.csv")
     assert (tmp_path / "s.csv").read_bytes() == expected.encode("ascii")
+
+
+def test_check_sampling_caps_the_sample_count():
+    timedomain.check_sampling(1e-4, timedomain.MAX_SAMPLES)
+    with pytest.raises(ValueError, match="ceiling"):
+        timedomain.check_sampling(1e-4, timedomain.MAX_SAMPLES + 1)
