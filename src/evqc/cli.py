@@ -21,7 +21,7 @@ import numpy as np
 from evqc import adversary as adversary_mod
 from evqc import engine, funcspace, measstruct, states, timedomain
 from evqc.funcspace import BoolFunc, FunctionClass
-from evqc.spinops import Operator, dump_operator, single_spin, total_spin, w_projector
+from evqc.spinops import Operator, operator_text, single_spin, total_spin, w_projector
 
 
 class _UsageError(Exception):
@@ -135,7 +135,7 @@ def cmd_classify(args) -> int:
         n = sys_obj.n
         config_sys = states.system_to_dict(sys_obj)
     if args.dump_op:
-        dump_operator(_protocol_measurement(args.protocol, n), args.dump_op)
+        _write_atomic(Path(args.dump_op), operator_text(_protocol_measurement(args.protocol, n)))
     record = {
         "command": "classify",
         "config": {
@@ -195,7 +195,7 @@ def cmd_survey(args) -> int:
         "config": {"mode": args.mode, "n": n, "out": args.out},
         "result": summary,
     }
-    print(json.dumps(record, allow_nan=False))
+    _emit(record, None)
     return 0
 
 
@@ -254,7 +254,7 @@ def cmd_signal(args) -> int:
     peaks = timedomain.find_peaks(spec)
     if args.dump_op:
         m = total_spin(n, axis) if args.measure in ("fx", "fy") else single_spin(n, spins[0], axis)
-        dump_operator(m, args.dump_op)
+        _write_atomic(Path(args.dump_op), operator_text(m))
 
     out = Path(args.out)
     spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
@@ -279,7 +279,7 @@ def cmd_signal(args) -> int:
             "peaks": [[omega, mag] for omega, mag in peaks],
         },
     }
-    print(json.dumps(record, allow_nan=False))
+    _emit(record, None)
     return 0
 
 
@@ -343,10 +343,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (_UsageError, OSError, ValueError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,8 @@ the pulsed thermal state and the transverse measurements are sums of
 bit-flip terms, and the pseudopure state and the projector measurement
 are identity plus a rank-one projector, so each readout is an O(N * n)
 sum over the sign vector and each spectral range is known in closed form.
+The bit-flip pairing and its correlations belong to `funcspace`
+(`flip_halves`, `flip_correlation`), which C_N membership shares.
 
 Two dense evaluation routes are kept deliberately separate as its
 oracles: the direct route conjugates the state by the oracle and
@@ -27,6 +29,7 @@ from evqc.funcspace import (
     canonical_cn,
     constant_one,
     constant_zero,
+    flip_correlation,
     lift,
 )
 from evqc.spinops import Operator, _check_register, spectral_range
@@ -144,8 +147,7 @@ def transverse_readout(sys: SpinSystem, f: BoolFunc, spins) -> float:
     if f.n != sys.n:
         raise ValueError(f"function on {f.n} bits does not match {sys.n} spins")
     spins = _check_spins(spins, sys.n)
-    bits = f.bits()
-    total = math.fsum(float(sys.omega[i - 1]) * _flip_correlation(bits, sys.n, i) for i in spins)
+    total = math.fsum(float(sys.omega[i - 1]) * flip_correlation(f, i) for i in spins)
     # Adding 0.0 turns the -0.0 of an exact cancellation into 0.0.
     return -sys.theta * total / (4.0 * sys.size) + 0.0
 
@@ -155,23 +157,6 @@ def _check_spins(spins, n: int) -> tuple[int, ...]:
     if not spins or any(not 1 <= i <= n for i in spins):
         raise ValueError(f"spins {spins} must be a nonempty selection from 1..{n}")
     return spins
-
-
-def _flip_correlation(bits: np.ndarray, n: int, i: int) -> int:
-    """c_i = sum_j s_j s_(j XOR 2**(n-i)) for s = (-1)**bits."""
-    # Axis 1 splits each block on bit n-i, pairing j with j XOR 2**(n-i);
-    # every unordered pair enters c_i twice, +1 when equal and -1 when not.
-    halves = bits.reshape(-1, 2, 1 << (n - i))
-    flips = int(np.count_nonzero(halves[:, 0] != halves[:, 1]))
-    c = bits.size - 4 * flips
-    if __debug__:
-        s = 1.0 - 2.0 * bits
-        gathered = float(s @ s[np.arange(bits.size) ^ (1 << (n - i))])
-        if gathered != c:
-            raise AssertionError(
-                f"bit-flip correlation of spin {i} disagrees: {c} by halves, {gathered} by gather"
-            )
-    return c
 
 
 def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:

@@ -5,6 +5,11 @@ little-endian into a Python integer: bit j of ``mask`` holds f(j).  That
 gives O(1) evaluation, cheap complement/permutation via bit twiddling, and
 exact hashing.  All values are immutable; every operation returns a new
 instance.
+
+The bit-flip (hypercube-neighbour) rule lives here: argument a pairs with
+a XOR 2**(n-i), spin i counted from the most significant bit.  C_N
+membership, the structured readout and the matrix-free signal all use it
+through `flip_halves` and `flip_correlation`.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import numpy as np
 # Exhaustive class listings walk up to 2^(2^n) truth tables; past n = 4
 # that is no longer a desk-scale job.
 ENUMERATION_LIMIT = 4
+
+# Widest truth table: 2^22 entries, a 4 MB bit table.  Checked before
+# anything of size 2^n is built, so an oversized header costs nothing.
+MAX_TABLE_N = 22
 
 
 class FunctionClass(enum.Enum):
@@ -46,9 +55,8 @@ class BoolFunc:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one argument bit, got n={self.n}")
-        if not 0 <= self.mask < (1 << self.size):
+        _check_width(self.n)
+        if self.mask < 0 or self.mask.bit_length() > self.size:
             raise ValueError("mask does not fit a %d-entry truth table" % self.size)
         packed = np.frombuffer(self.mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
         bits = np.unpackbits(packed, count=self.size, bitorder="little")
@@ -93,13 +101,6 @@ class BoolFunc:
             raise ValueError("truth table entries must be 0 or 1")
         return cls(n, mask_from_bits(values))
 
-    @classmethod
-    def from_text(cls, text: str) -> "BoolFunc":
-        return parse_function(text)
-
-    def to_text(self) -> str:
-        return format_function(self)
-
     def __str__(self) -> str:
         return (self._bits + ord("0")).tobytes().decode("ascii")
 
@@ -121,21 +122,23 @@ def parse_function(text: str) -> BoolFunc:
         n = int(header[2:])
     except ValueError:
         raise ValueError(f"malformed header {lines[0]!r}") from None
-    if n < 1:
-        raise ValueError("header must declare n >= 1")
+    _check_width(n)
     body = lines[1]
     size = 1 << n
     if body.lower().startswith("0x"):
-        mask = int(body, 16)
-        if mask >= (1 << size):
-            raise ValueError("hex table has more bits than 2**n entries")
-        return BoolFunc(n, mask)
+        return BoolFunc(n, int(body, 16))
     if len(body) != size:
         raise ValueError(f"table line has {len(body)} entries, expected {size}")
     if set(body) - {"0", "1"}:
         raise ValueError("table line may only contain 0 and 1")
     bits = np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("1")
     return BoolFunc(n, mask_from_bits(bits))
+
+
+def _check_width(n: int) -> None:
+    """Reject an argument width outside 1..MAX_TABLE_N."""
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"n={n} outside the truth-table range 1..{MAX_TABLE_N}")
 
 
 def mask_from_bits(bits) -> int:
@@ -192,26 +195,46 @@ def permute(f: BoolFunc, l: int, m: int) -> BoolFunc:
     return BoolFunc(f.n, f.mask ^ ((1 << l) | (1 << m)))
 
 
+def flip_halves(values: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a length-2**n vector at the arguments a whose bit i
+    (1-based from the most significant) is clear, and at their
+    neighbours a XOR 2**(n-i), entry for entry."""
+    # Axis 1 splits each block of 2**(n-i+1) arguments on bit n-i.
+    halves = values.reshape(-1, 2, 1 << (n - i))
+    return halves[:, 0], halves[:, 1]
+
+
+def flip_correlation(f: BoolFunc, i: int) -> int:
+    """c_i = sum_j s_j s_(j XOR 2**(n-i)) for s = (-1)**f, an exact integer."""
+    # Every unordered pair enters c_i twice, +1 when equal and -1 when not.
+    clear, flipped = flip_halves(f.bits(), f.n, i)
+    c = f.size - 4 * int(np.count_nonzero(clear != flipped))
+    if __debug__:
+        s = f.signs()
+        gathered = float(s @ s[np.arange(f.size) ^ (1 << (f.n - i))])
+        if gathered != c:
+            raise AssertionError(
+                f"bit-flip correlation of spin {i} disagrees: {c} by halves, {gathered} by gather"
+            )
+    return c
+
+
 def is_in_cn(f: BoolFunc) -> bool:
     """Membership in the class C_N.
 
     A function belongs when it, or its complement, maps exactly N/4
     arguments to 1 with no two of those arguments at Hamming distance 1.
-    Undefined below n = 2 (N/4 would not be a positive integer).
+    With N/4 ones that holds exactly when every bit-flip correlation c_i
+    vanishes: c_i = N - 4 * (pairs along bit i holding a 0 and a 1), and
+    each of the N/4 ones sits in such a pair unless its neighbour is a
+    one too.  Complementing leaves every c_i unchanged.  Undefined below
+    n = 2 (N/4 would not be a positive integer).
     """
     if f.n < 2:
         raise ValueError(f"class C_N is undefined for n={f.n}; need n >= 2")
-    return _quarter_spread(f) or _quarter_spread(complement(f))
-
-
-def _quarter_spread(f: BoolFunc) -> bool:
-    quarter = f.size // 4
-    if f.ones != quarter:
+    if f.ones not in (f.size // 4, 3 * f.size // 4):
         return False
-    support = [j for j in range(f.size) if f(j)]
-    return all(
-        (a ^ b).bit_count() != 1 for a, b in itertools.combinations(support, 2)
-    )
+    return all(flip_correlation(f, i) == 0 for i in range(1, f.n + 1))
 
 
 def classify(f: BoolFunc) -> FunctionClass:
@@ -247,31 +270,25 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
     if n < 1:
         raise ValueError("n must be positive")
     if cls is FunctionClass.CONSTANT:
-        yield BoolFunc(n, 0)
-        yield BoolFunc(n, (1 << (1 << n)) - 1)
+        yield constant_zero(n)
+        yield constant_one(n)
         return
     if n > ENUMERATION_LIMIT:
         raise ValueError(
             f"exhaustive enumeration of {cls.value} is capped at n={ENUMERATION_LIMIT}"
         )
     size = 1 << n
+    # Capped at n <= ENUMERATION_LIMIT, every mask fits in 16 bits, so
+    # adding up the chosen powers of two is the cheapest way to build it.
+    powers = [1 << j for j in range(size)]
     if cls is FunctionClass.BALANCED_W:
-        # Capped at n <= ENUMERATION_LIMIT, every mask fits in 16 bits, so
-        # adding up the chosen powers of two is the cheapest way to build it.
-        powers = [1 << j for j in range(size)]
         members = [sum(ones) for ones in itertools.combinations(powers, size // 2)]
     elif cls is FunctionClass.CLASS_CN:
         if n < 2:
             raise ValueError("class C_N is undefined for n < 2")
-        bases = [
-            support
-            for support in itertools.combinations(range(size), size // 4)
-            if all((a ^ b).bit_count() != 1 for a, b in itertools.combinations(support, 2))
-        ]
         full = (1 << size) - 1
-        masks = {mask_from_support(size, s) for s in bases}
-        masks |= {full ^ m for m in masks}
-        members = sorted(masks)
+        quarters = (sum(ones) for ones in itertools.combinations(powers, size // 4))
+        members = [m for q in quarters if is_in_cn(BoolFunc(n, q)) for m in (q, full ^ q)]
     else:
         members = [
             m for m in range(1 << size) if classify(BoolFunc(n, m)) is cls
@@ -282,6 +299,7 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
 
 def _even_parity_arguments(n: int) -> np.ndarray:
     """The arguments with an even number of set bits, ascending."""
+    _check_width(n)
     # Bit parity of 0..2^(k+1)-1 is that of 0..2^k-1 followed by its flip.
     parity = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
@@ -309,11 +327,13 @@ def constant_zero(n: int) -> BoolFunc:
 
 
 def constant_one(n: int) -> BoolFunc:
+    _check_width(n)
     return BoolFunc(n, (1 << (1 << n)) - 1)
 
 
 def canonical_balanced(n: int) -> BoolFunc:
     """The balanced representative with ones on the lower half of the domain."""
+    _check_width(n)
     return BoolFunc(n, (1 << ((1 << n) // 2)) - 1)
 
 

@@ -11,6 +11,7 @@ necessary spectral conditions, and searches for the largest attainable
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -358,14 +359,4 @@ def search_max_c_ratio(
 
     chosen = best if best is not None else best_infeasible
     assert chosen is not None  # restarts >= 1 always yields a candidate
-    return SearchResult(
-        n=chosen.n,
-        ratio=chosen.ratio,
-        form=chosen.form,
-        penalty_residual=chosen.penalty_residual,
-        budget=budget,
-        seed=seed,
-        restarts=restarts,
-        evaluations=evaluations,
-        feasible=chosen.feasible,
-    )
+    return dataclasses.replace(chosen, evaluations=evaluations)

@@ -193,14 +193,19 @@ def unitarily_equivalent(m1: Operator, m2: Operator, tol: float | None = None) -
     return bool(np.abs(v1 - v2).max() <= tol)
 
 
-def dump_operator(m: Operator, path) -> None:
-    """Write the dump format: dimension header, then row-major re,im pairs."""
+def operator_text(m: Operator) -> str:
+    """The dump format: dimension header, then row-major re,im pairs."""
     lines = [str(m.dim)]
     for row in m.mat:
         for entry in row:
             lines.append(f"{entry.real:.17g},{entry.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def dump_operator(m: Operator, path) -> None:
+    """Write the dump format (`operator_text`) to path."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(operator_text(m))
 
 
 def load_operator(path) -> Operator:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from evqc.spinops import (
-    MAX_DENSE_N,
     Operator,
+    _check_register,
     is_hermitian,
     single_spin,
     spin_z_column,
@@ -51,8 +51,7 @@ class SpinSystem:
     couplings: tuple[tuple[int, int, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DENSE_N:
-            raise ValueError(f"spin count n={self.n} outside 1..{MAX_DENSE_N}")
+        _check_register(self.n)
         omega = np.array(self.omega, dtype=float)
         if omega.shape != (self.n,):
             raise ValueError(f"omega must have shape ({self.n},), got {omega.shape}")
@@ -121,6 +120,7 @@ def system_to_dict(sys: SpinSystem) -> dict:
 
 def demo_system(n: int) -> SpinSystem:
     """Deterministic demonstration register with spread-out frequencies."""
+    _check_register(n)
     omega = 2.0 * np.pi * np.linspace(400.0, 600.0, n)
     return SpinSystem(n=n, omega=omega, theta=2e-8)
 
@@ -171,8 +171,7 @@ def pseudopure(n: int, alpha: float) -> DensityMatrix:
     alpha is the purity weight; physical preparations have 0 < alpha <= 1
     and anything else draws a warning but is still constructed.
     """
-    if not 1 <= n <= MAX_DENSE_N:
-        raise ValueError(f"register size n={n} outside 1..{MAX_DENSE_N}")
+    _check_register(n)
     size = 1 << n
     if not 0 < alpha <= 1:
         warnings.warn(f"pseudopure weight alpha={alpha:g} outside (0, 1]", stacklevel=2)

@@ -8,11 +8,12 @@ lines.
 `transverse_signal` samples the readout of transverse order on the pulsed
 thermal state after a phase oracle without building a matrix: each spin
 contributes a few lines, split by its couplings, weighted by exact integer
-bit-flip correlations.  The dense routes are kept deliberately separate as
-its oracles: `signal` sums the lines of a state and a measurement matrix,
-`heisenberg_op` moves a measurement by entrywise phases, and
-`heisenberg_dense` does the same through a matrix exponential.  Tests pit
-them against each other; do not collapse them.
+bit-flip correlations over the pairs `funcspace.flip_halves` makes.  The
+dense routes are kept deliberately separate as its oracles: `signal` sums
+the lines of a state and a measurement matrix, `heisenberg_op` moves a
+measurement by entrywise phases, and `heisenberg_dense` does the same
+through a matrix exponential.  Tests pit them against each other; do not
+collapse them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from evqc.engine import _check_spins
-from evqc.funcspace import BoolFunc
+from evqc.funcspace import BoolFunc, flip_halves
 from evqc.spinops import Operator, spin_z_column
 from evqc.states import DensityMatrix, SpinSystem
 
@@ -192,11 +193,9 @@ def transverse_signal(
         for a, b, strength in sys.couplings:
             if i in (a, b):
                 delta = delta + 2.0 * np.pi * strength * spin_z_column(n, b if a == i else a)
-        # Axis 1 splits each block on bit n-i: index 0 holds the states a
-        # with bit i clear, index 1 their partners a XOR 2**(n-i).
-        halves = bits.reshape(-1, 2, 1 << (n - i))
-        pair_signs = 1 - 2 * (halves[:, 0] != halves[:, 1]).ravel()
-        line, inverse = np.unique(delta.reshape(-1, 2, 1 << (n - i))[:, 0].ravel(), return_inverse=True)
+        clear, flipped = flip_halves(bits, n, i)
+        pair_signs = 1 - 2 * (clear != flipped).ravel()
+        line, inverse = np.unique(flip_halves(delta, n, i)[0].ravel(), return_inverse=True)
         c = np.bincount(inverse, pair_signs, line.size)
         keep = c != 0
         amps.append(sys.omega[i - 1] * c[keep])

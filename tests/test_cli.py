@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,3 +430,122 @@ def test_classify_rejects_large_table_file_in_one_line(capsys, tmp_path):
     )
     assert_one_line_error(rc, rec, err)
     assert "n=20" in err and "1..12" in err
+
+
+def _stdout(capsys, *argv):
+    rc = main(list(argv))
+    return f"{rc}\n{capsys.readouterr().out}".encode()
+
+
+CLASS_ARGS = [("--class", "constant"), ("--class", "balanced"), ("--class", "cn"),
+              ("--class", "cn", "--seed", "5")]
+
+
+# sha256 of the exit codes and report lines for n = 2..10 and every entry of
+# CLASS_ARGS, recorded before the bit-flip rule moved into funcspace.
+@pytest.mark.parametrize("protocol, digest", [
+    ("cn-thermal", "fac6c2da877294c0f87f8879c4a11a3446757a670e47340b372ad2f96703014a"),
+    ("lifted", "82117f3457c002d3fd17cabb781958eaf25e285c8ca5b3379f750e4150305c39"),
+])
+def test_classify_reports_match_golden(capsys, protocol, digest):
+    h = hashlib.sha256()
+    for n in range(2, 11):
+        for cls in CLASS_ARGS:
+            h.update(_stdout(capsys, "classify", "--protocol", protocol, "--n", str(n),
+                             "--eps", "0.01", *cls))
+    assert h.hexdigest() == digest
+
+
+def _chain_system(n):
+    return {"n": n, "omega": [2513.27 + 311.0 * k for k in range(n)], "theta": THETA,
+            "couplings": [[k, k + 1, 7.0 + k] for k in range(1, n)]}
+
+
+# sha256 of the exit codes, report lines and both CSV files of every run
+# below, recorded before the bit-flip rule moved into funcspace.
+def test_signal_files_match_golden(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for n in (3, 5, 7):
+        Path("chain.json").write_text(json.dumps(_chain_system(n)))
+        for system in (("--n", str(n)), ("--sys", "chain.json")):
+            for measure in ("fx", "fy", "ixj:2"):
+                for oracle in ((), ("--class", "balanced"), ("--class", "cn", "--seed", "2")):
+                    h.update(_stdout(capsys, "signal", *system, "--measure", measure, *oracle,
+                                     "--dt", "1e-4", "--count", "64", "--out", "t.csv"))
+                    h.update(Path("t.csv").read_bytes() + Path("t.spectrum.csv").read_bytes())
+    assert h.hexdigest() == "0c8a3b30dffca3aed5e07f2447e6835dabe73db90bc51d07d96b5db416669d1d"
+
+
+def test_survey_cn_matches_golden(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for n in (2, 3):
+        h.update(_stdout(capsys, "survey", "--mode", "cn", "--n", str(n), "--out", "cn.csv"))
+        h.update(Path("cn.csv").read_bytes())
+    assert h.hexdigest() == "30f7126b0c6f818db73197a97b2b1c1b22e172c27e1bab20767295b66942c27d"
+
+
+def test_dump_op_files_match_golden(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for protocol, n in (("pseudopure", 3), ("cn-thermal", 3), ("lifted", 2)):
+        _stdout(capsys, "classify", "--protocol", protocol, "--class", "constant", "--n", str(n),
+                "--eps", "0.1", "--dump-op", "op.txt")
+        h.update(Path("op.txt").read_bytes())
+    for measure in ("fx", "fy", "ixj:2"):
+        _stdout(capsys, "signal", "--n", "3", "--measure", measure, "--dt", "1e-4",
+                "--count", "8", "--out", "t.csv", "--dump-op", "op.txt")
+        h.update(Path("op.txt").read_bytes())
+    assert h.hexdigest() == "cfc91cffe728a4db6fbba8387fc50b082d3477d546ca56287a97e7ca9272cee0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--protocol", "pseudopure", "--eps", "0.1", "--dump-op", "op.txt",
+     "--class", "constant", "--n", "2"),
+    ("signal", "--n", "2", "--dt", "1e-4", "--count", "8", "--out", "t.csv",
+     "--dump-op", "op.txt"),
+])
+def test_failed_dump_keeps_the_earlier_file_and_no_temp_file(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("op.txt").write_text("earlier\n")
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc, rec, err = run(capsys, *argv)
+    assert_one_line_error(rc, rec, err)
+    assert Path("op.txt").read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["op.txt"]
+
+
+@pytest.mark.parametrize("header", ["n=28", "n=70", "n=1000000000000"])
+def test_classify_rejects_oversized_header_before_building(capsys, tmp_path, header):
+    fn = tmp_path / "f.fn"
+    fn.write_text(f"{header}\n0x1\n")
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "pseudopure", "--fn", str(fn), "--eps", "0.1",
+    )
+    assert_one_line_error(rc, rec, err)
+    assert header in err and "truth-table" in err
+
+
+@pytest.mark.parametrize("func_class", ["constant", "balanced", "cn"])
+def test_classify_rejects_oversized_class_before_building(capsys, func_class):
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "pseudopure", "--class", func_class, "--n", "70",
+        "--eps", "0.1",
+    )
+    assert_one_line_error(rc, rec, err)
+    assert "n=70" in err
+
+
+@pytest.mark.parametrize("n", ["100000000", "1000000000000"])
+def test_signal_rejects_oversized_demo_system_before_building(capsys, tmp_path, n):
+    rc, rec, err = run(
+        capsys, "signal", "--n", n, "--dt", "1e-4", "--count", "8",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert_one_line_error(rc, rec, err)
+    assert f"n={n}" in err and "1..12" in err

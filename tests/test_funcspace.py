@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evqc.funcspace import (
+    MAX_TABLE_N,
     BoolFunc,
     FunctionClass,
     canonical_balanced,
@@ -15,6 +17,8 @@ from evqc.funcspace import (
     constant_one,
     constant_zero,
     enumerate_class,
+    flip_correlation,
+    flip_halves,
     format_function,
     hamming,
     imbalance,
@@ -311,3 +315,80 @@ def test_seeded_masks_frozen():
         masks.append(cn_witness(n, [int(q) for q in queried]).mask)
     digest = hashlib.sha256(repr(masks).encode()).hexdigest()
     assert digest == "ed207b82594a28c181bc44e844c9859ce15659e175cd48cc0e77ed6861b7cda1"
+
+
+def cn_by_pairs(n, mask):
+    """The raw class definition: f or its complement has N/4 ones, no two
+    of them at Hamming distance 1.  No library calls."""
+    size = 1 << n
+    for flavor in (mask, mask ^ ((1 << size) - 1)):
+        support = [j for j in range(size) if (flavor >> j) & 1]
+        if len(support) == size // 4 and all(
+            bin(a ^ b).count("1") != 1 for a, b in itertools.combinations(support, 2)
+        ):
+            return True
+    return False
+
+
+def test_is_in_cn_matches_pairwise_definition():
+    draws = np.random.default_rng(11)
+    for n in range(2, 11):
+        size = 1 << n
+        full = (1 << size) - 1
+        for seed in range(4):
+            member = sample_cn(n, seed).mask
+            quarter = mask_from_support(size, draws.choice(size, size // 4, replace=False))
+            # Move one one of a member onto a free neighbour of another one.
+            support = [j for j in range(size) if (member >> j) & 1]
+            crowded = member
+            if len(support) > 1:
+                crowded = member ^ (1 << support[1]) ^ (1 << (support[0] ^ 1))
+            random_table = mask_from_bits(draws.integers(0, 2, size))
+            for mask in (member, full ^ member, quarter, full ^ quarter, crowded, random_table):
+                assert is_in_cn(BoolFunc(n, mask)) == cn_by_pairs(n, mask), (n, seed, hex(mask))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_flip_correlation_matches_xor_gather(n, rng):
+    funcs = [constant_zero(n), canonical_balanced(n), BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n)))]
+    if n >= 2:
+        funcs.append(sample_cn(n, n))
+    for f in funcs:
+        s = 1 - 2 * f.bits().astype(np.int64)
+        for i in range(1, n + 1):
+            c = flip_correlation(f, i)
+            assert type(c) is int
+            assert c == int(s @ s[np.arange(f.size) ^ (1 << (n - i))])
+
+
+def test_flip_halves_pair_each_argument_with_its_neighbour():
+    n = 5
+    idx = np.arange(1 << n)
+    for i in range(1, n + 1):
+        bit = 1 << (n - i)
+        clear, flipped = flip_halves(idx, n, i)
+        assert np.shares_memory(clear, idx) and np.shares_memory(flipped, idx)
+        assert not np.any(clear & bit)
+        np.testing.assert_array_equal(flipped, clear ^ bit)
+        assert sorted(np.concatenate([clear.ravel(), flipped.ravel()])) == idx.tolist()
+
+
+@pytest.mark.parametrize("n", [0, MAX_TABLE_N + 1, 28, 70])
+def test_table_width_is_checked_before_any_table_is_built(n):
+    for build in (
+        lambda: BoolFunc(n, 1),
+        lambda: constant_zero(n),
+        lambda: constant_one(n),
+        lambda: canonical_balanced(n),
+        lambda: canonical_cn(n),
+        lambda: sample_cn(n, 0),
+        lambda: parse_function(f"n={n}\n0x1\n"),
+    ):
+        with pytest.raises(ValueError, match=rf"n={n}\b|n < 2|n >= 1"):
+            build()
+
+
+def test_widest_table_is_accepted():
+    f = BoolFunc(MAX_TABLE_N, 1)
+    assert f.ones == 1 and f.bits().size == 1 << MAX_TABLE_N
+    assert BoolFunc(20, 1 << ((1 << 20) - 1)).ones == 1
