@@ -154,9 +154,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    if args.n > 3:
-        raise _UsageError(f"exhaustive survey is limited to n <= 3, got n={args.n}")
     n = args.n
+    if not 1 <= n <= 3:
+        raise _UsageError(f"exhaustive survey needs 1 <= n <= 3, got n={n}")
     size = 1 << n
     rows = []
     if args.mode == "dj":
@@ -175,8 +175,7 @@ def cmd_survey(args) -> int:
             )
         summary = {"rows": len(lines) - 1, "square_law_violations": rows.count(False)}
     else:  # cn
-        if n < 2:
-            raise _UsageError("--mode cn needs n >= 2")
+        funcspace._check_cn_width(n)
         sys_obj = _resolve_system(args, n)
         mm = total_spin(n, "x")
         rho = states.pulsed_thermal(sys_obj)
@@ -249,7 +248,7 @@ def cmd_signal(args) -> int:
     else:
         # The thermal state is diagonal and stays so under any phase oracle,
         # while a transverse measurement has no diagonal: the readout is 0.
-        trace = timedomain.SignalTrace(t_start=0.0, dt=args.dt, samples=np.zeros(args.count))
+        trace = timedomain.SignalTrace(dt=args.dt, samples=np.zeros(args.count))
     spec = timedomain.spectrum(trace)
     peaks = timedomain.find_peaks(spec)
     if args.dump_op:

@@ -25,6 +25,7 @@ import numpy as np
 
 from evqc.funcspace import (
     BoolFunc,
+    _check_cn_width,
     canonical_balanced,
     canonical_cn,
     constant_one,
@@ -275,8 +276,7 @@ def cn_decide_thermal(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
     _check_register(f.n)
     if f.n != sys.n:
         raise ValueError(f"function on {f.n} bits does not match {sys.n} spins")
-    if sys.n < 2:
-        raise ValueError("the C_N protocol needs n >= 2")
+    _check_cn_width(sys.n)
     spins = range(1, sys.n + 1)
     ref_const = transverse_readout(sys, constant_zero(sys.n), spins)
     ref_cn = transverse_readout(sys, canonical_cn(sys.n), spins)
@@ -305,14 +305,14 @@ def dj_decide_lifted(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
     return _decide(e, [ref_zero, ref_one], ref_balanced, Decision.NOT_BALANCED, 1.0, eps)
 
 
-def verdict_record(v: Verdict, n: int, lam: float | None = None) -> dict:
-    """Flat mapping consumed by the report writer; lambda defaults to the
-    spectral range the verdict was gated by."""
+def verdict_record(v: Verdict, n: int) -> dict:
+    """Flat mapping consumed by the report writer; lambda is the spectral
+    range the verdict was gated by."""
     return {
         "decided": v.decided.value,
         "expectation": v.expectation,
         "gap_reference": v.gap_reference,
         "epsilon": v.resolution_used.epsilon,
-        "lambda": v.lam if lam is None else lam,
+        "lambda": v.lam,
         "n": n,
     }

@@ -141,6 +141,14 @@ def _check_width(n: int) -> None:
         raise ValueError(f"n={n} outside the truth-table range 1..{MAX_TABLE_N}")
 
 
+def _check_cn_width(n: int) -> None:
+    """Reject a width where C_N is undefined (N/4 not a positive integer)
+    or the truth table is too wide."""
+    _check_width(n)
+    if n < 2:
+        raise ValueError(f"class C_N is undefined for n={n}; need n >= 2")
+
+
 def mask_from_bits(bits) -> int:
     """Pack a 0/1 truth table, argument 0 first, into a mask (bit j = f(j)).
 
@@ -230,8 +238,7 @@ def is_in_cn(f: BoolFunc) -> bool:
     one too.  Complementing leaves every c_i unchanged.  Undefined below
     n = 2 (N/4 would not be a positive integer).
     """
-    if f.n < 2:
-        raise ValueError(f"class C_N is undefined for n={f.n}; need n >= 2")
+    _check_cn_width(f.n)
     if f.ones not in (f.size // 4, 3 * f.size // 4):
         return False
     return all(flip_correlation(f, i) == 0 for i in range(1, f.n + 1))
@@ -284,8 +291,7 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
     if cls is FunctionClass.BALANCED_W:
         members = [sum(ones) for ones in itertools.combinations(powers, size // 2)]
     elif cls is FunctionClass.CLASS_CN:
-        if n < 2:
-            raise ValueError("class C_N is undefined for n < 2")
+        _check_cn_width(n)
         full = (1 << size) - 1
         quarters = (sum(ones) for ones in itertools.combinations(powers, size // 4))
         members = [m for q in quarters if is_in_cn(BoolFunc(n, q)) for m in (q, full ^ q)]
@@ -299,7 +305,6 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
 
 def _even_parity_arguments(n: int) -> np.ndarray:
     """The arguments with an even number of set bits, ascending."""
-    _check_width(n)
     # Bit parity of 0..2^(k+1)-1 is that of 0..2^k-1 followed by its flip.
     parity = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
@@ -314,8 +319,7 @@ def sample_cn(n: int, seed: int) -> BoolFunc:
     never occurs and membership is guaranteed by construction.  The draw is
     uniform over even-parity subsets and fully determined by the seed.
     """
-    if n < 2:
-        raise ValueError("class C_N is undefined for n < 2")
+    _check_cn_width(n)
     size = 1 << n
     rng = np.random.default_rng(seed)
     picked = rng.choice(_even_parity_arguments(n), size=size // 4, replace=False)
@@ -339,7 +343,6 @@ def canonical_balanced(n: int) -> BoolFunc:
 
 def canonical_cn(n: int) -> BoolFunc:
     """The C_N representative with ones on the first N/4 even-parity arguments."""
-    if n < 2:
-        raise ValueError("class C_N is undefined for n < 2")
+    _check_cn_width(n)
     size = 1 << n
     return BoolFunc(n, mask_from_support(size, _even_parity_arguments(n)[: size // 4]))

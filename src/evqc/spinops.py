@@ -202,12 +202,6 @@ def operator_text(m: Operator) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_operator(m: Operator, path) -> None:
-    """Write the dump format (`operator_text`) to path."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(operator_text(m))
-
-
 def load_operator(path) -> Operator:
     """Read the dump format back; structural flags are re-detected."""
     with open(path, encoding="ascii") as fh:

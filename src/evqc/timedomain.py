@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -59,9 +58,8 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class SignalTrace:
-    """Uniformly sampled real readout trace starting at t_start."""
+    """Uniformly sampled real readout trace starting at t = 0."""
 
-    t_start: float
     dt: float
     samples: np.ndarray
 
@@ -78,7 +76,7 @@ class SignalTrace:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.samples.size)
+        return self.dt * np.arange(self.samples.size)
 
 
 def hamiltonian(sys: SpinSystem) -> Hamiltonian:
@@ -156,7 +154,7 @@ def signal(rho: DensityMatrix, h: Hamiltonian, m: Operator, dt: float, count: in
     worst = float(np.abs(values.imag).max(initial=0.0))
     if worst > 1e-10 * max(1.0, float(np.abs(values.real).max(initial=0.0))):
         raise ValueError(f"signal came out complex (residue {worst:g}); inputs are not hermitian")
-    return SignalTrace(t_start=0.0, dt=dt, samples=values.real)
+    return SignalTrace(dt=dt, samples=values.real)
 
 
 def transverse_signal(
@@ -203,7 +201,7 @@ def transverse_signal(
     kernel = np.cos if axis == "x" else np.sin
     values = _line_sum(kernel, np.concatenate(lines), np.concatenate(amps), dt * np.arange(count))
     # Adding 0.0 turns the -0.0 of an exact cancellation into 0.0.
-    return SignalTrace(t_start=0.0, dt=dt, samples=-sys.theta / (2.0 * sys.size) * values + 0.0)
+    return SignalTrace(dt=dt, samples=-sys.theta / (2.0 * sys.size) * values + 0.0)
 
 
 def spectrum(trace: SignalTrace) -> list[tuple[float, float]]:
@@ -239,11 +237,3 @@ def trace_csv(trace: SignalTrace) -> str:
 def spectrum_csv(spec: list[tuple[float, float]]) -> str:
     """The spectrum as CSV text: an omega,magnitude header, then one row per bin."""
     return "omega,magnitude\r\n" + "".join(f"{w:.17g},{mag:.17g}\r\n" for w, mag in spec)
-
-
-def write_trace_csv(trace: SignalTrace, path) -> None:
-    Path(path).write_text(trace_csv(trace), encoding="ascii", newline="")
-
-
-def write_spectrum_csv(spec: list[tuple[float, float]], path) -> None:
-    Path(path).write_text(spectrum_csv(spec), encoding="ascii", newline="")

@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from evqc.adversary import (
@@ -8,6 +14,8 @@ from evqc.adversary import (
     verify_adversary,
 )
 from evqc.funcspace import is_in_cn
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_transcript_validation():
@@ -74,3 +82,22 @@ def test_report_record():
     report = AdversaryReport(n=2, trials=5, failures=((0, 1),), exhaustive=True)
     rec = report.to_record()
     assert rec == {"n": 2, "trials": 5, "failures": [[0, 1]], "exhaustive": True}
+
+
+def test_witness_check_survives_optimised_mode():
+    # The construction's own check must not be an assert, which -O strips.
+    # First a witness outside C_N, then one that is 1 on every argument.
+    script = (
+        "from evqc import adversary\n"
+        "adversary.is_in_cn = lambda f: False\n"
+        "print(len(adversary.verify_adversary(3, 0, 0).failures))\n"
+        "adversary.is_in_cn = lambda f: True\n"
+        "adversary.mask_from_support = lambda size, support: (1 << size) - 1\n"
+        "print(len(adversary.verify_adversary(3, 0, 0).failures))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True,
+    ).stdout
+    # Every exhaustive query set at n=3 fails both ways.
+    assert out.split() == [str(math.comb(8, 4))] * 2

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -150,6 +151,9 @@ def test_survey_guards(capsys, tmp_path):
     assert "n <= 3" in err
     rc, _, _ = run(capsys, "survey", "--mode", "cn", "--n", "1", "--out", str(tmp_path / "y.csv"))
     assert rc == 1
+    rc, rec, err = run(capsys, "survey", "--n", "-1", "--out", str(tmp_path / "z.csv"))
+    assert_one_line_error(rc, rec, err)
+    assert "1 <= n <= 3" in err
 
 
 def test_search_c_deterministic_reports(capsys, tmp_path):
@@ -330,7 +334,7 @@ def test_signal_thermal_reads_exact_zeros(capsys, tmp_path):
 
 @pytest.mark.parametrize("measure", ["fx", "fy", "ixj:2"])
 def test_signal_dump_op_is_the_dense_measurement(capsys, tmp_path, measure):
-    from evqc.spinops import dump_operator, single_spin, total_spin
+    from evqc.spinops import operator_text, single_spin, total_spin
 
     dump = tmp_path / "op.txt"
     rc, _, _ = run(
@@ -339,8 +343,7 @@ def test_signal_dump_op_is_the_dense_measurement(capsys, tmp_path, measure):
     )
     assert rc == 0
     expected = single_spin(3, 2, "x") if measure == "ixj:2" else total_spin(3, measure[1])
-    dump_operator(expected, tmp_path / "expected.txt")
-    assert dump.read_bytes() == (tmp_path / "expected.txt").read_bytes()
+    assert dump.read_bytes() == operator_text(expected).encode("ascii")
 
 
 @pytest.mark.parametrize("measure", ["ixj:0", "ixj:4", "ixj:abc", "ixj:", "fz"])
@@ -549,3 +552,59 @@ def test_signal_rejects_oversized_demo_system_before_building(capsys, tmp_path, 
     )
     assert_one_line_error(rc, rec, err)
     assert f"n={n}" in err and "1..12" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "23"], ["--n", "24", "--trials", "1"], ["--n", "40"], ["--n", "4", "--trials", "-5"],
+])
+def test_adversary_rejects_bad_counts_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random query set was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rc, rec, err = run(capsys, "adversary", *argv)
+    assert_one_line_error(rc, rec, err)
+
+
+_WRITER_CALLS = {"write_text", "write_bytes", "mkstemp", "NamedTemporaryFile", "fdopen",
+                 "tofile", "save", "savez", "savetxt", "dump"}
+
+
+def _opens_for_writing(call) -> bool:
+    """Whether a call can open a file for writing; a mode that is not a
+    literal counts as writing."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in _WRITER_CALLS:
+        return True
+    if name != "open":
+        return False
+    # open(path, mode) as a builtin, path.open(mode) as a method.
+    position = 1 if isinstance(func, ast.Name) else 0
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    if mode is None:
+        return False
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def _writing_sites(node, owner, sites):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _writing_sites(child, child.name, sites)
+            continue
+        if isinstance(child, ast.Call) and _opens_for_writing(child):
+            sites.add(owner)
+        _writing_sites(child, owner, sites)
+    return sites
+
+
+def test_only_the_atomic_writer_opens_files_for_writing():
+    import evqc
+
+    sites = set()
+    for path in sorted(Path(evqc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites |= {f"{path.stem}.{owner}" for owner in _writing_sites(tree, "<module>", set())}
+    assert sites == {"cli._write_atomic"}

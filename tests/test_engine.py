@@ -297,7 +297,7 @@ def test_lifted_size_guard():
 
 def test_verdict_record_shape():
     v = dj_decide_pseudopure(constant_zero(2), 0.5, Resolution(0.1))
-    rec = verdict_record(v, 2, 1.0)
+    rec = verdict_record(v, 2)
     assert rec == {
         "decided": v.decided.value,
         "expectation": v.expectation,

@@ -5,10 +5,10 @@ from conftest import haar_unitary, random_hermitian
 from evqc.funcspace import BoolFunc
 from evqc.spinops import (
     Operator,
-    dump_operator,
     eig_multiset,
     is_hermitian,
     load_operator,
+    operator_text,
     oracle,
     single_spin,
     spectral_range,
@@ -150,7 +150,7 @@ def test_operator_is_immutable():
 def test_dump_load_roundtrip(tmp_path, rng):
     m = random_hermitian(8, rng, scale=3.0)
     path = tmp_path / "op.txt"
-    dump_operator(m, path)
+    path.write_text(operator_text(m), encoding="ascii")
     back = load_operator(path)
     np.testing.assert_array_equal(back.mat, m.mat)
     assert back.hermitian
@@ -158,7 +158,7 @@ def test_dump_load_roundtrip(tmp_path, rng):
 
 def test_load_detects_diagonal(tmp_path):
     path = tmp_path / "diag.txt"
-    dump_operator(oracle(BoolFunc(1, 0b10)), path)
+    path.write_text(operator_text(oracle(BoolFunc(1, 0b10))), encoding="ascii")
     back = load_operator(path)
     assert back.diagonal
     assert back.hermitian
@@ -191,5 +191,5 @@ def test_every_hermiticity_check_keeps_its_message(tmp_path):
     with pytest.raises(ValueError, match="decompose_invariant requires a hermitian operator"):
         decompose_invariant(Operator(skew))
     path = tmp_path / "skew.txt"
-    dump_operator(Operator(skew), path)
+    path.write_text(operator_text(Operator(skew)), encoding="ascii")
     assert not load_operator(path).hermitian

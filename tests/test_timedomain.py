@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_boolfunc, random_density, random_hermitian
 from evqc import timedomain
+from evqc.cli import _write_atomic
 from evqc.engine import transverse_readout
 from evqc.funcspace import canonical_balanced, constant_one, sample_cn
 from evqc.spinops import Operator, single_spin, total_spin
@@ -22,8 +23,6 @@ from evqc.timedomain import (
     spectrum_csv,
     trace_csv,
     transverse_signal,
-    write_spectrum_csv,
-    write_trace_csv,
 )
 
 THETA = 2e-8
@@ -143,7 +142,7 @@ def test_signal_guards():
 
 def test_parseval_identity(rng):
     samples = rng.standard_normal(128)
-    trace = SignalTrace(t_start=0.0, dt=1e-3, samples=samples)
+    trace = SignalTrace(dt=1e-3, samples=samples)
     spec = spectrum(trace)
     power_freq = sum(mag**2 for _, mag in spec)
     power_time = float(np.sum(samples**2)) * len(samples)
@@ -151,13 +150,13 @@ def test_parseval_identity(rng):
 
 
 def test_spectrum_is_sorted_and_sized():
-    trace = SignalTrace(t_start=0.0, dt=0.5, samples=np.arange(8.0))
+    trace = SignalTrace(dt=0.5, samples=np.arange(8.0))
     spec = spectrum(trace)
     assert len(spec) == 8
     omegas = [w for w, _ in spec]
     assert omegas == sorted(omegas)
     with pytest.raises(ValueError):
-        spectrum(SignalTrace(t_start=0.0, dt=0.5, samples=np.array([1.0])))
+        spectrum(SignalTrace(dt=0.5, samples=np.array([1.0])))
 
 
 def test_coupled_doublet_peak_positions():
@@ -191,30 +190,24 @@ def test_find_peaks_threshold_and_edges():
 
 def test_trace_validation():
     with pytest.raises(ValueError):
-        SignalTrace(t_start=0.0, dt=0.0, samples=np.array([1.0]))
+        SignalTrace(dt=0.0, samples=np.array([1.0]))
     with pytest.raises(ValueError):
-        SignalTrace(t_start=0.0, dt=1.0, samples=np.array([]))
+        SignalTrace(dt=1.0, samples=np.array([]))
     with pytest.raises(ValueError):
-        SignalTrace(t_start=0.0, dt=1.0, samples=np.array([np.inf]))
-    trace = SignalTrace(t_start=1.0, dt=0.5, samples=np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(trace.times, [1.0, 1.5, 2.0])
+        SignalTrace(dt=1.0, samples=np.array([np.inf]))
+    trace = SignalTrace(dt=0.5, samples=np.array([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(trace.times, [0.0, 0.5, 1.0])
 
 
-def test_csv_writers_roundtrip(tmp_path):
-    trace = SignalTrace(t_start=0.0, dt=1e-3, samples=np.array([0.25, -0.125, 1.0 / 3.0]))
-    tpath = tmp_path / "trace.csv"
-    write_trace_csv(trace, tpath)
-    with open(tpath, newline="") as fh:
-        rows = list(csv.reader(fh))
+def test_csv_writers_roundtrip():
+    trace = SignalTrace(dt=1e-3, samples=np.array([0.25, -0.125, 1.0 / 3.0]))
+    rows = list(csv.reader(io.StringIO(trace_csv(trace), newline="")))
     assert rows[0] == ["k", "t", "value"]
     assert len(rows) == 4
     assert [float(r[2]) for r in rows[1:]] == [0.25, -0.125, 1.0 / 3.0]
 
     spec = spectrum(trace)
-    spath = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, spath)
-    with open(spath, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(spectrum_csv(spec), newline="")))
     assert rows[0] == ["omega", "magnitude"]
     assert len(rows) == 4
     assert [float(r[0]) for r in rows[1:]] == [w for w, _ in spec]
@@ -362,19 +355,19 @@ def _csv_module_text(header, rows):
 
 def test_csv_text_matches_the_csv_module(rng, tmp_path):
     samples = np.concatenate([rng.standard_normal(50) * 1e-7, [0.0, -0.0, 1e-300, -5e-324, 1e300]])
-    trace = SignalTrace(t_start=0.0, dt=1.0 / 3.0, samples=samples)
+    trace = SignalTrace(dt=1.0 / 3.0, samples=samples)
     expected = _csv_module_text(
         ["k", "t", "value"],
         ([k, f"{t:.17g}", f"{v:.17g}"] for k, (t, v) in enumerate(zip(trace.times, trace.samples))),
     )
     assert trace_csv(trace) == expected
-    write_trace_csv(trace, tmp_path / "t.csv")
+    _write_atomic(tmp_path / "t.csv", trace_csv(trace))
     assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
 
     spec = spectrum(trace)
     expected = _csv_module_text(["omega", "magnitude"], ([f"{w:.17g}", f"{m:.17g}"] for w, m in spec))
     assert spectrum_csv(spec) == expected
-    write_spectrum_csv(spec, tmp_path / "s.csv")
+    _write_atomic(tmp_path / "s.csv", spectrum_csv(spec))
     assert (tmp_path / "s.csv").read_bytes() == expected.encode("ascii")
 
 
