@@ -10,6 +10,7 @@ infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -282,7 +283,9 @@ def cmd_signal(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser; built once per process, as parsing leaves it unchanged."""
     parser = _Parser(prog="evqc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,14 +300,12 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, help="seed for --class cn sampling")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--dump-op", help="dump the measurement operator to this path")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("survey", help="tabulate expectations over a whole class")
     p.add_argument("--mode", choices=["dj", "cn"], default="dj")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sys", help="spin-system JSON file (cn mode)")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("search-c", help="search the best |c|/spectral-range ratio")
     p.add_argument("--n", type=int, required=True)
@@ -312,14 +313,12 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_search_c)
 
     p = sub.add_parser("adversary", help="verify the classical lower-bound witness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("signal", help="sample a free-evolution trace and its spectrum")
     p.add_argument("--sys", help="spin-system JSON file")
@@ -333,7 +332,6 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="trace CSV path; spectrum lands beside it")
     p.add_argument("--dump-op", help="dump the measurement operator to this path")
-    p.set_defaults(func=cmd_signal)
     return parser
 
 
@@ -341,7 +339,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # Looked up at call time: the cached parser must not pin the cmd_*
+        # functions, so a later rebinding (a monkeypatch, a tracer) runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (_UsageError, OSError, ValueError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

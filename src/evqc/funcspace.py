@@ -299,8 +299,9 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
         members = [
             m for m in range(1 << size) if classify(BoolFunc(n, m)) is cls
         ]
-    for f in sorted((BoolFunc(n, m) for m in members), key=lambda g: g.table):
-        yield f
+    # Reversed, the bit string lists f(0), f(1), ... : truth-table order.
+    for m in sorted(members, key=lambda mask: format(mask, f"0{size}b")[::-1]):
+        yield BoolFunc(n, m)
 
 
 def _even_parity_arguments(n: int) -> np.ndarray:

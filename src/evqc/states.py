@@ -70,7 +70,10 @@ class SpinSystem:
             if (i, j) in seen:
                 raise ValueError(f"duplicate coupling ({i}, {j})")
             seen.add((i, j))
-            normalized.append((i, j, float(strength)))
+            strength = float(strength)
+            if not np.isfinite(strength):
+                raise ValueError(f"coupling ({i}, {j}) strength must be finite, got {strength!r}")
+            normalized.append((i, j, strength))
         object.__setattr__(self, "couplings", tuple(normalized))
         worst = float(self.theta * omega.max())
         if worst > HIGH_TEMPERATURE_LIMIT:
@@ -85,24 +88,35 @@ class SpinSystem:
         return 1 << self.n
 
 
+def _whole(value, key: str) -> int:
+    """A config integer; a fractional value is refused, not truncated."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ValueError(f"spin system key {key!r} needs a whole number, got {value!r}")
+    return number
+
+
 def parse_system(data: dict) -> SpinSystem:
     """Build a SpinSystem from the JSON configuration mapping."""
     try:
-        n = int(data["n"])
+        n = _whole(data["n"], "n")
         omega = np.asarray(data["omega"], dtype=float)
         theta = float(data["theta"])
     except KeyError as missing:
         raise ValueError(f"spin system config lacks key {missing}") from None
     except (TypeError, OverflowError) as err:
         raise ValueError(f"malformed spin system config: {err}") from None
+    raw = data.get("couplings", ())
     try:
-        couplings = tuple(
-            (int(i), int(j), float(strength)) for i, j, strength in data.get("couplings", ())
-        )
+        triples = [(i, j, float(strength)) for i, j, strength in raw]
     except (TypeError, ValueError):
-        raise ValueError(
-            f"couplings must be a list of [i, j, J] triples, got {data['couplings']!r}"
-        ) from None
+        raise ValueError(f"couplings must be a list of [i, j, J] triples, got {raw!r}") from None
+    couplings = tuple(
+        (_whole(i, "couplings"), _whole(j, "couplings"), strength) for i, j, strength in triples
+    )
     return SpinSystem(n=n, omega=omega, theta=theta, couplings=couplings)
 
 

@@ -2,11 +2,14 @@ import ast
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evqc import cli
 from evqc.cli import main
 from evqc.spinops import load_operator, w_projector
 
@@ -266,6 +269,8 @@ def test_signal_class_takes_size_from_system(capsys, tmp_path):
     {"n": 2, "omega": [2513.27, 3769.91], "theta": "inf"},
     {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": 5},
     {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, None, 5.0]]},
+    {"n": 2.7, "omega": [2513.27, 3769.91], "theta": THETA},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, 2.5, 5.0]]},
 ])
 def test_classify_rejects_bad_system_in_one_line(capsys, tmp_path, system):
     sys_path = tmp_path / "sys.json"
@@ -608,3 +613,107 @@ def test_only_the_atomic_writer_opens_files_for_writing():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sites |= {f"{path.stem}.{owner}" for owner in _writing_sites(tree, "<module>", set())}
     assert sites == {"cli._write_atomic"}
+
+
+@pytest.mark.parametrize("strength", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("argv", [
+    ("classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "2", "--eps", "1e-6",
+     "--out", "report.json", "--dump-op", "op.txt"),
+    ("signal", "--dt", "1e-4", "--count", "8", "--out", "t.csv", "--dump-op", "op.txt"),
+])
+def test_non_finite_coupling_is_rejected_before_any_work(capsys, tmp_path, monkeypatch,
+                                                         argv, strength):
+    monkeypatch.chdir(tmp_path)
+    # json.load accepts these bare names, so the system must refuse them itself.
+    Path("sys.json").write_text(
+        f'{{"n": 2, "omega": [2513.27, 3769.91], "theta": {THETA}, '
+        f'"couplings": [[1, 2, {strength}]]}}'
+    )
+    rc, rec, err = run(capsys, *argv, "--sys", "sys.json")
+    assert_one_line_error(rc, rec, err)
+    assert "coupling (1, 2)" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sys.json"]
+
+
+# One process, one parser: each call below sets values that the calls after
+# it leave at their defaults, switches subcommand, or fails on usage.
+_IN_PROCESS_SEQUENCE = [
+    ("classify", "--protocol", "pseudopure", "--class", "cn", "--n", "3", "--seed", "5",
+     "--alpha", "0.5", "--eps", "0.01", "--out", "report.json", "--dump-op", "op.txt"),
+    ("classify", "--protocol", "pseudopure", "--class", "cn", "--n", "3", "--eps", "0.01"),
+    ("signal", "--n", "2", "--class", "cn", "--dt", "1e-4", "--count", "8", "--out", "t.csv"),
+    ("classify", "--protocol", "lifted", "--class", "cn", "--n", "2"),
+    ("search-c", "--n", "2", "--budget", "200", "--restarts", "2"),
+]
+
+
+def _tree(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_repeated_main_calls_match_separate_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage wrapping in both
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    alone.mkdir()
+    together.mkdir()
+    script = "import sys; from evqc.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # The runs write distinct files, so they can go side by side.
+    procs = [subprocess.Popen([sys.executable, "-c", script, *argv], cwd=alone, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for argv in _IN_PROCESS_SEQUENCE]
+    separate = []
+    for proc in procs:
+        out, err = proc.communicate()
+        separate.append((proc.returncode, out, err))
+
+    monkeypatch.chdir(together)
+    repeated = []
+    for argv in _IN_PROCESS_SEQUENCE:
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        repeated.append((rc, captured.out, captured.err))
+
+    assert repeated == separate
+    assert [rc for rc, _, _ in repeated] == [0, 0, 0, 1, 2]
+    assert _tree(together) == _tree(alone)
+    assert sorted(_tree(together)) == ["op.txt", "report.json", "t.csv", "t.spectrum.csv"]
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    rc, _, _ = run(capsys, "classify", "--protocol", "pseudopure", "--class", "balanced",
+                   "--n", "2", "--eps", "0.1")
+    assert rc == 0
+    rc, rec, err = run(capsys, "classify", "--protocol", "pseudopure", "--eps", "x")
+    assert rc == 1 and rec is None
+    *usage, last = err.splitlines()
+    assert usage[0].startswith("usage: evqc classify ")
+    assert all(line.startswith(" ") for line in usage[1:])
+    assert last == "error: argument --eps: invalid float value: 'x'"
+
+
+def test_main_runs_the_current_command_binding(capsys, monkeypatch):
+    argv = ("classify", "--protocol", "lifted", "--class", "balanced", "--n", "2", "--eps", "1e-6")
+    rc, rec, _ = run(capsys, *argv)
+    assert rc == 0 and rec is not None
+    seen = []
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: seen.append(args.protocol) or 7)
+    rc, rec, _ = run(capsys, *argv)
+    assert (rc, rec, seen) == (7, None, ["lifted"])
+
+
+def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for k in range(20):
+        run(capsys, "classify", "--protocol", "pseudopure", "--class", "constant",
+            "--n", str(2 + k % 3), "--eps", "0.1")
+    # One tree at most: the top-level parser and one per subcommand.
+    assert built.count("evqc") <= 1
+    assert len(built) <= 6

@@ -216,6 +216,19 @@ def test_enumerate_constant_and_balanced():
     assert tables == sorted(tables)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("cls", list(FunctionClass))
+def test_enumeration_order_is_the_truth_table_sort(n, cls):
+    if cls is FunctionClass.CLASS_CN and n < 2:
+        with pytest.raises(ValueError):
+            list(enumerate_class(n, cls))
+        return
+    got = [f.mask for f in enumerate_class(n, cls)]
+    by_table = sorted((BoolFunc(n, m) for m in got), key=lambda g: g.table)
+    assert got == [g.mask for g in by_table]
+    assert len(set(got)) == len(got)
+
+
 def test_every_n2_function_is_covered():
     seen = set()
     for cls in FunctionClass:

@@ -55,6 +55,28 @@ def test_spin_system_validation():
             n=2, omega=np.array([5.0, 6.0]), theta=THETA,
             couplings=((1, 2, 3.0), (1, 2, 4.0)),
         )
+    for strength in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=r"^coupling \(1, 2\) strength must be finite"):
+            SpinSystem(n=2, omega=np.array([5.0, 6.0]), theta=THETA, couplings=((1, 2, strength),))
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"n": 2.7, "omega": [5.0, 6.0], "theta": THETA}, "'n'"),
+    ({"n": float("nan"), "omega": [5.0, 6.0], "theta": THETA}, "'n'"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1, 2.5, 3.0]]}, "'couplings'"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1.5, 2, 3.0]]}, "'couplings'"),
+])
+def test_parse_system_refuses_to_truncate(data, key):
+    with pytest.raises(ValueError, match=f"key {key} needs a whole number"):
+        parse_system(data)
+
+
+def test_parse_system_takes_integral_floats():
+    sys = parse_system({"n": 2.0, "omega": [5.0, 6.0], "theta": THETA,
+                        "couplings": [[1.0, 2.0, 3]]})
+    assert sys.n == 2 and type(sys.n) is int
+    assert sys.couplings == ((1, 2, 3.0),)
+    assert system_to_dict(sys)["n"] == 2
 
 
 def test_spin_system_warns_outside_regime():
