@@ -28,6 +28,18 @@ HIGH_TEMPERATURE_LIMIT = 0.1
 TRACE_TOL = 1e-12
 
 
+def _whole(value, what: str) -> int:
+    """An integer field; a fractional or non-numeric value is refused, not truncated."""
+    try:
+        number = int(value)
+        whole = number == value or isinstance(value, str)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{what} needs a whole number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """Static description of an n-spin register.
@@ -51,7 +63,9 @@ class SpinSystem:
     couplings: tuple[tuple[int, int, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        _check_register(self.n)
+        n = _whole(self.n, "n")
+        _check_register(n)
+        object.__setattr__(self, "n", n)
         omega = np.array(self.omega, dtype=float)
         if omega.shape != (self.n,):
             raise ValueError(f"omega must have shape ({self.n},), got {omega.shape}")
@@ -63,8 +77,10 @@ class SpinSystem:
             raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
         seen = set()
         normalized = []
-        for i, j, strength in self.couplings:
-            i, j = int(i), int(j)
+        for coupling in self.couplings:
+            i, j, strength = coupling
+            i = _whole(i, f"coupling {tuple(coupling)!r} index i")
+            j = _whole(j, f"coupling {tuple(coupling)!r} index j")
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"coupling ({i}, {j}) must satisfy 1 <= i < j <= n")
             if (i, j) in seen:
@@ -88,35 +104,22 @@ class SpinSystem:
         return 1 << self.n
 
 
-def _whole(value, key: str) -> int:
-    """A config integer; a fractional value is refused, not truncated."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
-        raise ValueError(f"spin system key {key!r} needs a whole number, got {value!r}")
-    return number
-
-
 def parse_system(data: dict) -> SpinSystem:
     """Build a SpinSystem from the JSON configuration mapping."""
     try:
-        n = _whole(data["n"], "n")
+        n = data["n"]
         omega = np.asarray(data["omega"], dtype=float)
         theta = float(data["theta"])
     except KeyError as missing:
         raise ValueError(f"spin system config lacks key {missing}") from None
     except (TypeError, OverflowError) as err:
         raise ValueError(f"malformed spin system config: {err}") from None
-    raw = data.get("couplings", ())
     try:
-        triples = [(i, j, float(strength)) for i, j, strength in raw]
+        couplings = tuple((i, j, float(strength)) for i, j, strength in data.get("couplings", ()))
     except (TypeError, ValueError):
-        raise ValueError(f"couplings must be a list of [i, j, J] triples, got {raw!r}") from None
-    couplings = tuple(
-        (_whole(i, "couplings"), _whole(j, "couplings"), strength) for i, j, strength in triples
-    )
+        raise ValueError(
+            f"couplings must be a list of [i, j, J] triples, got {data['couplings']!r}"
+        ) from None
     return SpinSystem(n=n, omega=omega, theta=theta, couplings=couplings)
 
 

@@ -282,6 +282,19 @@ def test_classify_rejects_bad_system_in_one_line(capsys, tmp_path, system):
     assert_one_line_error(rc, rec, err)
 
 
+def test_bad_coupling_index_error_names_the_coupling(capsys, tmp_path):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(
+        {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, None, 5.0]]}
+    ))
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "2",
+        "--eps", "1e-6", "--sys", str(sys_path),
+    )
+    assert_one_line_error(rc, rec, err)
+    assert err == "error: coupling (1, None, 5.0) index j needs a whole number, got None\n"
+
+
 @pytest.mark.parametrize("eps", ["inf", "nan"])
 def test_classify_rejects_non_finite_resolution(capsys, eps):
     rc, rec, err = run(

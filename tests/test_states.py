@@ -60,15 +60,36 @@ def test_spin_system_validation():
             SpinSystem(n=2, omega=np.array([5.0, 6.0]), theta=THETA, couplings=((1, 2, strength),))
 
 
-@pytest.mark.parametrize("data, key", [
-    ({"n": 2.7, "omega": [5.0, 6.0], "theta": THETA}, "'n'"),
-    ({"n": float("nan"), "omega": [5.0, 6.0], "theta": THETA}, "'n'"),
-    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1, 2.5, 3.0]]}, "'couplings'"),
-    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1.5, 2, 3.0]]}, "'couplings'"),
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2.7, "omega": [5.0, 6.0], "theta": THETA}, "n needs a whole number, got 2.7"),
+    ({"n": float("nan"), "omega": [5.0, 6.0], "theta": THETA}, "n needs a whole number, got nan"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1, 2.5, 3.0]]},
+     "coupling (1, 2.5, 3.0) index j needs a whole number, got 2.5"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1.5, 2, 3.0]]},
+     "coupling (1.5, 2, 3.0) index i needs a whole number, got 1.5"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1, None, 5.0]]},
+     "coupling (1, None, 5.0) index j needs a whole number, got None"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [["a", 2, 1]]},
+     "coupling ('a', 2, 1.0) index i needs a whole number, got 'a'"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1, 2, None]]},
+     "couplings must be a list of [i, j, J] triples, got [[1, 2, None]]"),
 ])
-def test_parse_system_refuses_to_truncate(data, key):
-    with pytest.raises(ValueError, match=f"key {key} needs a whole number"):
+def test_parse_system_refuses_to_truncate(data, message):
+    with pytest.raises(ValueError) as err:
         parse_system(data)
+    assert str(err.value) == message
+
+
+def test_spin_system_refuses_to_truncate():
+    omega = np.array([5.0, 6.0])
+    with pytest.raises(ValueError, match=r"^n needs a whole number, got 2\.7$"):
+        SpinSystem(n=2.7, omega=omega, theta=THETA)
+    with pytest.raises(ValueError, match=r"^coupling \(1, 2\.5, 3\.0\) index j needs"):
+        SpinSystem(n=2, omega=omega, theta=THETA, couplings=((1, 2.5, 3.0),))
+    sys = SpinSystem(n=2.0, omega=omega, theta=THETA, couplings=((1.0, np.int64(2), 3),))
+    assert type(sys.n) is int and sys.n == 2
+    assert sys.couplings == ((1, 2, 3.0),)
+    assert all(type(k) is int for k in sys.couplings[0][:2])
 
 
 def test_parse_system_takes_integral_floats():
