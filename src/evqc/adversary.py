@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evqc.funcspace import BoolFunc, _check_cn_width, is_in_cn, mask_from_support
+from evqc.funcspace import BoolFunc, _check_cn_width, is_in_cn, mask_from_bits, mask_from_support
 
 EXHAUSTIVE_LIMIT = 3  # all query sets of size N/2 are walked up to here
 
@@ -27,9 +27,8 @@ class QueryTranscript:
 
     def __post_init__(self) -> None:
         _check_cn_width(self.n)
-        size = 1 << self.n
-        queried = frozenset(int(q) for q in self.queried)
-        if any(not 0 <= q < size for q in queried):
+        queried = frozenset(map(int, self.queried))
+        if queried and (min(queried) < 0 or max(queried) >= 1 << self.n):
             raise ValueError("queried indices outside the domain")
         object.__setattr__(self, "queried", queried)
 
@@ -46,24 +45,25 @@ def cn_witness(n: int, queried) -> BoolFunc:
     smallest one; the larger side has at least N/4 elements, pairwise at
     even distance, and the first N/4 of them carry the ones.
     """
-    transcript = QueryTranscript(n, frozenset(queried))
+    transcript = QueryTranscript(n, queried)
     size = 1 << n
-    if len(transcript.queried) > size // 2:
+    count = len(transcript.queried)
+    if count > size // 2:
         raise ValueError(
-            f"{len(transcript.queried)} queries exceed half the domain; "
-            "no consistent witness is guaranteed"
+            f"{count} queries exceed half the domain; no consistent witness is guaranteed"
         )
-    unchecked = [j for j in range(size) if j not in transcript.queried]
-    pivot = unchecked[0]
-    even = [j for j in unchecked if (j ^ pivot).bit_count() % 2 == 0]
-    odd = [j for j in unchecked if (j ^ pivot).bit_count() % 2 == 1]
+    asked = np.zeros(size, dtype=bool)
+    asked[np.fromiter(transcript.queried, dtype=np.intp, count=count)] = True
+    unchecked = np.flatnonzero(~asked)
+    parity = np.bitwise_count(unchecked ^ unchecked[0]) & 1
+    even, odd = unchecked[parity == 0], unchecked[parity == 1]
     side = even if len(even) >= len(odd) else odd
     witness = BoolFunc(n, mask_from_support(size, side[: size // 4]))
     # The construction guarantees both properties.  An explicit raise, not
     # an assert, so that the check still runs under python -O.  The queries
     # are checked by one AND of masks: a shift of the whole table per query
     # would be quadratic in N.
-    if not is_in_cn(witness) or witness.mask & mask_from_support(size, transcript.queried):
+    if not is_in_cn(witness) or witness.mask & mask_from_bits(asked):
         raise AssertionError(
             f"witness for queries {sorted(transcript.queried)} is not a consistent C_N member"
         )
@@ -112,7 +112,7 @@ def verify_adversary(n: int, trials: int, seed: int) -> AdversaryReport:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         count = int(rng.integers(0, size // 2 + 1))
-        combo = tuple(int(q) for q in rng.choice(size, size=count, replace=False))
+        combo = tuple(rng.choice(size, size=count, replace=False).tolist())
         if not _witness_ok(n, combo):
             failures.append(combo)
     return AdversaryReport(n=n, trials=trials, failures=tuple(failures), exhaustive=exhaustive)

@@ -3,8 +3,10 @@
 A function on an n-bit argument is stored as its full truth table, packed
 little-endian into a Python integer: bit j of ``mask`` holds f(j).  That
 gives O(1) evaluation, cheap complement/permutation via bit twiddling, and
-exact hashing.  All values are immutable; every operation returns a new
-instance.
+exact hashing.  The unpacked table (one byte per argument) is built on
+first use and then kept, so a function that is only counted, compared or
+transformed never pays for it.  All values are immutable; every operation
+returns a new instance.
 
 The bit-flip (hypercube-neighbour) rule lives here: argument a pairs with
 a XOR 2**(n-i), spin i counted from the most significant bit.  C_N
@@ -17,6 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -49,6 +52,10 @@ class BoolFunc:
         Number of argument bits; the domain is {0, ..., 2**n - 1}.
     mask : int
         Packed truth table, bit j = f(j).
+
+    Construction checks n and mask only; the unpacked read-only table
+    behind `bits`, `signs`, `table` and `str` is built on first use and
+    cached.  Equality, hashing, repr and pickling see only n and mask.
     """
 
     n: int
@@ -58,10 +65,18 @@ class BoolFunc:
         _check_width(self.n)
         if self.mask < 0 or self.mask.bit_length() > self.size:
             raise ValueError("mask does not fit a %d-entry truth table" % self.size)
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached table stays out of
+        # the pickle, and a loaded copy builds its own read-only one.
+        return BoolFunc, (self.n, self.mask)
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
         packed = np.frombuffer(self.mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
         bits = np.unpackbits(packed, count=self.size, bitorder="little")
         bits.setflags(write=False)
-        object.__setattr__(self, "_bits", bits)
+        return bits
 
     @property
     def size(self) -> int:
@@ -160,9 +175,10 @@ def mask_from_bits(bits) -> int:
 
 
 def mask_from_support(size: int, support) -> int:
-    """Mask of the size-entry truth table that is 1 exactly on support."""
+    """Mask of the size-entry truth table that is 1 exactly on support,
+    a sequence (list or array) of arguments."""
     bits = np.zeros(size, dtype=np.uint8)
-    bits[np.fromiter(support, dtype=np.intp)] = 1
+    bits[np.asarray(support, dtype=np.intp)] = 1
     return mask_from_bits(bits)
 
 
@@ -285,23 +301,43 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
             f"exhaustive enumeration of {cls.value} is capped at n={ENUMERATION_LIMIT}"
         )
     size = 1 << n
-    # Capped at n <= ENUMERATION_LIMIT, every mask fits in 16 bits, so
-    # adding up the chosen powers of two is the cheapest way to build it.
-    powers = [1 << j for j in range(size)]
     if cls is FunctionClass.BALANCED_W:
-        members = [sum(ones) for ones in itertools.combinations(powers, size // 2)]
-    elif cls is FunctionClass.CLASS_CN:
-        _check_cn_width(n)
-        full = (1 << size) - 1
-        quarters = (sum(ones) for ones in itertools.combinations(powers, size // 4))
-        members = [m for q in quarters if is_in_cn(BoolFunc(n, q)) for m in (q, full ^ q)]
+        # Capped at n <= ENUMERATION_LIMIT, every mask fits in 16 bits, so
+        # adding up the chosen powers of two is the cheapest way to build it.
+        # Of two ones-sets of one size, the lexicographically first holds
+        # the earliest argument where they differ, so its table is the
+        # larger: reversed, the combinations come in truth-table order.
+        powers = [1 << j for j in range(size)]
+        ordered = reversed([sum(ones) for ones in itertools.combinations(powers, size // 2)])
     else:
-        members = [
-            m for m in range(1 << size) if classify(BoolFunc(n, m)) is cls
-        ]
-    # Reversed, the bit string lists f(0), f(1), ... : truth-table order.
-    for m in sorted(members, key=lambda mask: format(mask, f"0{size}b")[::-1]):
+        if cls is FunctionClass.CLASS_CN:
+            _check_cn_width(n)
+            full = (1 << size) - 1
+            members = [m for q in _spread_quarters(n) for m in (q, full ^ q)]
+        else:
+            members = [m for m in range(1 << size) if classify(BoolFunc(n, m)) is cls]
+        # Reversed, the bit string lists f(0), f(1), ... : truth-table order.
+        ordered = sorted(members, key=lambda mask: format(mask, f"0{size}b")[::-1])
+    for m in ordered:
         yield BoolFunc(n, m)
+
+
+def _spread_quarters(n: int) -> Iterator[int]:
+    """Masks of every N/4-argument set with no two arguments at Hamming
+    distance 1, as a walk that adds argument j only when none of its
+    neighbours j ^ 2**b is chosen already."""
+    size = 1 << n
+    neighbours = [sum(1 << (j ^ (1 << b)) for b in range(n)) for j in range(size)]
+
+    def walk(start: int, chosen: int, blocked: int, left: int) -> Iterator[int]:
+        if not left:
+            yield chosen
+            return
+        for j in range(start, size - left + 1):
+            if not (blocked >> j) & 1:
+                yield from walk(j + 1, chosen | (1 << j), blocked | neighbours[j], left - 1)
+
+    return walk(0, 0, 0, size // 4)
 
 
 def _even_parity_arguments(n: int) -> np.ndarray:

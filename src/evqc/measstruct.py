@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from evqc.engine import expectation
 from evqc.funcspace import BoolFunc, mask_from_bits, permute
@@ -280,6 +279,10 @@ def search_max_c_ratio(
     invariant-form parameters, with a decreasing mu schedule and a final
     feasibility polish.  Same seed, same result, bit for bit.
     """
+    # Imported here: scipy.optimize takes tens of MB and most of a second
+    # to load, and no other evqc command needs it.
+    from scipy.optimize import minimize
+
     if not 1 <= n <= SEARCH_N_LIMIT:
         raise ValueError(f"search supports 1 <= n <= {SEARCH_N_LIMIT}")
     if budget < 100:

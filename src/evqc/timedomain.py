@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from evqc.engine import _check_spins
 from evqc.funcspace import BoolFunc, flip_halves
@@ -106,6 +105,8 @@ def heisenberg_op(m: Operator, h: Hamiltonian, t: float) -> Operator:
 
 def heisenberg_dense(m: Operator, h: Hamiltonian, t: float) -> Operator:
     """Same map through a dense matrix exponential; for cross-validation only."""
+    from scipy.linalg import expm  # imported here: no command path needs scipy
+
     u = expm(1j * h.op.mat * t)
     return Operator(u @ m.mat @ u.conj().T)
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evqc.adversary import (
@@ -13,7 +14,7 @@ from evqc.adversary import (
     min_queries,
     verify_adversary,
 )
-from evqc.funcspace import is_in_cn
+from evqc.funcspace import is_in_cn, mask_from_support
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -42,6 +43,33 @@ def test_witness_properties_exhaustive_n2():
             w = cn_witness(2, combo)
             assert is_in_cn(w)
             assert all(w(q) == 0 for q in combo)
+
+
+def list_witness_mask(n, queried):
+    """The witness built with Python lists over the whole domain."""
+    size = 1 << n
+    unchecked = [j for j in range(size) if j not in queried]
+    pivot = unchecked[0]
+    even = [j for j in unchecked if (j ^ pivot).bit_count() % 2 == 0]
+    odd = [j for j in unchecked if (j ^ pivot).bit_count() % 2 == 1]
+    side = even if len(even) >= len(odd) else odd
+    return mask_from_support(size, side[: size // 4])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_witness_matches_list_construction(n):
+    size = 1 << n
+    draws = np.random.default_rng(n)
+    sets = [set(), set(range(size // 2)), set(range(size // 2, size)), set(range(0, size, 2))]
+    for _ in range(20):
+        count = int(draws.integers(0, size // 2 + 1))
+        sets.append(set(draws.choice(size, size=count, replace=False).tolist()))
+    sets.append(set(draws.choice(size, size=size // 2, replace=False).tolist()))
+    for queried in sets:
+        assert cn_witness(n, queried).mask == list_witness_mask(n, queried), (n, sorted(queried))
+    for bad in ({-1}, {size}, {0, size + 3}):
+        with pytest.raises(ValueError):
+            cn_witness(n, bad)
 
 
 def test_witness_refuses_past_half():

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evqc import funcspace
 from evqc.funcspace import (
     MAX_TABLE_N,
     BoolFunc,
@@ -73,8 +76,40 @@ def test_bit_table_matches_per_bit_reference(nm):
     f = BoolFunc(n, mask)
     reference = [(mask >> j) & 1 for j in range(1 << n)]
     assert f.bits().tolist() == reference
+    assert f.bits() is f.bits()
     assert not f.bits().flags.writeable
     assert str(f) == "".join(map(str, reference))
+
+
+def test_table_is_built_on_first_use(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("bit table built")
+
+    monkeypatch.setattr(np, "unpackbits", refuse)
+    f = BoolFunc(4, 0x0F0F)
+    assert complement(f).mask == 0xF0F0
+    assert lift(f).mask == f.mask
+    assert permute(f, 0, 4).mask == 0x0F1E
+    assert parse_function("n=4\n0x0f0f\n") == f
+    assert classify(constant_one(4)) is FunctionClass.CONSTANT
+    assert classify(f) is FunctionClass.BALANCED_W
+    assert len(list(enumerate_class(4, FunctionClass.BALANCED_W))) == 12870
+    with pytest.raises(RuntimeError):
+        f.bits()
+
+
+def test_cached_table_is_invisible_to_identity():
+    read = BoolFunc(3, 0b10110100)
+    str(read), read.signs(), read.table
+    fresh = BoolFunc(3, 0b10110100)
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    for copy in (pickle.loads(pickle.dumps(read)), dataclasses.replace(read)):
+        assert copy == read and hash(copy) == hash(read)
+        assert not copy.bits().flags.writeable
+        np.testing.assert_array_equal(copy.bits(), read.bits())
+    assert dataclasses.replace(read, mask=1) == BoolFunc(3, 1)
+    # Construction still checks n and mask: test_boolfunc_validation and
+    # test_table_width_is_checked_before_any_table_is_built.
 
 
 def test_boolfunc_validation():
@@ -198,6 +233,19 @@ def test_cn_enumeration_matches_brute_force(n):
     expected = brute_cn_members(n)
     got = sorted(f.mask for f in enumerate_class(n, FunctionClass.CLASS_CN))
     assert got == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cn_walk_matches_filter(n):
+    size = 1 << n
+    full = (1 << size) - 1
+    quarters = (sum(ones) for ones in itertools.combinations([1 << j for j in range(size)], size // 4))
+    filtered = [q for q in quarters if is_in_cn(BoolFunc(n, q))]
+    walked = list(funcspace._spread_quarters(n))
+    assert sorted(walked) == sorted(filtered)
+    assert len(set(walked)) == len(walked)
+    got = [f.mask for f in enumerate_class(n, FunctionClass.CLASS_CN)]
+    assert sorted(got) == sorted(m for q in filtered for m in (q, full ^ q))
 
 
 def test_cn_enumeration_counts():
