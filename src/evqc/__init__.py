@@ -39,7 +39,6 @@ from evqc.measstruct import (
     search_max_c_ratio,
 )
 from evqc.spinops import (
-    EigenSpectrum,
     Operator,
     eig_multiset,
     oracle,

@@ -9,7 +9,7 @@ C_N that is consistent too.  Hence 2**(n-1) + 1 queries are required.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,42 +18,30 @@ from evqc.funcspace import BoolFunc, _check_cn_width, is_in_cn, mask_from_bits, 
 EXHAUSTIVE_LIMIT = 3  # all query sets of size N/2 are walked up to here
 
 
-@dataclass(frozen=True)
-class QueryTranscript:
-    """Record of an interaction where every query was answered 0."""
-
-    n: int
-    queried: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        _check_cn_width(self.n)
-        queried = frozenset(map(int, self.queried))
-        if queried and (min(queried) < 0 or max(queried) >= 1 << self.n):
-            raise ValueError("queried indices outside the domain")
-        object.__setattr__(self, "queried", queried)
-
-    @property
-    def answers(self) -> dict[int, int]:
-        return {q: 0 for q in sorted(self.queried)}
-
-
 def cn_witness(n: int, queried) -> BoolFunc:
     """A C_N member that answers 0 on every queried argument.
 
-    Works whenever at most half the domain has been queried: the
-    unqueried arguments are split by Hamming-distance parity from the
-    smallest one; the larger side has at least N/4 elements, pairwise at
-    even distance, and the first N/4 of them carry the ones.
+    queried is any iterable of arguments (a set, tuple, list, range or
+    numpy integer array); repeats count once.  Works whenever at most
+    half the domain has been queried: the unqueried arguments are split
+    by Hamming-distance parity from the smallest one; the larger side has
+    at least N/4 elements, pairwise at even distance, and the first N/4
+    of them carry the ones.
     """
-    transcript = QueryTranscript(n, queried)
+    _check_cn_width(n)
     size = 1 << n
-    count = len(transcript.queried)
+    if not isinstance(queried, np.ndarray):
+        queried = np.fromiter(queried, dtype=np.int64)
+    queried = queried.astype(np.int64, copy=False)
+    if queried.size and (queried.min() < 0 or queried.max() >= size):
+        raise ValueError("queried indices outside the domain")
+    asked = np.zeros(size, dtype=bool)
+    asked[queried] = True
+    count = int(np.count_nonzero(asked))
     if count > size // 2:
         raise ValueError(
             f"{count} queries exceed half the domain; no consistent witness is guaranteed"
         )
-    asked = np.zeros(size, dtype=bool)
-    asked[np.fromiter(transcript.queried, dtype=np.intp, count=count)] = True
     unchecked = np.flatnonzero(~asked)
     parity = np.bitwise_count(unchecked ^ unchecked[0]) & 1
     even, odd = unchecked[parity == 0], unchecked[parity == 1]
@@ -65,7 +53,7 @@ def cn_witness(n: int, queried) -> BoolFunc:
     # would be quadratic in N.
     if not is_in_cn(witness) or witness.mask & mask_from_bits(asked):
         raise AssertionError(
-            f"witness for queries {sorted(transcript.queried)} is not a consistent C_N member"
+            f"witness for queries {np.flatnonzero(asked).tolist()} is not a consistent C_N member"
         )
     return witness
 
@@ -112,9 +100,9 @@ def verify_adversary(n: int, trials: int, seed: int) -> AdversaryReport:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         count = int(rng.integers(0, size // 2 + 1))
-        combo = tuple(rng.choice(size, size=count, replace=False).tolist())
+        combo = rng.choice(size, size=count, replace=False)
         if not _witness_ok(n, combo):
-            failures.append(combo)
+            failures.append(tuple(combo.tolist()))
     return AdversaryReport(n=n, trials=trials, failures=tuple(failures), exhaustive=exhaustive)
 
 

@@ -10,6 +10,7 @@ infeasible.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -37,29 +38,47 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
+def _write_atomic(files: dict) -> None:
+    """Write every file or none: each text goes to a temporary file beside
+    its target, and the targets are replaced only once all of those are
+    whole.  A target that is a directory is refused before anything is
+    written; on failure every temporary file not yet renamed is removed."""
+    targets = [(Path(path), text) for path, text in files.items()]
+    for path, _ in targets:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    # mkstemp creates its file private (0600); give each the mode a plain
+    # open() would, as the umask allows.
+    umask = os.umask(0)
+    os.umask(umask)
+    pending = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            # mkstemp creates the file private (0600); give it the mode a
-            # plain open() would, as the umask allows.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in targets:
+            fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
+            pending.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in pending:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
-def _emit(record: dict, out: str | None) -> None:
+def _emit(record: dict, out: str | None, files: dict | None = None) -> None:
+    """Write the output files and, with --out, the report in one atomic
+    call; without --out the report goes to stdout once the files are in."""
     line = json.dumps(record, allow_nan=False)
+    files = dict(files or {})
     if out:
-        _write_atomic(Path(out), line + "\n")
-    else:
+        files[Path(out)] = line + "\n"
+    if files:
+        _write_atomic(files)
+    if not out:
         print(line)
 
 
@@ -135,8 +154,9 @@ def cmd_classify(args) -> int:
         verdict = engine.dj_decide_lifted(f, sys_obj, eps)
         n = sys_obj.n
         config_sys = states.system_to_dict(sys_obj)
+    files = {}
     if args.dump_op:
-        _write_atomic(Path(args.dump_op), operator_text(_protocol_measurement(args.protocol, n)))
+        files[Path(args.dump_op)] = operator_text(_protocol_measurement(args.protocol, n))
     record = {
         "command": "classify",
         "config": {
@@ -150,7 +170,7 @@ def cmd_classify(args) -> int:
         },
         "result": engine.verdict_record(verdict, n),
     }
-    _emit(record, args.out)
+    _emit(record, args.out, files)
     return 2 if verdict.decided is engine.Decision.INCONCLUSIVE else 0
 
 
@@ -189,13 +209,12 @@ def cmd_survey(args) -> int:
                 f"0x{f.mask:x},{funcspace.imbalance(f)},{e:.17g},{funcspace.classify(f).value}"
             )
         summary = {"rows": len(members)}
-    _write_atomic(Path(args.out), "\n".join(lines) + "\n")
     record = {
         "command": "survey",
         "config": {"mode": args.mode, "n": n, "out": args.out},
         "result": summary,
     }
-    _emit(record, None)
+    _emit(record, None, {Path(args.out): "\n".join(lines) + "\n"})
     return 0
 
 
@@ -252,14 +271,15 @@ def cmd_signal(args) -> int:
         trace = timedomain.SignalTrace(dt=args.dt, samples=np.zeros(args.count))
     spec = timedomain.spectrum(trace)
     peaks = timedomain.find_peaks(spec)
+    files = {}
     if args.dump_op:
         m = total_spin(n, axis) if args.measure in ("fx", "fy") else single_spin(n, spins[0], axis)
-        _write_atomic(Path(args.dump_op), operator_text(m))
+        files[Path(args.dump_op)] = operator_text(m)
 
     out = Path(args.out)
     spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
-    _write_atomic(out, timedomain.trace_csv(trace))
-    _write_atomic(spec_path, timedomain.spectrum_csv(spec))
+    files[out] = timedomain.trace_csv(trace)
+    files[spec_path] = timedomain.spectrum_csv(spec)
 
     record = {
         "command": "signal",
@@ -279,7 +299,7 @@ def cmd_signal(args) -> int:
             "peaks": [[omega, mag] for omega, mag in peaks],
         },
     }
-    _emit(record, None)
+    _emit(record, None, files)
     return 0
 
 

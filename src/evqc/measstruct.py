@@ -19,7 +19,7 @@ import numpy as np
 
 from evqc.engine import expectation
 from evqc.funcspace import BoolFunc, mask_from_bits, permute
-from evqc.spinops import Operator, eig_multiset, require_hermitian, total_spin, w_projector
+from evqc.spinops import Operator, eig_multiset, require_hermitian, total_spin
 from evqc.states import DensityMatrix
 
 FEASIBILITY_TOL = 1e-6  # eigenvalue-match gate for accepted candidates
@@ -211,8 +211,8 @@ def necessary_conditions(m: Operator, reference: Operator, tol: float) -> Necess
     Necessary but not sufficient for unitary equivalence: multiplicities
     are not compared.
     """
-    vals_m = eig_multiset(m).values
-    vals_ref = eig_multiset(reference).values
+    vals_m = eig_multiset(m)
+    vals_ref = eig_multiset(reference)
     trace_value = float(np.trace(m.mat).real)
     trace_ok = abs(trace_value - float(np.trace(reference.mat).real)) <= tol
     checks = []
@@ -290,7 +290,7 @@ def search_max_c_ratio(
     if restarts < 1:
         raise ValueError("need at least one restart")
     size = 1 << n
-    target = eig_multiset(total_spin(n, "x")).values
+    target = eig_multiset(total_spin(n, "x"))
     rng = np.random.default_rng(seed)
     n_params = 1 + size + size * (size - 1) // 2
     phase_budget = max(60, budget // (restarts * (len(_MU_SCHEDULE) + 2)))

@@ -33,16 +33,14 @@ def is_hermitian(mat: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Immutable dense operator with verified structural flags.
+    """Immutable dense operator.
 
-    Flags that are set True are checked at construction time; a False flag
-    makes no claim either way.
+    A hermitian flag set True is checked at construction time; False makes
+    no claim either way.
     """
 
     mat: np.ndarray
     hermitian: bool = False
-    diagonal: bool = False
-    unitary: bool = False
 
     def __post_init__(self) -> None:
         mat = np.array(self.mat, dtype=complex)
@@ -52,17 +50,6 @@ class Operator:
         object.__setattr__(self, "mat", mat)
         if self.hermitian and not is_hermitian(mat):
             raise ValueError("hermitian flag set on a non-hermitian matrix")
-        if self.diagonal:
-            scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-            if np.abs(mat - np.diag(np.diag(mat))).max() > 1e-12 * scale:
-                raise ValueError("diagonal flag set on a matrix with off-diagonal entries")
-        if self.unitary:
-            if self.diagonal:
-                defect = np.abs(np.abs(np.diag(mat)) - 1.0).max()
-            else:
-                defect = np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max()
-            if defect > 1e-10:
-                raise ValueError("unitary flag set on a non-unitary matrix")
 
     @property
     def dim(self) -> int:
@@ -99,7 +86,7 @@ def single_spin(n: int, i: int, axis: str) -> Operator:
     for pos in range(1, n + 1):
         factor = _HALF_SPIN[axis] if pos == i else np.eye(2, dtype=complex)
         mat = np.kron(mat, factor)
-    return Operator(mat, hermitian=True, diagonal=(axis == "z"))
+    return Operator(mat, hermitian=True)
 
 
 def total_spin(n: int, axis: str) -> Operator:
@@ -123,32 +110,7 @@ def w_projector(n: int) -> Operator:
 def oracle(f: BoolFunc) -> Operator:
     """Diagonal phase oracle with entries (-1)**f(j); self-inverse."""
     _check_register(f.n)
-    return Operator(
-        np.diag(f.signs().astype(complex)),
-        hermitian=True,
-        diagonal=True,
-        unitary=True,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSpectrum:
-    """Eigenvalue multiset of a hermitian operator, sorted ascending."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("eigenvalue list must be a nonempty vector")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
+    return Operator(np.diag(f.signs().astype(complex)), hermitian=True)
 
 
 def require_hermitian(m: Operator, what: str) -> None:
@@ -157,8 +119,8 @@ def require_hermitian(m: Operator, what: str) -> None:
         raise ValueError(f"{what} requires a hermitian operator")
 
 
-def eig_multiset(m: Operator) -> EigenSpectrum:
-    """Sorted eigenvalues of a hermitian operator.
+def eig_multiset(m: Operator) -> np.ndarray:
+    """Eigenvalues of a hermitian operator as a read-only ascending vector.
 
     The sum is cross-checked against the trace before returning; a
     mismatch means the eigensolver or the input is broken.
@@ -169,13 +131,14 @@ def eig_multiset(m: Operator) -> EigenSpectrum:
     scale = max(1.0, float(np.abs(values).max(initial=0.0)) * m.dim)
     if residue > 1e-9 * scale:
         raise ValueError(f"eigenvalue sum disagrees with trace by {residue:g}")
-    return EigenSpectrum(values)
+    values.setflags(write=False)
+    return values
 
 
 def spectral_range(m: Operator) -> float:
     """Spread between the extreme eigenvalues of a hermitian operator."""
-    spec = eig_multiset(m)
-    return float(spec.values[-1] - spec.values[0])
+    values = eig_multiset(m)
+    return float(values[-1] - values[0])
 
 
 def unitarily_equivalent(m1: Operator, m2: Operator, tol: float | None = None) -> bool:
@@ -188,8 +151,8 @@ def unitarily_equivalent(m1: Operator, m2: Operator, tol: float | None = None) -
         raise ValueError(f"dimension mismatch: {m1.dim} vs {m2.dim}")
     if tol is None:
         tol = 1e-9 * m1.dim
-    v1 = eig_multiset(m1).values
-    v2 = eig_multiset(m2).values
+    v1 = eig_multiset(m1)
+    v2 = eig_multiset(m2)
     return bool(np.abs(v1 - v2).max() <= tol)
 
 
@@ -203,7 +166,7 @@ def operator_text(m: Operator) -> str:
 
 
 def load_operator(path) -> Operator:
-    """Read the dump format back; structural flags are re-detected."""
+    """Read the dump format back; hermiticity is re-detected, the only flag."""
     with open(path, encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -216,5 +179,4 @@ def load_operator(path) -> Operator:
         re_s, im_s = ln.split(",")
         flat[idx] = complex(float(re_s), float(im_s))
     mat = flat.reshape(dim, dim)
-    diagonal = bool(np.abs(mat - np.diag(np.diag(mat))).max() == 0.0)
-    return Operator(mat, hermitian=is_hermitian(mat), diagonal=diagonal)
+    return Operator(mat, hermitian=is_hermitian(mat))

@@ -179,7 +179,7 @@ def thermal_state(sys: SpinSystem) -> DensityMatrix:
     diag = np.full(size, 1.0 / size)
     for i in range(1, sys.n + 1):
         diag = diag - (sys.theta / size) * sys.omega[i - 1] * spin_z_column(sys.n, i)
-    return DensityMatrix(Operator(np.diag(diag.astype(complex)), hermitian=True, diagonal=True))
+    return DensityMatrix(Operator(np.diag(diag.astype(complex)), hermitian=True))
 
 
 def pseudopure(n: int, alpha: float) -> DensityMatrix:

@@ -39,20 +39,18 @@ MAX_SAMPLES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Diagonal internal Hamiltonian together with the system it came from."""
+    """Internal Hamiltonian, stored by its diagonal (a read-only float
+    vector, one entry per basis state), with the system it came from."""
 
-    op: Operator
+    diag: np.ndarray
     source: SpinSystem
 
     def __post_init__(self) -> None:
-        if not self.op.diagonal:
-            raise ValueError("internal Hamiltonian must be diagonal")
-        if self.op.dim != self.source.size:
-            raise ValueError("Hamiltonian dimension does not match the spin system")
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.diag(self.op.mat).real
+        diag = np.array(self.diag, dtype=float)
+        if diag.shape != (self.source.size,):
+            raise ValueError("Hamiltonian diagonal does not match the spin system")
+        diag.setflags(write=False)
+        object.__setattr__(self, "diag", diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +84,7 @@ def hamiltonian(sys: SpinSystem) -> Hamiltonian:
         diag += sys.omega[i - 1] * spin_z_column(sys.n, i)
     for i, j, strength in sys.couplings:
         diag += 2.0 * np.pi * strength * spin_z_column(sys.n, i) * spin_z_column(sys.n, j)
-    op = Operator(np.diag(diag.astype(complex)), hermitian=True, diagonal=True)
-    return Hamiltonian(op=op, source=sys)
+    return Hamiltonian(diag=diag, source=sys)
 
 
 def heisenberg_op(m: Operator, h: Hamiltonian, t: float) -> Operator:
@@ -96,7 +93,7 @@ def heisenberg_op(m: Operator, h: Hamiltonian, t: float) -> Operator:
     With H diagonal this is an entrywise phase: entry (j, k) picks up
     exp(i (H_jj - H_kk) t).
     """
-    if m.dim != h.op.dim:
+    if m.dim != h.diag.size:
         raise ValueError("operator and Hamiltonian dimensions differ")
     phases = np.exp(1j * h.diag * t)
     mat = phases[:, None] * m.mat * phases.conj()[None, :]
@@ -107,7 +104,7 @@ def heisenberg_dense(m: Operator, h: Hamiltonian, t: float) -> Operator:
     """Same map through a dense matrix exponential; for cross-validation only."""
     from scipy.linalg import expm  # imported here: no command path needs scipy
 
-    u = expm(1j * h.op.mat * t)
+    u = expm(1j * np.diag(h.diag) * t)
     return Operator(u @ m.mat @ u.conj().T)
 
 
@@ -142,7 +139,7 @@ def signal(rho: DensityMatrix, h: Hamiltonian, m: Operator, dt: float, count: in
     Every nonzero weight rho_ab M_ba oscillates at H_bb - H_aa; weights at
     the same frequency are summed before any phase is evaluated.
     """
-    if rho.dim != m.dim or rho.dim != h.op.dim:
+    if rho.dim != m.dim or rho.dim != h.diag.size:
         raise ValueError("state, measurement, and Hamiltonian dimensions differ")
     check_sampling(dt, count)
     weights = (rho.mat * m.mat.T).ravel()  # entry (a, b): rho_ab M_ba

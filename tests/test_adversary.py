@@ -9,7 +9,6 @@ import pytest
 
 from evqc.adversary import (
     AdversaryReport,
-    QueryTranscript,
     cn_witness,
     min_queries,
     verify_adversary,
@@ -20,12 +19,30 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_transcript_validation():
-    t = QueryTranscript(2, frozenset({0, 1}))
-    assert t.answers == {0: 0, 1: 0}
-    with pytest.raises(ValueError):
-        QueryTranscript(1, frozenset())
-    with pytest.raises(ValueError):
-        QueryTranscript(2, frozenset({4}))
+    # cn_witness checks the queries it is handed: the width, the domain,
+    # and at most half the domain counting distinct arguments.
+    for n in (0, 1, 23):
+        with pytest.raises(ValueError):
+            cn_witness(n, set())
+    for bad in ({4}, {-1}, np.array([0, 4])):
+        with pytest.raises(ValueError, match="outside the domain"):
+            cn_witness(2, bad)
+    with pytest.raises(ValueError, match="3 queries exceed half"):
+        cn_witness(2, [0, 1, 2, 2])
+    assert cn_witness(2, [0, 1, 1, 0, 1]).table == (0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_witness_takes_any_query_form(n):
+    draws = np.random.default_rng(n)
+    size = 1 << n
+    queries = draws.integers(0, size, size=size // 2)  # repeats included
+    expected = cn_witness(n, set(queries.tolist()))
+    forms = [tuple(queries.tolist()), queries.tolist(), queries, queries.astype(np.int32),
+             queries.astype(np.uint16), iter(queries.tolist())]
+    for form in forms:
+        assert cn_witness(n, form) == expected
+    assert cn_witness(n, range(size // 2)) == cn_witness(n, np.arange(size // 2))
 
 
 def test_witness_frozen_cases():

@@ -541,6 +541,31 @@ def test_failed_dump_keeps_the_earlier_file_and_no_temp_file(capsys, tmp_path, m
     assert [p.name for p in tmp_path.iterdir()] == ["op.txt"]
 
 
+def test_failed_report_write_leaves_no_dump(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "3",
+        "--eps", "0.01", "--dump-op", "op.txt", "--out", str(tmp_path / "missing" / "r.json"),
+    )
+    assert_one_line_error(rc, rec, err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_signal_blocked_spectrum_leaves_no_trace_or_dump(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("t.spectrum.csv").mkdir()
+    before = sorted(tmp_path.iterdir())
+    rc, rec, err = run(
+        capsys, "signal", "--n", "2", "--dt", "1e-4", "--count", "8", "--out", "t.csv",
+        "--dump-op", "sop.txt",
+    )
+    assert_one_line_error(rc, rec, err)
+    assert "t.spectrum.csv" in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert list(Path("t.spectrum.csv").iterdir()) == []
+
+
 @pytest.mark.parametrize("header", ["n=28", "n=70", "n=1000000000000"])
 def test_classify_rejects_oversized_header_before_building(capsys, tmp_path, header):
     fn = tmp_path / "f.fn"

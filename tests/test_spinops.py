@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def test_single_spin_validation():
 
 def test_total_spin_frozen_spectrum():
     fx = total_spin(2, "x")
-    eigs = eig_multiset(fx).values
+    eigs = eig_multiset(fx)
     np.testing.assert_allclose(eigs, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
     assert fx.trace == 0.0
 
@@ -89,7 +91,7 @@ def test_w_projector_structure():
     assert np.all(w.mat == 0.125)
     np.testing.assert_allclose(w.mat @ w.mat, w.mat, atol=1e-15)
     assert abs(w.trace - 1.0) < 1e-15
-    eigs = eig_multiset(w).values
+    eigs = eig_multiset(w)
     np.testing.assert_allclose(eigs[-1], 1.0, atol=1e-12)
     np.testing.assert_allclose(eigs[:-1], 0.0, atol=1e-12)
 
@@ -97,8 +99,9 @@ def test_w_projector_structure():
 def test_oracle_diagonal_signs():
     f = BoolFunc(2, 0b0100)
     u = oracle(f)
-    np.testing.assert_array_equal(np.diag(u.mat), [1, 1, -1, 1])
-    assert u.diagonal and u.hermitian and u.unitary
+    np.testing.assert_array_equal(u.mat, np.diag([1, 1, -1, 1]))
+    assert u.hermitian
+    np.testing.assert_array_equal(u.mat @ u.mat.conj().T, np.eye(4))
     np.testing.assert_array_equal(u.mat @ u.mat, np.eye(4))
 
 
@@ -119,6 +122,16 @@ def test_unitary_equivalence():
         unitarily_equivalent(total_spin(2, "x"), total_spin(3, "x"))
 
 
+@pytest.mark.parametrize("m", [total_spin(3, "x"), w_projector(2), single_spin(2, 2, "y")])
+def test_eig_multiset_is_a_read_only_ascending_vector(m):
+    values = eig_multiset(m)
+    assert isinstance(values, np.ndarray) and values.dtype == float
+    assert values.shape == (m.dim,)
+    assert np.all(np.diff(values) >= 0)
+    with pytest.raises(ValueError):
+        values[0] = 5.0
+
+
 def test_eig_multiset_requires_hermitian():
     m = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -134,11 +147,9 @@ def test_operator_flag_verification():
     with pytest.raises(ValueError):
         Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
     with pytest.raises(ValueError):
-        Operator(np.array([[0.0, 1.0], [1.0, 0.0]]), diagonal=True)
-    with pytest.raises(ValueError):
-        Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
-    with pytest.raises(ValueError):
         Operator(np.ones((2, 3)))
+    # hermitian is the one flag; a diagonal or unitary matrix is read from .mat
+    assert [f.name for f in dataclasses.fields(Operator)] == ["mat", "hermitian"]
 
 
 def test_operator_is_immutable():
@@ -157,10 +168,12 @@ def test_dump_load_roundtrip(tmp_path, rng):
 
 
 def test_load_detects_diagonal(tmp_path):
+    # The dump keeps a diagonal matrix exactly diagonal; only hermiticity is
+    # re-detected as a flag.
     path = tmp_path / "diag.txt"
     path.write_text(operator_text(oracle(BoolFunc(1, 0b10))), encoding="ascii")
     back = load_operator(path)
-    assert back.diagonal
+    np.testing.assert_array_equal(back.mat, np.diag([1, -1]))
     assert back.hermitian
 
 

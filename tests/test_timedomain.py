@@ -51,12 +51,18 @@ def test_hamiltonian_coupled_pair_diag():
 
 
 def test_hamiltonian_requires_diagonal_op():
+    # The Hamiltonian is stored by its diagonal: a matrix or a vector of the
+    # wrong length is refused, and the stored vector is read-only.
     sys = SpinSystem(n=1, omega=np.array([5.0]), theta=THETA)
     with pytest.raises(ValueError):
-        Hamiltonian(op=single_spin(1, 1, "x"), source=sys)
+        Hamiltonian(diag=single_spin(1, 1, "z").mat.real, source=sys)
     sys2 = SpinSystem(n=2, omega=np.array([5.0, 6.0]), theta=THETA)
     with pytest.raises(ValueError):
-        Hamiltonian(op=hamiltonian(sys).op, source=sys2)
+        Hamiltonian(diag=hamiltonian(sys).diag, source=sys2)
+    h = hamiltonian(sys2)
+    assert h.diag.shape == (4,) and h.diag.dtype == float
+    with pytest.raises(ValueError):
+        h.diag[0] = 1.0
 
 
 def test_heisenberg_entrywise_phase():
@@ -361,13 +367,13 @@ def test_csv_text_matches_the_csv_module(rng, tmp_path):
         ([k, f"{t:.17g}", f"{v:.17g}"] for k, (t, v) in enumerate(zip(trace.times, trace.samples))),
     )
     assert trace_csv(trace) == expected
-    _write_atomic(tmp_path / "t.csv", trace_csv(trace))
+    _write_atomic({tmp_path / "t.csv": trace_csv(trace)})
     assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
 
     spec = spectrum(trace)
     expected = _csv_module_text(["omega", "magnitude"], ([f"{w:.17g}", f"{m:.17g}"] for w, m in spec))
     assert spectrum_csv(spec) == expected
-    _write_atomic(tmp_path / "s.csv", spectrum_csv(spec))
+    _write_atomic({tmp_path / "s.csv": spectrum_csv(spec)})
     assert (tmp_path / "s.csv").read_bytes() == expected.encode("ascii")
 
 
