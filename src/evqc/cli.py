@@ -41,12 +41,15 @@ class _Parser(argparse.ArgumentParser):
 def _write_atomic(files: dict) -> None:
     """Write every file or none: each text goes to a temporary file beside
     its target, and the targets are replaced only once all of those are
-    whole.  A target that is a directory is refused before anything is
-    written; on failure every temporary file not yet renamed is removed."""
+    whole.  A target that is a directory, or whose directory does not
+    exist, is refused before anything is written; on failure every
+    temporary file not yet renamed is removed."""
     targets = [(Path(path), text) for path, text in files.items()]
     for path, _ in targets:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "No such directory to write into", str(path))
     # mkstemp creates its file private (0600); give each the mode a plain
     # open() would, as the umask allows.
     umask = os.umask(0)
@@ -54,7 +57,7 @@ def _write_atomic(files: dict) -> None:
     pending = []
     try:
         for path, text in targets:
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
             pending.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
@@ -295,12 +298,24 @@ def cmd_signal(args) -> int:
         },
         "result": {
             "first_sample": float(trace.samples[0]),
-            "peak_count": len(peaks),
-            "peaks": [[omega, mag] for omega, mag in peaks],
+            "peak_count": peaks[0].size,
+            "peaks": np.column_stack(peaks).tolist(),
         },
     }
     _emit(record, None, files)
     return 0
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed: a non-negative integer, as numpy's
+    generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 @functools.cache
@@ -317,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, required=True, help="readout resolution")
     p.add_argument("--alpha", type=float, default=1.0, help="pseudopure weight")
     p.add_argument("--sys", help="spin-system JSON file")
-    p.add_argument("--seed", type=int, help="seed for --class cn sampling")
+    p.add_argument("--seed", type=_seed, help="seed for --class cn sampling")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--dump-op", help="dump the measurement operator to this path")
 
@@ -330,14 +345,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search-c", help="search the best |c|/spectral-range ratio")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("adversary", help="verify the classical lower-bound witness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("signal", help="sample a free-evolution trace and its spectrum")
@@ -347,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--measure", default="fx", help="fx, fy, or ixj:<i>")
     p.add_argument("--fn", help="apply this oracle before sampling")
     p.add_argument("--class", dest="func_class", choices=["constant", "balanced", "cn"])
-    p.add_argument("--seed", type=int, help="seed for --class cn sampling")
+    p.add_argument("--seed", type=_seed, help="seed for --class cn sampling")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="trace CSV path; spectrum lands beside it")

@@ -71,26 +71,49 @@ class InvariantForm:
 def _assembler(size: int):
     """assemble(c, d, a_upper) -> c * W + diag(d) + A for one dimension.
 
-    The indices and the complex buffer are made once; every call rewrites
-    the same buffer and returns it, so a caller that keeps the matrix past
-    the next call must copy it (Operator and eigvalsh both do).
+    The indices and the complex buffer are made once; every call writes
+    the real and imaginary parts of the same buffer through views, with
+    no complex temporary and no read-back, and returns it.  The diagonal's
+    imaginary part is never written and stays 0.  A caller that keeps the
+    matrix past the next call must copy it (Operator and zheevd both do).
     """
     rows, cols = np.triu_indices(size, 1)
     diag = np.arange(size) * (size + 1)
     upper = rows * size + cols
     lower = cols * size + rows
-    mat = np.empty((size, size), dtype=complex)
+    mat = np.zeros((size, size), dtype=complex)
     flat = mat.reshape(-1)
+    re, im = flat.real, flat.imag
 
     def assemble(c: float, d: np.ndarray, a_upper: np.ndarray) -> np.ndarray:
-        flat.fill(c / size)
-        flat[diag] += d
-        ia = 1j * a_upper
-        flat[upper] += ia
-        flat[lower] -= ia
+        w = c / size
+        re.fill(w)
+        re[diag] = w + d
+        # 0.0 + a and 0.0 - a: a -0.0 in a_upper gives +0.0 on both sides.
+        im[upper] = 0.0 + a_upper
+        im[lower] = 0.0 - a_upper
         return mat
 
     return assemble
+
+
+def _eigensolver():
+    """eigvalsh(mat) -> ascending eigenvalues of a hermitian matrix.
+
+    Calls LAPACK's zheevd, the routine np.linalg.eigvalsh runs, on the
+    lower triangle, without numpy's per-call wrapper; the values are the
+    same bits.  scipy.linalg.lapack is imported here, as it comes with
+    scipy.optimize, which only the search loads.
+    """
+    from scipy.linalg.lapack import zheevd
+
+    def eigvalsh(mat: np.ndarray) -> np.ndarray:
+        vals, _, info = zheevd(mat, compute_v=0, lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (zheevd info={info})")
+        return vals
+
+    return eigvalsh
 
 
 def decompose_invariant(m: Operator, tol: float = 1e-8) -> InvariantForm:
@@ -259,10 +282,9 @@ class SearchResult:
 def _split_params(x: np.ndarray, size: int) -> tuple[float, np.ndarray, np.ndarray]:
     """(c, d, a_upper) from the search vector, projected to zero trace."""
     c = float(x[0])
-    d = np.array(x[1 : 1 + size], dtype=float)
+    dx = x[1 : 1 + size]
     # Zero-trace projection: shift the diagonal, leaving c alone.
-    d -= (c + d.sum()) / size
-    return c, d, x[1 + size :]
+    return c, dx - (c + dx.sum()) / size, x[1 + size :]
 
 
 def search_max_c_ratio(
@@ -297,12 +319,14 @@ def search_max_c_ratio(
     polish_budget = 2 * phase_budget
 
     assemble = _assembler(size)
+    eigvalsh = _eigensolver()
 
     def assess(x: np.ndarray) -> tuple[float, float]:
         # Runs once per objective evaluation: no InvariantForm, no Operator.
         c, d, a = _split_params(x, size)
-        vals = np.linalg.eigvalsh(assemble(c, d, a))
-        mism = float(np.sum((vals - target) ** 2))
+        vals = eigvalsh(assemble(c, d, a))
+        r = vals - target
+        mism = float(np.add.reduce(r * r))
         spread = float(vals[-1] - vals[0])
         return mism, abs(c) / max(spread, 1e-12)
 

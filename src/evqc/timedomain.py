@@ -202,28 +202,31 @@ def transverse_signal(
     return SignalTrace(dt=dt, samples=-sys.theta / (2.0 * sys.size) * values + 0.0)
 
 
-def spectrum(trace: SignalTrace) -> list[tuple[float, float]]:
-    """Discrete Fourier transform magnitudes, sorted by angular frequency."""
+def spectrum(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete Fourier transform magnitudes, sorted by angular frequency,
+    as the arrays (omegas, magnitudes)."""
     count = trace.samples.size
     if count < 2:
         raise ValueError("need at least two samples for a spectrum")
     transform = np.fft.fft(trace.samples)
     omegas = 2.0 * np.pi * np.fft.fftfreq(count, d=trace.dt)
     order = np.argsort(omegas)
-    return [(float(omegas[i]), float(abs(transform[i]))) for i in order]
+    # hypot gives the bits of Python's abs() of each complex bin; np.abs
+    # differs in the last place on some bins.
+    return omegas[order], np.hypot(transform.real, transform.imag)[order]
 
 
-def find_peaks(spec: list[tuple[float, float]], rel_threshold: float = 0.05) -> list[tuple[float, float]]:
-    """Local maxima of the magnitude at or above rel_threshold of the global maximum."""
-    if not spec:
-        return []
-    mags = [mag for _, mag in spec]
-    floor = rel_threshold * max(mags)
-    peaks = []
-    for i in range(1, len(spec) - 1):
-        if mags[i] >= floor and mags[i] > mags[i - 1] and mags[i] > mags[i + 1]:
-            peaks.append(spec[i])
-    return peaks
+def find_peaks(
+    spec: tuple[np.ndarray, np.ndarray], rel_threshold: float = 0.05
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior local maxima of the magnitude at or above rel_threshold of
+    the global maximum, as the arrays (omegas, magnitudes)."""
+    omegas, mags = spec
+    # Magnitudes are non-negative, so 0 as the start changes no maximum.
+    floor = rel_threshold * mags.max(initial=0.0)
+    mid = mags[1:-1]
+    keep = (mid >= floor) & (mid > mags[:-2]) & (mid > mags[2:])
+    return omegas[1:-1][keep], mid[keep]
 
 
 def trace_csv(trace: SignalTrace) -> str:
@@ -232,6 +235,7 @@ def trace_csv(trace: SignalTrace) -> str:
     return "k,t,value\r\n" + "".join(f"{k},{t:.17g},{v:.17g}\r\n" for k, (t, v) in enumerate(rows))
 
 
-def spectrum_csv(spec: list[tuple[float, float]]) -> str:
+def spectrum_csv(spec: tuple[np.ndarray, np.ndarray]) -> str:
     """The spectrum as CSV text: an omega,magnitude header, then one row per bin."""
-    return "omega,magnitude\r\n" + "".join(f"{w:.17g},{mag:.17g}\r\n" for w, mag in spec)
+    rows = zip(spec[0].tolist(), spec[1].tolist())
+    return "omega,magnitude\r\n" + "".join(f"{w:.17g},{mag:.17g}\r\n" for w, mag in rows)

@@ -755,3 +755,48 @@ def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
     # One tree at most: the top-level parser and one per subcommand.
     assert built.count("evqc") <= 1
     assert len(built) <= 6
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "3", "--eps", "0.01",
+     "--dump-op", "op.txt", "--out", "missing/r.json"),
+    ("search-c", "--n", "1", "--budget", "200", "--restarts", "1", "--out", "missing/x.json"),
+    ("signal", "--n", "2", "--dt", "1e-4", "--count", "8", "--out", "missing/t.csv"),
+])
+def test_missing_output_directory_names_the_given_path(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run(capsys, *argv)
+    assert_one_line_error(rc, rec, err)
+    assert err.rstrip().endswith(f"'{argv[-1]}'")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--protocol", "pseudopure", "--class", "cn", "--n", "3", "--eps", "0.01"),
+    ("search-c", "--n", "1", "--budget", "200", "--restarts", "1"),
+    ("adversary", "--n", "3", "--trials", "5"),
+    ("signal", "--n", "2", "--class", "cn", "--dt", "1e-4", "--count", "8", "--out", "t.csv"),
+])
+def test_negative_seed_is_a_usage_error_naming_the_option(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run(capsys, *argv, "--seed", "-1")
+    assert rc == 1 and rec is None
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error: argument --seed: must be a non-negative integer, got -1"
+    assert list(tmp_path.iterdir()) == []
+    rc, rec, err = run(capsys, *argv, "--seed", "x")
+    assert rc == 1 and err.splitlines()[-1] == "error: argument --seed: invalid int value: 'x'"
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ("classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2", "--eps", "0.1")
+    proc = subprocess.run([sys.executable, "-m", "evqc", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["command"] == "classify"
+    proc = subprocess.run([sys.executable, "-m", "evqc", "classify", "--protocol", "pseudopure",
+                           "--eps", "0.1"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""

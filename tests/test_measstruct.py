@@ -227,3 +227,65 @@ def test_search_validates_once_per_restart_not_per_evaluation(monkeypatch):
     assert calls["InvariantForm"] <= restarts
     assert calls["triu_indices"] == 1
     assert result.evaluations > 100 * restarts
+
+
+def _assembled_by_formula(c, d, a_upper):
+    """c / size + diag(d) +- 1j * a, written entry by entry into complex storage."""
+    size = d.size
+    rows, cols = np.triu_indices(size, 1)
+    mat = np.full((size, size), c / size, dtype=complex)
+    mat[np.diag_indices(size)] += d
+    ia = 1j * a_upper
+    mat[rows, cols] += ia
+    mat[cols, rows] -= ia
+    return mat
+
+
+def _with_signed_zeros(values, rng):
+    values = values.copy()
+    values[rng.random(values.size) < 0.2] = 0.0
+    values[rng.random(values.size) < 0.2] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_assembler_matches_the_complex_formula(size, rng):
+    assemble = measstruct._assembler(size)
+    cs = [float(v) for v in rng.standard_normal(40) * 3.0] + [0.0, -0.0]
+    for c in cs:
+        d = _with_signed_zeros(rng.standard_normal(size), rng)
+        a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
+        got = assemble(c, d, a)
+        want = _assembled_by_formula(c, d, a)
+        if c == 0.0:
+            # -0.0 + +0.0 is +0.0 in the formula, so c = -0.0 may leave a
+            # differently signed zero; the values must still agree.
+            assert np.array_equal(got, want)
+        else:
+            assert got.tobytes() == want.tobytes(), c
+
+
+def _eigvalsh_inputs(rng):
+    for size in (2, 4, 8):
+        for _ in range(50):
+            z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            yield (z + z.conj().T) / 2.0
+    for n in (1, 2, 3):
+        yield total_spin(n, "x").mat  # degenerate spectrum
+
+
+def test_direct_lapack_route_matches_eigvalsh(rng):
+    eigvalsh = measstruct._eigensolver()
+    for mat in _eigvalsh_inputs(rng):
+        assert eigvalsh(mat).tobytes() == np.linalg.eigvalsh(mat).tobytes()
+
+
+def test_direct_lapack_route_raises_on_failure(monkeypatch):
+    from scipy.linalg import lapack
+
+    def failing(a, compute_v=1, lower=0):
+        return np.zeros(a.shape[0]), np.zeros_like(a), 1
+
+    monkeypatch.setattr(lapack, "zheevd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+        measstruct._eigensolver()(np.eye(4, dtype=complex))

@@ -149,18 +149,17 @@ def test_signal_guards():
 def test_parseval_identity(rng):
     samples = rng.standard_normal(128)
     trace = SignalTrace(dt=1e-3, samples=samples)
-    spec = spectrum(trace)
-    power_freq = sum(mag**2 for _, mag in spec)
+    _, mags = spectrum(trace)
+    power_freq = sum(mag**2 for mag in mags.tolist())
     power_time = float(np.sum(samples**2)) * len(samples)
     assert abs(power_freq - power_time) < 1e-12 * power_time
 
 
 def test_spectrum_is_sorted_and_sized():
     trace = SignalTrace(dt=0.5, samples=np.arange(8.0))
-    spec = spectrum(trace)
-    assert len(spec) == 8
-    omegas = [w for w, _ in spec]
-    assert omegas == sorted(omegas)
+    omegas, mags = spectrum(trace)
+    assert omegas.shape == mags.shape == (8,)
+    assert omegas.tolist() == sorted(omegas.tolist())
     with pytest.raises(ValueError):
         spectrum(SignalTrace(dt=0.5, samples=np.array([1.0])))
 
@@ -174,24 +173,56 @@ def test_coupled_doublet_peak_positions():
         couplings=((1, 2, 5.0),),
     )
     trace = signal(pulsed_thermal(sys), hamiltonian(sys), total_spin(2, "x"), 1.0 / 512, 1024)
-    peaks = find_peaks(spectrum(trace), rel_threshold=0.05)
-    positive = sorted(w for w, _ in peaks if w > 0)
+    peaks, _ = find_peaks(spectrum(trace), rel_threshold=0.05)
+    positive = sorted(w for w in peaks if w > 0)
     np.testing.assert_allclose(
         positive, 2 * np.pi * np.array([47.5, 52.5, 77.5, 82.5]), atol=1e-9
     )
-    negative = sorted(w for w, _ in peaks if w < 0)
+    negative = sorted(w for w in peaks if w < 0)
     np.testing.assert_allclose(
         negative, -2 * np.pi * np.array([82.5, 77.5, 52.5, 47.5]), atol=1e-9
     )
 
 
+def _peak_list(peaks):
+    return list(zip(*(a.tolist() for a in peaks)))
+
+
 def test_find_peaks_threshold_and_edges():
-    spec = [(0.0, 1.0), (1.0, 0.02), (2.0, 0.5), (3.0, 0.02), (4.0, 1.0)]
-    peaks = find_peaks(spec, rel_threshold=0.1)
-    assert peaks == [(2.0, 0.5)]
-    assert find_peaks([], rel_threshold=0.1) == []
-    flat = [(float(w), 1.0) for w in range(5)]
-    assert find_peaks(flat) == []
+    omegas = np.arange(5.0)
+    spec = (omegas, np.array([1.0, 0.02, 0.5, 0.02, 1.0]))
+    assert _peak_list(find_peaks(spec, rel_threshold=0.1)) == [(2.0, 0.5)]
+    assert _peak_list(find_peaks((np.empty(0), np.empty(0)), rel_threshold=0.1)) == []
+    assert _peak_list(find_peaks((omegas, np.ones(5)))) == []
+    # A peak on the floor is kept.
+    spec = (omegas, np.array([0.0, 0.25, 0.0, 5.0, 0.0]))
+    assert _peak_list(find_peaks(spec, rel_threshold=0.05)) == [(1.0, 0.25), (3.0, 5.0)]
+    assert _peak_list(find_peaks(spec, rel_threshold=0.06)) == [(3.0, 5.0)]
+
+
+def _find_peaks_by_loop(omegas, mags, rel_threshold):
+    """Scalar reference: one comparison pass per interior bin."""
+    floor = rel_threshold * max(mags)
+    return [
+        (omegas[i], mags[i])
+        for i in range(1, len(mags) - 1)
+        if mags[i] >= floor and mags[i] > mags[i - 1] and mags[i] > mags[i + 1]
+    ]
+
+
+@pytest.mark.parametrize("count", [2, 3, 64, 4096])
+def test_spectrum_and_peaks_match_scalar_reference(count, rng):
+    trace = SignalTrace(dt=1e-3, samples=rng.standard_normal(count))
+    omegas, mags = spectrum(trace)
+    # Per-bin route: Python's abs() of each complex bin, sorted by omega.
+    bins = sorted(zip((2.0 * np.pi * np.fft.fftfreq(count, d=trace.dt)).tolist(),
+                      np.fft.fft(trace.samples).tolist()))
+    assert omegas.tolist() == [w for w, _ in bins]
+    assert mags.tobytes() == np.array([abs(z) for _, z in bins]).tobytes()
+    for threshold in (0.0, 0.05, 0.5):
+        assert _peak_list(find_peaks((omegas, mags), threshold)) == _find_peaks_by_loop(
+            omegas.tolist(), mags.tolist(), threshold
+        )
 
 
 def test_trace_validation():
@@ -216,7 +247,7 @@ def test_csv_writers_roundtrip():
     rows = list(csv.reader(io.StringIO(spectrum_csv(spec), newline="")))
     assert rows[0] == ["omega", "magnitude"]
     assert len(rows) == 4
-    assert [float(r[0]) for r in rows[1:]] == [w for w, _ in spec]
+    assert [float(r[0]) for r in rows[1:]] == spec[0].tolist()
 
 
 def _coupled_system(n, topology, rng):
@@ -371,7 +402,7 @@ def test_csv_text_matches_the_csv_module(rng, tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
 
     spec = spectrum(trace)
-    expected = _csv_module_text(["omega", "magnitude"], ([f"{w:.17g}", f"{m:.17g}"] for w, m in spec))
+    expected = _csv_module_text(["omega", "magnitude"], ([f"{w:.17g}", f"{m:.17g}"] for w, m in zip(*spec)))
     assert spectrum_csv(spec) == expected
     _write_atomic({tmp_path / "s.csv": spectrum_csv(spec)})
     assert (tmp_path / "s.csv").read_bytes() == expected.encode("ascii")
