@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -38,30 +38,46 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_atomic(files: dict) -> None:
-    """Write every file or none: each text goes to a temporary file beside
-    its target, and the targets are replaced only once all of those are
-    whole.  A target that is a directory, or whose directory does not
-    exist, is refused before anything is written; on failure every
-    temporary file not yet renamed is removed."""
-    targets = [(Path(path), text) for path, text in files.items()]
-    for path, _ in targets:
+def _refuse_targets(*paths) -> None:
+    """Refuse an output path that is a directory, or whose directory does
+    not exist, naming the path as given; None stands for no output."""
+    for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         if not path.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "No such directory to write into", str(path))
-    # mkstemp creates its file private (0600); give each the mode a plain
-    # open() would, as the umask allows.
-    umask = os.umask(0)
-    os.umask(umask)
+
+
+def _write_atomic(files: dict) -> None:
+    """Write every file or none: each text goes to a temporary file beside
+    its target, and the targets are replaced only once all of those are
+    whole.  Bad targets are refused before anything is written; on failure
+    every temporary file not yet renamed is removed.
+
+    A temporary file is created with mode 0666, which the kernel narrows
+    by the umask, so it gets the mode a plain open() would give.  O_EXCL
+    skips any name that already exists, whoever made it.
+    """
+    targets = [(Path(path), text.encode("utf-8")) for path, text in files.items()]
+    _refuse_targets(*(path for path, _ in targets))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
     pending = []
     try:
-        for path, text in targets:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        for path, data in targets:
+            for serial in itertools.count():
+                tmp = path.with_name(f"{path.name}.{os.getpid()}-{serial}.tmp")
+                try:
+                    fd = os.open(tmp, flags, 0o666)
+                except FileExistsError:
+                    continue
+                break
             pending.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                os.fchmod(fh.fileno(), 0o666 & ~umask)
-                fh.write(text)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
         while pending:
             os.replace(*pending[0])
             pending.pop(0)
@@ -141,6 +157,7 @@ def _protocol_measurement(protocol: str, n: int) -> Operator:
 
 
 def cmd_classify(args) -> int:
+    _refuse_targets(args.dump_op, args.out)
     eps = engine.Resolution(args.eps)
     f = _load_function(args)
     if args.protocol == "pseudopure":
@@ -178,6 +195,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    _refuse_targets(args.out)
     n = args.n
     if not 1 <= n <= 3:
         raise _UsageError(f"exhaustive survey needs 1 <= n <= 3, got n={n}")
@@ -222,6 +240,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_search_c(args) -> int:
+    _refuse_targets(args.out)
     result = measstruct.search_max_c_ratio(
         args.n, budget=args.budget, seed=args.seed, restarts=args.restarts
     )
@@ -240,6 +259,7 @@ def cmd_search_c(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    _refuse_targets(args.out)
     report = adversary_mod.verify_adversary(args.n, trials=args.trials, seed=args.seed)
     record = {
         "command": "adversary",
@@ -256,6 +276,9 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_signal(args) -> int:
+    out = Path(args.out)
+    spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
+    _refuse_targets(args.dump_op, out, spec_path)
     timedomain.check_sampling(args.dt, args.count)
     if args.sys:
         sys_obj = states.load_system(args.sys)
@@ -278,9 +301,6 @@ def cmd_signal(args) -> int:
     if args.dump_op:
         m = total_spin(n, axis) if args.measure in ("fx", "fy") else single_spin(n, spins[0], axis)
         files[Path(args.dump_op)] = operator_text(m)
-
-    out = Path(args.out)
-    spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
     files[out] = timedomain.trace_csv(trace)
     files[spec_path] = timedomain.spectrum_csv(spec)
 

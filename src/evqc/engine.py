@@ -3,10 +3,13 @@
 The three protocols run on the structured route, which builds no matrix:
 the pulsed thermal state and the transverse measurements are sums of
 bit-flip terms, and the pseudopure state and the projector measurement
-are identity plus a rank-one projector, so each readout is an O(N * n)
-sum over the sign vector and each spectral range is known in closed form.
-The bit-flip pairing and its correlations belong to `funcspace`
-(`flip_halves`, `flip_correlation`), which C_N membership shares.
+are identity plus a rank-one projector, so each readout comes from bit
+counts on the packed truth table and each spectral range is known in
+closed form.
+The bit-flip correlations c_i come from `funcspace.flip_correlation`, the
+packed-mask kernel that C_N membership shares; the halves count on the
+unpacked table checks it under ``__debug__`` and in the tests, and the XOR
+gather on the sign vector is a test oracle only.
 
 Two dense evaluation routes are kept deliberately separate as its
 oracles: the direct route conjugates the state by the oracle and

@@ -4,14 +4,26 @@ A function on an n-bit argument is stored as its full truth table, packed
 little-endian into a Python integer: bit j of ``mask`` holds f(j).  That
 gives O(1) evaluation, cheap complement/permutation via bit twiddling, and
 exact hashing.  The unpacked table (one byte per argument) is built on
-first use and then kept, so a function that is only counted, compared or
-transformed never pays for it.  All values are immutable; every operation
-returns a new instance.
+first use and then kept, so a function that is only counted, compared,
+printed or transformed never pays for it.  All values are immutable; every
+operation returns a new instance.
 
 The bit-flip (hypercube-neighbour) rule lives here: argument a pairs with
-a XOR 2**(n-i), spin i counted from the most significant bit.  C_N
-membership, the structured readout and the matrix-free signal all use it
-through `flip_halves` and `flip_correlation`.
+a XOR 2**(n-i), spin i counted from the most significant bit.  Its
+correlations c_i have three routes with fixed roles:
+
+* the packed kernel, `flip_correlation`, serves the program: a shift, an
+  XOR, an AND with a cached pattern and a popcount on the mask.  C_N
+  membership, the classifier, the adversary witness and the structured
+  readouts in `engine` all go through it;
+* the halves count, `halves_correlation`, compares the two halves that
+  `flip_halves` cuts from the unpacked table.  It is the exact ``__debug__``
+  cross-check inside `flip_correlation` and a test oracle;
+* the XOR gather, s . s[a XOR 2**(n-i)] on the sign vector, is a test
+  oracle only and lives in the tests.
+
+`flip_halves` itself also serves the matrix-free signal, which needs the
+pair signs one by one.
 """
 
 from __future__ import annotations
@@ -117,7 +129,8 @@ class BoolFunc:
         return cls(n, mask_from_bits(values))
 
     def __str__(self) -> str:
-        return (self._bits + ord("0")).tobytes().decode("ascii")
+        # Binary digits print the highest argument first; reversed, f(0) leads.
+        return format(self.mask, f"0{self.size}b")[::-1]
 
 
 def parse_function(text: str) -> BoolFunc:
@@ -146,8 +159,8 @@ def parse_function(text: str) -> BoolFunc:
         raise ValueError(f"table line has {len(body)} entries, expected {size}")
     if set(body) - {"0", "1"}:
         raise ValueError("table line may only contain 0 and 1")
-    bits = np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("1")
-    return BoolFunc(n, mask_from_bits(bits))
+    # Reversed, the line is the mask's binary digits, highest argument first.
+    return BoolFunc(n, int(body[::-1], 2))
 
 
 def _check_width(n: int) -> None:
@@ -228,19 +241,52 @@ def flip_halves(values: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndar
     return halves[:, 0], halves[:, 1]
 
 
+# Bit k of argument a clear -> bit a of the pattern set: runs of 2**k ones
+# and 2**k zeros.  Keyed by k, each pattern is kept at the widest table
+# asked for so far, so every pattern serves all narrower tables too (an AND
+# of two non-negative ints only walks the shorter one).  At most
+# MAX_TABLE_N patterns of at most 2**MAX_TABLE_N bits: one register's worth.
+# A pattern depends on k alone, so two threads racing here only build it twice.
+_CLEAR_PATTERNS: dict[int, tuple[int, int]] = {}
+
+
+def _clear_pattern(k: int, size: int) -> int:
+    """At least size bits of the mask whose bit a is set exactly when bit k
+    of a is clear; built by doubling and cached per k."""
+    pattern, width = _CLEAR_PATTERNS.get(k) or ((1 << (1 << k)) - 1, 2 << k)
+    while width < size:
+        pattern |= pattern << width
+        width *= 2
+    _CLEAR_PATTERNS[k] = pattern, width
+    return pattern
+
+
 def flip_correlation(f: BoolFunc, i: int) -> int:
-    """c_i = sum_j s_j s_(j XOR 2**(n-i)) for s = (-1)**f, an exact integer."""
-    # Every unordered pair enters c_i twice, +1 when equal and -1 when not.
-    clear, flipped = flip_halves(f.bits(), f.n, i)
-    c = f.size - 4 * int(np.count_nonzero(clear != flipped))
+    """c_i = sum_j s_j s_(j XOR 2**(n-i)) for s = (-1)**f, an exact integer.
+
+    Every unordered pair enters c_i twice, +1 when equal and -1 when not,
+    so c_i = N - 4 * popcount((m XOR (m >> 2**(n-i))) AND P) with P the
+    arguments whose bit n-i is clear: one pass over the packed mask.
+    """
+    if not 1 <= i <= f.n:
+        raise ValueError(f"spin {i} outside 1..{f.n}")
+    shift = f.n - i
+    differ = (f.mask ^ (f.mask >> (1 << shift))) & _clear_pattern(shift, f.size)
+    c = f.size - 4 * differ.bit_count()
     if __debug__:
-        s = f.signs()
-        gathered = float(s @ s[np.arange(f.size) ^ (1 << (f.n - i))])
-        if gathered != c:
+        by_halves = halves_correlation(f, i)
+        if by_halves != c:
             raise AssertionError(
-                f"bit-flip correlation of spin {i} disagrees: {c} by halves, {gathered} by gather"
+                f"bit-flip correlation of spin {i} disagrees: {c} packed, {by_halves} by halves"
             )
     return c
+
+
+def halves_correlation(f: BoolFunc, i: int) -> int:
+    """c_i counted on the unpacked table: the pairs of `flip_halves` that
+    hold a 0 and a 1."""
+    clear, flipped = flip_halves(f.bits(), f.n, i)
+    return f.size - 4 * int(np.count_nonzero(clear != flipped))
 
 
 def is_in_cn(f: BoolFunc) -> bool:
@@ -379,7 +425,12 @@ def canonical_balanced(n: int) -> BoolFunc:
 
 
 def canonical_cn(n: int) -> BoolFunc:
-    """The C_N representative with ones on the first N/4 even-parity arguments."""
+    """The C_N representative with ones on the first N/4 even-parity
+    arguments: the even-parity arguments of the lower half of the domain."""
     _check_cn_width(n)
-    size = 1 << n
-    return BoolFunc(n, mask_from_support(size, _even_parity_arguments(n)[: size // 4]))
+    # The even-parity arguments below 2^(k+1) are those below 2^k followed
+    # by the odd-parity ones shifted up by 2^k, and vice versa.
+    even, odd = 1, 0
+    for k in range(n - 1):
+        even, odd = even | (odd << (1 << k)), odd | (even << (1 << k))
+    return BoolFunc(n, even)

@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -800,3 +801,83 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "evqc", "classify", "--protocol", "pseudopure",
                            "--eps", "0.1"], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 1 and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, module, compute", [
+    (("classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "4", "--eps", "0.1"),
+     "engine", "cn_decide_thermal"),
+    (("classify", "--protocol", "lifted", "--class", "balanced", "--n", "3", "--eps", "0.1",
+      "--out", "r.json", "--dump-op"), "engine", "dj_decide_lifted"),
+    (("survey", "--n", "2"), "cli", "w_projector"),
+    (("survey", "--mode", "cn", "--n", "2"), "cli", "total_spin"),
+    (("search-c", "--n", "2"), "measstruct", "search_max_c_ratio"),
+    (("adversary", "--n", "12"), "adversary", "verify_adversary"),
+    (("signal", "--n", "3", "--dt", "1e-4", "--count", "8"), "timedomain", "transverse_signal"),
+    (("signal", "--n", "3", "--dt", "1e-4", "--count", "8", "--out", "t.csv", "--dump-op"),
+     "timedomain", "transverse_signal"),
+])
+@pytest.mark.parametrize("target", ["missing/x.json", "blocked"])
+def test_bad_target_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, module, compute,
+                                               target):
+    import importlib
+
+    monkeypatch.chdir(tmp_path)
+    Path("blocked").mkdir()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{compute} was reached")
+
+    monkeypatch.setattr(importlib.import_module(f"evqc.{module}"), compute, refuse)
+    if argv[-1] != "--dump-op":
+        argv += ("--out",)
+    rc, rec, err = run(capsys, *argv, target)
+    assert_one_line_error(rc, rec, err)
+    assert err.rstrip().endswith(f"'{target}'")
+    assert [p.name for p in tmp_path.iterdir()] == ["blocked"]
+
+
+def test_writer_never_touches_the_umask(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = os.umask
+    monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or real(mask))
+    rc, _, _ = run(
+        capsys, "signal", "--n", "2", "--dt", "1e-4", "--count", "8",
+        "--out", str(tmp_path / "trace.csv"), "--dump-op", str(tmp_path / "op.txt"),
+    )
+    assert rc == 0 and calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["op.txt", "trace.csv", "trace.spectrum.csv"]
+
+
+def test_writer_skips_a_temp_name_that_exists(tmp_path):
+    squatter = tmp_path / f"r.json.{os.getpid()}-0.tmp"
+    squatter.write_text("someone else's\n")
+    cli._write_atomic({tmp_path / "r.json": "report\n"})
+    assert squatter.read_text() == "someone else's\n"
+    assert (tmp_path / "r.json").read_text() == "report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", squatter.name]
+
+
+def test_writer_failing_on_the_second_file_leaves_nothing(tmp_path, monkeypatch):
+    real = os.write
+    calls = []
+
+    def write(fd, data):
+        # The first file takes one write; the second one fails.
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    with pytest.raises(OSError, match="No space"):
+        cli._write_atomic({tmp_path / "a.txt": "first\n", tmp_path / "b.txt": "second\n"})
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_finishes_short_writes(tmp_path, monkeypatch):
+    real = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real(fd, bytes(data[:3])))
+    text = "évqc " * 40 + "\n"
+    cli._write_atomic({tmp_path / "a.txt": text})
+    assert (tmp_path / "a.txt").read_bytes() == text.encode("utf-8")

@@ -378,6 +378,26 @@ def test_seeded_masks_frozen():
     assert digest == "ed207b82594a28c181bc44e844c9859ce15659e175cd48cc0e77ed6861b7cda1"
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_packed_codecs_match_the_unpacking_routes(n, rng):
+    """canonical_cn, the 0/1 parser and str work on the mask alone; they
+    agree with the table routes they replaced."""
+    size = 1 << n
+    if n >= 2:
+        even = np.flatnonzero(np.bitwise_count(np.arange(size)) % 2 == 0)
+        assert canonical_cn(n).mask == mask_from_support(size, even[: size // 4])
+    for mask in (0, (1 << size) - 1, mask_from_bits(rng.integers(0, 2, size))):
+        f = BoolFunc(n, mask)
+        text = (f.bits() + ord("0")).tobytes().decode("ascii")
+        assert str(f) == text
+        unpacked = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
+        assert parse_function(f"n={n}\n{text}\n").mask == mask_from_bits(unpacked) == mask
+    # int() would take these; the character check refuses them first.
+    for body in ("0_" + "1" * (size - 2), "+" + "0" * (size - 1)):
+        with pytest.raises(ValueError, match="only contain 0 and 1"):
+            parse_function(f"n={n}\n{body}\n")
+
+
 def cn_by_pairs(n, mask):
     """The raw class definition: f or its complement has N/4 ones, no two
     of them at Hamming distance 1.  No library calls."""
@@ -409,17 +429,58 @@ def test_is_in_cn_matches_pairwise_definition():
                 assert is_in_cn(BoolFunc(n, mask)) == cn_by_pairs(n, mask), (n, seed, hex(mask))
 
 
+def xor_gather_correlation(f, i):
+    """c_i by the XOR gather: the sign vector against itself indexed by
+    a XOR 2**(n-i).  A third route beside the packed kernel and the halves
+    count, kept here as a test oracle only."""
+    s = 1 - 2 * f.bits().astype(np.int64)
+    return int(s @ s[np.arange(f.size) ^ (1 << (f.n - i))])
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_flip_correlation_matches_xor_gather(n, rng):
-    funcs = [constant_zero(n), canonical_balanced(n), BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n)))]
+    funcs = [constant_zero(n), constant_one(n), canonical_balanced(n)]
+    funcs += [BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n))) for _ in range(8)]
     if n >= 2:
-        funcs.append(sample_cn(n, n))
+        funcs += [sample_cn(n, n), canonical_cn(n)]
     for f in funcs:
-        s = 1 - 2 * f.bits().astype(np.int64)
         for i in range(1, n + 1):
             c = flip_correlation(f, i)
             assert type(c) is int
-            assert c == int(s @ s[np.arange(f.size) ^ (1 << (n - i))])
+            assert c == funcspace.halves_correlation(f, i) == xor_gather_correlation(f, i), (f, i)
+
+
+def test_flip_correlation_matches_xor_gather_on_a_wide_table(rng):
+    n = 20
+    f = BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n)))
+    for i in range(1, n + 1):
+        assert flip_correlation(f, i) == funcspace.halves_correlation(f, i) == xor_gather_correlation(f, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_clear_pattern_matches_per_bit_reference(n, monkeypatch):
+    monkeypatch.setattr(funcspace, "_CLEAR_PATTERNS", {})
+    size = 1 << n
+    for k in range(n):
+        reference = sum(1 << a for a in range(size) if not (a >> k) & 1)
+        assert funcspace._clear_pattern(k, size) == reference
+        # Kept wider for a larger table, a pattern still serves this one.
+        funcspace._clear_pattern(k, 4 * size)
+        assert funcspace._clear_pattern(k, size) & ((1 << size) - 1) == reference
+
+
+def test_flip_correlation_cross_check_is_live(monkeypatch):
+    f = sample_cn(4, 0)
+    assert flip_correlation(f, 2) == 0
+    monkeypatch.setattr(funcspace, "halves_correlation", lambda f, i: 4)
+    with pytest.raises(AssertionError, match="spin 2 disagrees: 0 packed, 4 by halves"):
+        flip_correlation(f, 2)
+
+
+@pytest.mark.parametrize("i", [0, -1, 5])
+def test_flip_correlation_rejects_a_spin_outside_the_register(i):
+    with pytest.raises(ValueError, match="outside 1..4"):
+        flip_correlation(canonical_cn(4), i)
 
 
 def test_flip_halves_pair_each_argument_with_its_neighbour():
