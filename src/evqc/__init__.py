@@ -13,7 +13,6 @@ from evqc.engine import (
     dj_decide_pseudopure,
     distinguishable,
     expectation,
-    is_balanced_wrt,
     s_functional,
     satisfiability_gap,
 )
@@ -23,7 +22,6 @@ from evqc.funcspace import (
     classify,
     complement,
     enumerate_class,
-    hamming,
     imbalance,
     is_in_cn,
     lift,

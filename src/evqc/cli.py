@@ -39,13 +39,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _refuse_targets(*paths) -> None:
-    """Refuse an output path that is a directory, or whose directory does
-    not exist, naming the path as given; None stands for no output."""
+    """Refuse an output path that is a directory, whose directory does not
+    exist, or that names the same file as an earlier one, naming the path
+    as given; None stands for no output."""
+    seen = set()
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         if not path.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "No such directory to write into", str(path))
+        if os.path.abspath(path) in seen:
+            raise _UsageError(f"two outputs name one file: '{path}'")
+        seen.add(os.path.abspath(path))
 
 
 def _write_atomic(files: dict) -> None:
@@ -117,23 +122,24 @@ def _load_function(args, expect_bits: int | None = None) -> BoolFunc:
             f = funcspace.constant_zero(n)
         elif args.func_class == "balanced":
             f = funcspace.canonical_balanced(n)
+        elif args.seed is None:
+            f = funcspace.canonical_cn(n)
         else:
-            f = (
-                funcspace.sample_cn(n, args.seed)
-                if args.seed is not None
-                else funcspace.canonical_cn(n)
-            )
+            f = funcspace.sample_cn(n, args.seed)
     if expect_bits is not None and f.n != expect_bits:
         raise _UsageError(f"function must have {expect_bits} bits, got {f.n}")
     return f
 
 
-def _resolve_system(args, n: int) -> states.SpinSystem:
+def _resolve_system(args, n: int | None) -> states.SpinSystem:
+    """The --sys system, checked against n when n is given, else the n-spin demo system."""
     if args.sys:
         sys_obj = states.load_system(args.sys)
-        if sys_obj.n != n:
+        if n is not None and sys_obj.n != n:
             raise _UsageError(f"--sys describes {sys_obj.n} spins but {n} are needed")
         return sys_obj
+    if n is None:
+        raise _UsageError("need --sys or --n")
     return states.demo_system(n)
 
 
@@ -162,18 +168,13 @@ def cmd_classify(args) -> int:
     f = _load_function(args)
     if args.protocol == "pseudopure":
         verdict = engine.dj_decide_pseudopure(f, args.alpha, eps)
-        n = f.n
-        config_sys = None
-    elif args.protocol == "cn-thermal":
-        sys_obj = _resolve_system(args, f.n)
-        verdict = engine.cn_decide_thermal(f, sys_obj, eps)
-        n = f.n
-        config_sys = states.system_to_dict(sys_obj)
-    else:  # lifted
-        sys_obj = _resolve_system(args, f.n + 1)
-        verdict = engine.dj_decide_lifted(f, sys_obj, eps)
-        n = sys_obj.n
-        config_sys = states.system_to_dict(sys_obj)
+        n, config_sys = f.n, None
+    else:  # cn-thermal on n spins, or lifted on n + 1
+        lifted = args.protocol == "lifted"
+        sys_obj = _resolve_system(args, f.n + lifted)
+        decide = engine.dj_decide_lifted if lifted else engine.cn_decide_thermal
+        verdict = decide(f, sys_obj, eps)
+        n, config_sys = sys_obj.n, states.system_to_dict(sys_obj)
     files = {}
     if args.dump_op:
         files[Path(args.dump_op)] = operator_text(_protocol_measurement(args.protocol, n))
@@ -280,12 +281,7 @@ def cmd_signal(args) -> int:
     spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
     _refuse_targets(args.dump_op, out, spec_path)
     timedomain.check_sampling(args.dt, args.count)
-    if args.sys:
-        sys_obj = states.load_system(args.sys)
-    elif args.n is not None:
-        sys_obj = states.demo_system(args.n)
-    else:
-        raise _UsageError("signal needs --sys or --n")
+    sys_obj = _resolve_system(args, args.n)
     n = sys_obj.n
     spins, axis = _measurement(args.measure, n)
     f = _load_function(args, expect_bits=n) if args.fn or args.func_class else None

@@ -178,17 +178,6 @@ def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
     return (1.0 - alpha / size) / size + (alpha / size) * mean * mean
 
 
-def is_balanced_wrt(f: BoolFunc, b: Operator, tol: float | None = None) -> bool:
-    """Whether the sign-weighted sum vanishes for this coefficient matrix.
-
-    The default tolerance scales with the largest entry and the number of
-    summands: 1e-10 * max|B| * N**2.
-    """
-    if tol is None:
-        tol = 1e-10 * float(np.abs(b.mat).max(initial=0.0)) * b.dim**2
-    return abs(s_functional(b, f)) <= tol
-
-
 def trace_expectation(m: Operator, rho: DensityMatrix) -> float:
     """Plain readout without any oracle applied."""
     _check_compatible(m, rho)

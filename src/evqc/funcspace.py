@@ -66,8 +66,8 @@ class BoolFunc:
         Packed truth table, bit j = f(j).
 
     Construction checks n and mask only; the unpacked read-only table
-    behind `bits`, `signs`, `table` and `str` is built on first use and
-    cached.  Equality, hashing, repr and pickling see only n and mask.
+    behind `bits` and `signs` is built on first use and cached.
+    Equality, hashing, repr and pickling see only n and mask.
     """
 
     n: int
@@ -100,10 +100,6 @@ class BoolFunc:
         """Number of arguments mapped to 1."""
         return self.mask.bit_count()
 
-    @property
-    def table(self) -> tuple[int, ...]:
-        return tuple(int(b) for b in self._bits)
-
     def __call__(self, j: int) -> int:
         if not 0 <= j < self.size:
             raise ValueError(f"argument {j} outside domain of size {self.size}")
@@ -116,17 +112,6 @@ class BoolFunc:
     def signs(self) -> np.ndarray:
         """(-1)**f(j) as a float vector, the diagonal of the oracle."""
         return 1.0 - 2.0 * self._bits.astype(np.float64)
-
-    @classmethod
-    def from_table(cls, table) -> "BoolFunc":
-        values = [int(v) for v in table]
-        size = len(values)
-        n = size.bit_length() - 1
-        if size < 2 or (1 << n) != size:
-            raise ValueError(f"table length {size} is not a power of two >= 2")
-        if any(v not in (0, 1) for v in values):
-            raise ValueError("truth table entries must be 0 or 1")
-        return cls(n, mask_from_bits(values))
 
     def __str__(self) -> str:
         # Binary digits print the highest argument first; reversed, f(0) leads.
@@ -197,16 +182,6 @@ def mask_from_support(size: int, support) -> int:
 
 def format_function(f: BoolFunc) -> str:
     return f"n={f.n}\n{f}\n"
-
-
-def hamming(j: int, k: int, n: int) -> int:
-    """Hamming distance between two n-bit argument indices."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    top = 1 << n
-    if not (0 <= j < top and 0 <= k < top):
-        raise ValueError(f"arguments {j}, {k} outside range of {n}-bit indices")
-    return (j ^ k).bit_count()
 
 
 def imbalance(f: BoolFunc) -> int:
@@ -354,18 +329,17 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
         # the earliest argument where they differ, so its table is the
         # larger: reversed, the combinations come in truth-table order.
         powers = [1 << j for j in range(size)]
-        ordered = reversed([sum(ones) for ones in itertools.combinations(powers, size // 2)])
+        for mask in reversed([sum(ones) for ones in itertools.combinations(powers, size // 2)]):
+            yield BoolFunc(n, mask)
+        return
+    if cls is FunctionClass.CLASS_CN:
+        _check_cn_width(n)
+        full = (1 << size) - 1
+        members = (BoolFunc(n, m) for q in _spread_quarters(n) for m in (q, full ^ q))
     else:
-        if cls is FunctionClass.CLASS_CN:
-            _check_cn_width(n)
-            full = (1 << size) - 1
-            members = [m for q in _spread_quarters(n) for m in (q, full ^ q)]
-        else:
-            members = [m for m in range(1 << size) if classify(BoolFunc(n, m)) is cls]
-        # Reversed, the bit string lists f(0), f(1), ... : truth-table order.
-        ordered = sorted(members, key=lambda mask: format(mask, f"0{size}b")[::-1])
-    for m in ordered:
-        yield BoolFunc(n, m)
+        members = filter(lambda f: classify(f) is cls, (BoolFunc(n, m) for m in range(1 << size)))
+    # str lists f(0), f(1), ... : truth-table order.
+    yield from sorted(members, key=str)
 
 
 def _spread_quarters(n: int) -> Iterator[int]:

@@ -11,7 +11,6 @@ necessary spectral conditions, and searches for the largest attainable
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from evqc.spinops import Operator, eig_multiset, require_hermitian, total_spin
 from evqc.states import DensityMatrix
 
 FEASIBILITY_TOL = 1e-6  # eigenvalue-match gate for accepted candidates
-POLISH_TOL = 1e-9  # what the final feasibility polish aims for
 SEARCH_N_LIMIT = 3
 
 _MU_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3)
@@ -160,14 +158,12 @@ def check_permutation_invariance(
     readout pair that differs beyond tol.  The state must belong to the
     pseudopure family, which is what the invariance statement covers.
     """
-    _require_pseudopure_family(rho)
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.abs(m.mat).max(initial=0.0)))
+    tol = _invariance_tol(m, rho, tol)
     n_bits = (m.dim - 1).bit_length()
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         f = BoolFunc(n_bits, mask_from_bits(rng.integers(0, 2, size=m.dim)))
-        l, k = _random_pair(rng, m.dim)
+        l, k = map(int, rng.choice(m.dim, size=2, replace=False))
         if abs(expectation(m, rho, f) - expectation(m, rho, permute(f, l, k))) > tol:
             return False
     return True
@@ -183,9 +179,7 @@ def find_permutation_witness(
     Returns (f, l, k) for the first violation in truth-table order, or
     None when every readout is invariant.  Only sensible at small n.
     """
-    _require_pseudopure_family(rho)
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.abs(m.mat).max(initial=0.0)))
+    tol = _invariance_tol(m, rho, tol)
     size = m.dim
     n_bits = (size - 1).bit_length()
     for mask in range(1 << size):
@@ -197,7 +191,9 @@ def find_permutation_witness(
     return None
 
 
-def _require_pseudopure_family(rho: DensityMatrix) -> None:
+def _invariance_tol(m: Operator, rho: DensityMatrix, tol: float | None) -> float:
+    """Refuse a state outside the pseudopure family, which is what the
+    invariance statement covers; return tol, by default 1e-10 * max(1, max|M|)."""
     mat = rho.mat
     off = mat - np.diag(np.diag(mat))
     rows, cols = np.triu_indices(mat.shape[0], 1)
@@ -210,11 +206,7 @@ def _require_pseudopure_family(rho: DensityMatrix) -> None:
     )
     if not uniform:
         raise ValueError("permutation invariance is only claimed for pseudopure-family states")
-
-
-def _random_pair(rng: np.random.Generator, size: int) -> tuple[int, int]:
-    l, k = rng.choice(size, size=2, replace=False)
-    return int(l), int(k)
+    return 1e-10 * max(1.0, float(np.abs(m.mat).max(initial=0.0))) if tol is None else tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +253,6 @@ class SearchResult:
     penalty_residual: float  # max abs eigenvalue deviation from the reference
     budget: int
     seed: int
-    restarts: int
     evaluations: int
     feasible: bool
 
@@ -331,8 +322,7 @@ def search_max_c_ratio(
         return mism, abs(c) / max(spread, 1e-12)
 
     evaluations = 0
-    best: SearchResult | None = None
-    best_infeasible: SearchResult | None = None
+    best = None  # (rank, ratio, form, residual) of the preferred candidate
 
     for restart in range(restarts):
         if evaluations >= budget:
@@ -367,23 +357,21 @@ def search_max_c_ratio(
         residual = float(np.abs(vals - target).max())
         spread = float(vals[-1] - vals[0])
         ratio = abs(form.c) / max(spread, 1e-12)
-        candidate = SearchResult(
-            n=n,
-            ratio=ratio,
-            form=form,
-            penalty_residual=residual,
-            budget=budget,
-            seed=seed,
-            restarts=restarts,
-            evaluations=evaluations,
-            feasible=residual < FEASIBILITY_TOL,
-        )
-        if candidate.feasible:
-            if best is None or candidate.ratio > best.ratio:
-                best = candidate
-        elif best_infeasible is None or candidate.penalty_residual < best_infeasible.penalty_residual:
-            best_infeasible = candidate
+        feasible = residual < FEASIBILITY_TOL
+        # The best feasible ratio, else the smallest residual; a tie keeps the first.
+        rank = (feasible, ratio if feasible else -residual)
+        if best is None or rank > best[0]:
+            best = rank, ratio, form, residual
 
-    chosen = best if best is not None else best_infeasible
-    assert chosen is not None  # restarts >= 1 always yields a candidate
-    return dataclasses.replace(chosen, evaluations=evaluations)
+    assert best is not None  # restarts >= 1 always yields a candidate
+    (feasible, _), ratio, form, residual = best
+    return SearchResult(
+        n=n,
+        ratio=ratio,
+        form=form,
+        penalty_residual=residual,
+        budget=budget,
+        seed=seed,
+        evaluations=evaluations,
+        feasible=feasible,
+    )

@@ -112,8 +112,8 @@ def check_sampling(dt: float, count: int) -> None:
     """Reject sampling that cannot give a finite trace and spectrum."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if count < 1:
-        raise ValueError("need at least one sample")
+    if count < 2:
+        raise ValueError("need at least two samples for a spectrum")
     if count > MAX_SAMPLES:
         raise ValueError(f"count={count} exceeds the ceiling of {MAX_SAMPLES} samples")
     last = dt * (count - 1)
@@ -206,8 +206,7 @@ def spectrum(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Fourier transform magnitudes, sorted by angular frequency,
     as the arrays (omegas, magnitudes)."""
     count = trace.samples.size
-    if count < 2:
-        raise ValueError("need at least two samples for a spectrum")
+    check_sampling(trace.dt, count)
     transform = np.fft.fft(trace.samples)
     omegas = 2.0 * np.pi * np.fft.fftfreq(count, d=trace.dt)
     order = np.argsort(omegas)

@@ -27,6 +27,12 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(Operator(p, hermitian=True))
 
 
+def oracle_conjugated(rho: DensityMatrix, f: BoolFunc) -> DensityMatrix:
+    """rho after the phase oracle of f: entries rho_jk s_j s_k with s = (-1)**f."""
+    s = f.signs()
+    return DensityMatrix(Operator(rho.mat * np.outer(s, s), hermitian=True))
+
+
 def random_boolfunc(n: int, rng: np.random.Generator) -> BoolFunc:
     bits = rng.integers(0, 2, size=1 << n)
     mask = 0

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from conftest import oracle_conjugated
 from evqc.engine import (
     Decision,
     Resolution,
@@ -66,11 +67,6 @@ def _verdict(idx, label, ok, detail):
     assert ok, f"acceptance check {idx} failed: {detail}"
 
 
-def _conjugated_pure(n, f):
-    s = f.signs().astype(complex)
-    return DensityMatrix(Operator(np.outer(s, s) / (1 << n), hermitian=True))
-
-
 def _brute_cn_masks(n):
     # raw class definition, reimplemented here on purpose
     size = 1 << n
@@ -118,8 +114,8 @@ def test_acceptance_02_resolution_boundary():
     flips_ok = True
     for n in range(1, 11):
         m = w_projector(n)
-        rho_none = _conjugated_pure(n, constant_zero(n))
-        rho_one = _conjugated_pure(n, BoolFunc(n, 1))
+        rho_none = oracle_conjugated(pure_w(n), constant_zero(n))
+        rho_one = oracle_conjugated(pure_w(n), BoolFunc(n, 1))
         direct = trace_expectation(m, rho_none) - trace_expectation(m, rho_one)
         worst = max(worst, abs(direct - satisfiability_gap(n)))
         for eps in (0.5, 0.1, 0.01):

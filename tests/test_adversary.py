@@ -29,7 +29,7 @@ def test_transcript_validation():
             cn_witness(2, bad)
     with pytest.raises(ValueError, match="3 queries exceed half"):
         cn_witness(2, [0, 1, 2, 2])
-    assert cn_witness(2, [0, 1, 1, 0, 1]).table == (0, 0, 1, 0)
+    assert tuple(cn_witness(2, [0, 1, 1, 0, 1]).bits()) == (0, 0, 1, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -46,10 +46,10 @@ def test_witness_takes_any_query_form(n):
 
 
 def test_witness_frozen_cases():
-    assert cn_witness(2, {0, 1}).table == (0, 0, 1, 0)
-    assert cn_witness(2, {0, 2}).table == (0, 1, 0, 0)
-    assert cn_witness(2, set()).table == (1, 0, 0, 0)
-    assert cn_witness(3, {0, 1, 2, 3}).table == (0, 0, 0, 0, 1, 0, 0, 1)
+    assert tuple(cn_witness(2, {0, 1}).bits()) == (0, 0, 1, 0)
+    assert tuple(cn_witness(2, {0, 2}).bits()) == (0, 1, 0, 0)
+    assert tuple(cn_witness(2, set()).bits()) == (1, 0, 0, 0)
+    assert tuple(cn_witness(3, {0, 1, 2, 3}).bits()) == (0, 0, 0, 0, 1, 0, 0, 1)
 
 
 def test_witness_properties_exhaustive_n2():

@@ -237,6 +237,37 @@ def test_signal_usage_errors(capsys, tmp_path):
     assert rc == 1
 
 
+def test_signal_refuses_n_that_disagrees_with_sys(capsys, tmp_path):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps({"n": 3, "omega": [2513.27, 3141.59, 3769.91], "theta": THETA}))
+    argv = ("signal", "--sys", str(sys_path), "--dt", "1e-4", "--count", "8",
+            "--out", str(tmp_path / "t.csv"))
+    rc, rec, err = run(capsys, *argv, "--n", "5")
+    assert_one_line_error(rc, rec, err)
+    assert "--sys describes 3 spins but 5 are needed" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sys.json"]
+    rc, rec, _ = run(capsys, *argv, "--n", "3")
+    assert rc == 0 and rec["config"]["system"]["n"] == 3
+
+
+@pytest.mark.parametrize("argv, repeated", [
+    (("classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2", "--eps", "0.1",
+      "--out", "r.json", "--dump-op", "./r.json"), "r.json"),
+    (("classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "3", "--eps", "0.1",
+      "--out", "r.json", "--dump-op", "{cwd}/r.json"), "r.json"),
+    (("signal", "--n", "2", "--dt", "1e-4", "--count", "8", "--out", "t.csv",
+      "--dump-op", "t.spectrum.csv"), "t.spectrum.csv"),
+    (("signal", "--n", "2", "--dt", "1e-4", "--count", "8", "--out", "t.csv",
+      "--dump-op", "t.csv"), "t.csv"),
+])
+def test_repeated_target_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, repeated):
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run(capsys, *(a.format(cwd=tmp_path) for a in argv))
+    assert_one_line_error(rc, rec, err)
+    assert err.rstrip().endswith(f"two outputs name one file: '{repeated}'")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_top_level_usage_errors(capsys):
     rc, _, _ = run(capsys)
     assert rc == 1
@@ -378,9 +409,13 @@ def test_signal_rejects_bad_measurement_in_one_line(capsys, tmp_path, measure):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dt, count", [
     ("inf", "8"), ("nan", "8"), ("-inf", "8"), ("1e308", "8"), ("0", "8"), ("-1e-4", "8"),
-    ("1e-320", "8"), ("1e-4", "0"), ("1e-4", "1" + "0" * 400),
+    ("1e-320", "8"), ("1e-4", "0"), ("1e-4", "1"), ("1e-4", "1" + "0" * 400),
 ])
-def test_signal_rejects_unusable_sampling_before_any_work(capsys, tmp_path, dt, count):
+def test_signal_rejects_unusable_sampling_before_any_work(capsys, tmp_path, monkeypatch, dt, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace was sampled")
+
+    monkeypatch.setattr(cli.timedomain, "transverse_signal", refuse)
     rc, rec, err = run(
         capsys, "signal", "--n", "2", f"--dt={dt}", f"--count={count}",
         "--out", str(tmp_path / "t.csv"),

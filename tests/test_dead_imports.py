@@ -1,11 +1,13 @@
-"""Every name a module imports is used there.  The package __init__ is
-exempt: its imports are the public re-exports."""
+"""Every name a module imports is used there, and every private
+module-level function has a caller in the package.  The package __init__
+is exempt from the first: its imports are the public re-exports."""
 
 import ast
 from pathlib import Path
 
 import evqc
 
+PACKAGE = sorted(Path(evqc.__file__).parent.glob("*.py"))
 MODULES = sorted(p for p in Path(evqc.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
@@ -29,3 +31,37 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a.b import c, d as e\nimport x.y\nprint(c, x.y)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "e")]
+
+
+def uncalled_private_functions(trees: list[ast.Module]) -> list[str]:
+    """Private (_-prefixed, not dunder) module-level functions that no other
+    top-level statement of any of the trees names; a function naming
+    itself does not count as a caller."""
+    private, names_by_statement = set(), []
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                private.add(stmt.name)
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            names_by_statement.append((getattr(stmt, "name", None), names))
+    return sorted(name for name in private
+                  if not any(name in names for owner, names in names_by_statement if owner != name))
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE]
+    assert uncalled_private_functions(trees) == []
+
+
+def test_the_guard_sees_an_uncalled_private_function():
+    caller = ast.parse("import m\n\ndef run():\n    return m._by_attribute() + _by_name()\n")
+    tree = ast.parse(
+        "def _by_name():\n    return 1\n\n"
+        "def _by_attribute():\n    return 2\n\n"
+        "def _recursive(k):\n    return _recursive(k - 1)\n\n"
+        "def _unused():\n    return _by_name()\n\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
+    assert uncalled_private_functions([tree, caller]) == ["_recursive", "_unused"]

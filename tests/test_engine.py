@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_boolfunc, random_density, random_hermitian
+from conftest import oracle_conjugated, random_boolfunc, random_density, random_hermitian
 from evqc.engine import (
     Decision,
     Resolution,
@@ -15,7 +15,6 @@ from evqc.engine import (
     dj_decide_pseudopure,
     distinguishable,
     expectation,
-    is_balanced_wrt,
     projector_readout,
     s_functional,
     satisfiability_gap,
@@ -103,6 +102,12 @@ def test_s_functional_frozen_small_case():
     f = BoolFunc(1, 0b10)
     assert s_functional(b, f) == complex(-2.0)
     assert s_functional(b, constant_zero(1)) == complex(6.0)
+    # Pure-state coefficients (every entry 1/16) give (sum_j s_j)**2 / 16:
+    # exactly 0 on every balanced function, 1 and 1/4 off it.
+    b = b_matrix(pure_w(2), w_projector(2))
+    assert all(s_functional(b, g) == 0 for g in enumerate_class(2, FunctionClass.BALANCED_W))
+    assert s_functional(b, constant_zero(2)) == 1.0
+    assert s_functional(b, BoolFunc(2, 0b0100)) == 0.25
 
 
 def test_s_functional_complement_exactness(rng):
@@ -136,24 +141,9 @@ def test_s_functional_linearity(rng):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_is_balanced_wrt_pure_coefficients():
-    b = b_matrix(pure_w(2), w_projector(2))
-    for f in enumerate_class(2, FunctionClass.BALANCED_W):
-        assert is_balanced_wrt(f, b)
-    assert not is_balanced_wrt(constant_zero(2), b)
-    assert not is_balanced_wrt(BoolFunc(2, 0b0100), b)
-
-
 def test_trace_expectation_frozen():
     assert trace_expectation(w_projector(2), pure_w(2)) == 1.0
     assert trace_expectation(w_projector(2), pseudopure(2, 1.0)) == 7.0 / 16
-
-
-def conjugated_pure(n, f):
-    from evqc.states import DensityMatrix
-
-    s = f.signs().astype(complex)
-    return DensityMatrix(Operator(np.outer(s, s) / (1 << n), hermitian=True))
 
 
 def test_satisfiability_gap_frozen():
@@ -167,16 +157,16 @@ def test_satisfiability_gap_frozen():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_satisfiability_gap_matches_engine(n):
     m = w_projector(n)
-    rho0 = conjugated_pure(n, constant_zero(n))
-    rho1 = conjugated_pure(n, BoolFunc(n, 1))
+    rho0 = oracle_conjugated(pure_w(n), constant_zero(n))
+    rho1 = oracle_conjugated(pure_w(n), BoolFunc(n, 1))
     direct = trace_expectation(m, rho0) - trace_expectation(m, rho1)
     assert abs(direct - satisfiability_gap(n)) < 1e-12
 
 
 def test_distinguishable_threshold_behaviour():
     m = w_projector(2)
-    rho0 = conjugated_pure(2, constant_zero(2))
-    rho1 = conjugated_pure(2, BoolFunc(2, 1))
+    rho0 = oracle_conjugated(pure_w(2), constant_zero(2))
+    rho1 = oracle_conjugated(pure_w(2), BoolFunc(2, 1))
     # gap is exactly 0.75 here
     assert distinguishable(m, rho0, rho1, Resolution(0.5))
     assert not distinguishable(m, rho0, rho1, Resolution(0.8))

@@ -23,7 +23,6 @@ from evqc.funcspace import (
     flip_correlation,
     flip_halves,
     format_function,
-    hamming,
     imbalance,
     is_in_cn,
     lift,
@@ -64,7 +63,7 @@ small_funcs = st.integers(min_value=1, max_value=4).flatmap(
 def test_boolfunc_basic():
     f = BoolFunc(2, 0b0100)
     assert f.size == 4
-    assert f.table == (0, 0, 1, 0)
+    assert tuple(f.bits()) == (0, 0, 1, 0)
     assert [f(x) for x in range(4)] == [0, 0, 1, 0]
     assert f.ones == 1
     np.testing.assert_array_equal(f.signs(), [1.0, 1.0, -1.0, 1.0])
@@ -100,7 +99,7 @@ def test_table_is_built_on_first_use(monkeypatch):
 
 def test_cached_table_is_invisible_to_identity():
     read = BoolFunc(3, 0b10110100)
-    str(read), read.signs(), read.table
+    str(read), read.signs(), read.bits()
     fresh = BoolFunc(3, 0b10110100)
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
     for copy in (pickle.loads(pickle.dumps(read)), dataclasses.replace(read)):
@@ -124,17 +123,6 @@ def test_boolfunc_validation():
         f(2)
 
 
-def test_from_table_roundtrip():
-    f = BoolFunc.from_table([1, 0, 1, 1])
-    assert f.n == 2
-    assert f.mask == 0b1101
-    assert BoolFunc.from_table(f.table) == f
-    with pytest.raises(ValueError):
-        BoolFunc.from_table([1, 0, 1])
-    with pytest.raises(ValueError):
-        BoolFunc.from_table([1, 2])
-
-
 def test_text_format_roundtrip():
     f = BoolFunc(3, 0b10110100)
     text = format_function(f)
@@ -152,22 +140,6 @@ def test_text_format_errors():
         parse_function("n=2\n")
     with pytest.raises(ValueError):
         parse_function("n=1\n0x10\n")
-
-
-def test_hamming_frozen():
-    assert hamming(0, 0, 3) == 0
-    assert hamming(0b101, 0b010, 3) == 3
-    assert hamming(5, 4, 3) == 1
-    assert hamming(12, 10, 4) == 2
-    with pytest.raises(ValueError):
-        hamming(0, 8, 3)
-
-
-@given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-def test_hamming_metric(a, b, c):
-    assert hamming(a, b, 8) == hamming(b, a, 8)
-    assert (hamming(a, b, 8) == 0) == (a == b)
-    assert hamming(a, c, 8) <= hamming(a, b, 8) + hamming(b, c, 8)
 
 
 def test_imbalance_frozen():
@@ -210,8 +182,8 @@ def test_permute_index_guard():
 def test_is_in_cn_frozen_cases():
     assert is_in_cn(BoolFunc(2, 0b0100))
     assert is_in_cn(BoolFunc(2, 0b1011))
-    assert is_in_cn(BoolFunc.from_table([1, 0, 0, 1, 0, 0, 0, 0]))
-    assert not is_in_cn(BoolFunc.from_table([1, 1, 0, 0, 0, 0, 0, 0]))
+    assert is_in_cn(BoolFunc(3, mask_from_bits([1, 0, 0, 1, 0, 0, 0, 0])))
+    assert not is_in_cn(BoolFunc(3, mask_from_bits([1, 1, 0, 0, 0, 0, 0, 0])))
     assert not is_in_cn(constant_zero(2))
     assert not is_in_cn(canonical_balanced(2))
     with pytest.raises(ValueError):
@@ -224,7 +196,7 @@ def test_classify_frozen_cases():
     assert classify(canonical_balanced(2)) is FunctionClass.BALANCED_W
     assert classify(BoolFunc(2, 0b0100)) is FunctionClass.CLASS_CN
     assert classify(BoolFunc(2, 0b1011)) is FunctionClass.CLASS_CN
-    assert classify(BoolFunc.from_table([1, 1, 1, 0, 0, 0, 0, 0])) is FunctionClass.OTHER
+    assert classify(BoolFunc(3, mask_from_bits([1, 1, 1, 0, 0, 0, 0, 0]))) is FunctionClass.OTHER
     assert classify(BoolFunc(1, 0b01)) is FunctionClass.BALANCED_W
 
 
@@ -260,7 +232,7 @@ def test_enumerate_constant_and_balanced():
     assert len(bal2) == 6
     assert all(f.ones == 2 for f in bal2)
     assert len(list(enumerate_class(3, FunctionClass.BALANCED_W))) == 70
-    tables = [f.table for f in bal2]
+    tables = [tuple(f.bits()) for f in bal2]
     assert tables == sorted(tables)
 
 
@@ -272,7 +244,7 @@ def test_enumeration_order_is_the_truth_table_sort(n, cls):
             list(enumerate_class(n, cls))
         return
     got = [f.mask for f in enumerate_class(n, cls)]
-    by_table = sorted((BoolFunc(n, m) for m in got), key=lambda g: g.table)
+    by_table = sorted((BoolFunc(n, m) for m in got), key=lambda g: tuple(g.bits()))
     assert got == [g.mask for g in by_table]
     assert len(set(got)) == len(got)
 
@@ -328,7 +300,7 @@ def test_canonical_representatives():
     assert classify(canonical_balanced(3)) is FunctionClass.BALANCED_W
     assert classify(canonical_cn(3)) is FunctionClass.CLASS_CN
     assert canonical_cn(2).ones == 1
-    assert canonical_balanced(2).table == (1, 1, 0, 0)
+    assert tuple(canonical_balanced(2).bits()) == (1, 1, 0, 0)
     with pytest.raises(ValueError):
         canonical_cn(1)
 
@@ -358,7 +330,7 @@ def test_mask_from_bits_matches_loop(size, rng):
 @pytest.mark.parametrize("n", [1, 3, 6, 11])
 def test_table_codecs_round_trip(n, rng):
     f = BoolFunc(n, loop_mask(rng.integers(0, 2, size=1 << n)))
-    assert BoolFunc.from_table(f.table) == f
+    assert BoolFunc(f.n, mask_from_bits(f.bits())) == f
     assert parse_function(format_function(f)) == f
 
 
