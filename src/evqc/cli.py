@@ -39,11 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _refuse_targets(*paths) -> None:
-    """Refuse an output path that is a directory, whose directory does not
-    exist, or that names the same file as an earlier one, naming the path
-    as given; None stands for no output."""
+    """Refuse an output path that is empty, is a directory, whose directory
+    does not exist, or that names the same file as an earlier one, naming
+    the path as given; None stands for no output."""
     seen = set()
-    for path in map(Path, filter(None, paths)):
+    for path in paths:
+        if path is None:
+            continue
+        if path == "":
+            raise _UsageError("empty output path")
+        path = Path(path)
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         if not path.parent.is_dir():
@@ -98,11 +103,11 @@ def _emit(record: dict, out: str | None, files: dict | None = None) -> None:
     call; without --out the report goes to stdout once the files are in."""
     line = json.dumps(record, allow_nan=False)
     files = dict(files or {})
-    if out:
+    if out is not None:
         files[Path(out)] = line + "\n"
     if files:
         _write_atomic(files)
-    if not out:
+    if out is None:
         print(line)
 
 
@@ -176,7 +181,7 @@ def cmd_classify(args) -> int:
         verdict = decide(f, sys_obj, eps)
         n, config_sys = sys_obj.n, states.system_to_dict(sys_obj)
     files = {}
-    if args.dump_op:
+    if args.dump_op is not None:
         files[Path(args.dump_op)] = operator_text(_protocol_measurement(args.protocol, n))
     record = {
         "command": "classify",
@@ -279,7 +284,7 @@ def cmd_adversary(args) -> int:
 def cmd_signal(args) -> int:
     out = Path(args.out)
     spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
-    _refuse_targets(args.dump_op, out, spec_path)
+    _refuse_targets(args.dump_op, args.out, spec_path)
     timedomain.check_sampling(args.dt, args.count)
     sys_obj = _resolve_system(args, args.n)
     n = sys_obj.n
@@ -294,7 +299,7 @@ def cmd_signal(args) -> int:
     spec = timedomain.spectrum(trace)
     peaks = timedomain.find_peaks(spec)
     files = {}
-    if args.dump_op:
+    if args.dump_op is not None:
         m = total_spin(n, axis) if args.measure in ("fx", "fy") else single_spin(n, spins[0], axis)
         files[Path(args.dump_op)] = operator_text(m)
     files[out] = timedomain.trace_csv(trace)

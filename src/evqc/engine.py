@@ -129,7 +129,9 @@ def s_functional(b: Operator, f: BoolFunc) -> complex:
 
 def _cross_check_forms(bmat: np.ndarray, s: np.ndarray, value: complex) -> None:
     # Same functional via trace plus symmetrized upper triangle.
-    upper = np.triu_indices(bmat.shape[0], 1)
+    # The strict upper triangle's (row, column) pairs, row by row, read
+    # off a boolean mask: no index grid is built.
+    upper = np.nonzero(~np.tri(bmat.shape[0], dtype=bool))
     sym = (bmat + bmat.T)[upper]
     other = complex(np.trace(bmat) + np.sum(s[upper[0]] * s[upper[1]] * sym))
     tol = 1e-9 * max(1.0, float(np.abs(bmat).sum()))

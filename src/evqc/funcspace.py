@@ -4,8 +4,9 @@ A function on an n-bit argument is stored as its full truth table, packed
 little-endian into a Python integer: bit j of ``mask`` holds f(j).  That
 gives O(1) evaluation, cheap complement/permutation via bit twiddling, and
 exact hashing.  The unpacked table (one byte per argument) is built on
-first use and then kept, so a function that is only counted, compared,
-printed or transformed never pays for it.  All values are immutable; every
+the first `BoolFunc.bits` call and then kept in the instance's ``_table``
+slot, so a function that is only counted, compared, printed or
+transformed never pays for it.  All values are immutable; every
 operation returns a new instance.
 
 The bit-flip (hypercube-neighbour) rule lives here: argument a pairs with
@@ -29,9 +30,7 @@ pair signs one by one.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -54,6 +53,13 @@ class FunctionClass(enum.Enum):
     OTHER = "Other"
 
 
+# Writes a field of a frozen instance; bound once, outside the hot path.
+_set = object.__setattr__
+
+# (-1)**bit by lookup: one gather from the unpacked table, exactly +-1.0.
+_SIGN_OF_BIT = np.array([1.0, -1.0])
+
+
 @dataclass(frozen=True)
 class BoolFunc:
     """Truth table of a boolean function on n-bit arguments.
@@ -66,29 +72,37 @@ class BoolFunc:
         Packed truth table, bit j = f(j).
 
     Construction checks n and mask only; the unpacked read-only table
-    behind `bits` and `signs` is built on first use and cached.
-    Equality, hashing, repr and pickling see only n and mask.
+    behind `bits` and `signs` is built on first use and kept in the
+    ``_table`` slot.  Equality, hashing, repr, pickling, `replace` and
+    `asdict` see only n and mask.
+
+    Class walks build thousands of these, so the layout is slotted (no
+    per-instance dict) and the constructor is written by hand: the one a
+    frozen dataclass generates looks up ``object.__setattr__`` afresh for
+    every field, where this one calls a module-bound copy.
+    `__post_init__` stays the one validation, called on every
+    construction.
     """
+
+    __slots__ = ("n", "mask", "_table")
 
     n: int
     mask: int
 
+    def __init__(self, n: int, mask: int) -> None:
+        _set(self, "n", n)
+        _set(self, "mask", mask)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         _check_width(self.n)
-        if self.mask < 0 or self.mask.bit_length() > self.size:
-            raise ValueError("mask does not fit a %d-entry truth table" % self.size)
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.n:
+            raise ValueError("mask does not fit a %d-entry truth table" % (1 << self.n))
 
     def __reduce__(self):
-        # Rebuild through the constructor: the cached table stays out of
+        # Rebuild through the constructor: the kept table stays out of
         # the pickle, and a loaded copy builds its own read-only one.
         return BoolFunc, (self.n, self.mask)
-
-    @cached_property
-    def _bits(self) -> np.ndarray:
-        packed = np.frombuffer(self.mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
-        bits = np.unpackbits(packed, count=self.size, bitorder="little")
-        bits.setflags(write=False)
-        return bits
 
     @property
     def size(self) -> int:
@@ -107,11 +121,19 @@ class BoolFunc:
 
     def bits(self) -> np.ndarray:
         """Truth table as a read-only uint8 vector indexed by argument."""
-        return self._bits
+        try:
+            return self._table
+        except AttributeError:
+            pass
+        packed = np.frombuffer(self.mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
+        table = np.unpackbits(packed, count=self.size, bitorder="little")
+        table.setflags(write=False)
+        _set(self, "_table", table)
+        return table
 
     def signs(self) -> np.ndarray:
         """(-1)**f(j) as a float vector, the diagonal of the oracle."""
-        return 1.0 - 2.0 * self._bits.astype(np.float64)
+        return _SIGN_OF_BIT[self.bits()]
 
     def __str__(self) -> str:
         # Binary digits print the highest argument first; reversed, f(0) leads.
@@ -142,7 +164,9 @@ def parse_function(text: str) -> BoolFunc:
         return BoolFunc(n, int(body, 16))
     if len(body) != size:
         raise ValueError(f"table line has {len(body)} entries, expected {size}")
-    if set(body) - {"0", "1"}:
+    # Deleting every 0 and 1 must leave nothing; int(..., 2) alone would
+    # also take "_", "+", "-" and non-ASCII digits.
+    if not body.isascii() or body.encode("ascii").translate(None, b"01"):
         raise ValueError("table line may only contain 0 and 1")
     # Reversed, the line is the mask's binary digits, highest argument first.
     return BoolFunc(n, int(body[::-1], 2))
@@ -323,13 +347,17 @@ def enumerate_class(n: int, cls: FunctionClass) -> Iterator[BoolFunc]:
         )
     size = 1 << n
     if cls is FunctionClass.BALANCED_W:
-        # Capped at n <= ENUMERATION_LIMIT, every mask fits in 16 bits, so
-        # adding up the chosen powers of two is the cheapest way to build it.
-        # Of two ones-sets of one size, the lexicographically first holds
-        # the earliest argument where they differ, so its table is the
-        # larger: reversed, the combinations come in truth-table order.
-        powers = [1 << j for j in range(size)]
-        for mask in reversed([sum(ones) for ones in itertools.combinations(powers, size // 2)]):
+        # Read with f(0) as the most significant bit, a table is its mask
+        # with the size bits reversed, and reversal keeps the number of
+        # ones.  So the balanced tables counted upwards (16 bits at most,
+        # as n <= ENUMERATION_LIMIT), each reversed, are the members in
+        # truth-table order.
+        tables = np.arange(1 << size, dtype=np.uint32)
+        tables = tables[np.bitwise_count(tables) == size // 2]
+        masks = np.zeros_like(tables)
+        for j in range(size):
+            masks |= ((tables >> j) & 1) << (size - 1 - j)
+        for mask in masks.tolist():
             yield BoolFunc(n, mask)
         return
     if cls is FunctionClass.CLASS_CN:

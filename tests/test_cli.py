@@ -838,7 +838,9 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
 
 
-@pytest.mark.parametrize("argv, module, compute", [
+# One run per command, each with the call that does its work; a case
+# ending in --dump-op takes the target there, the others after --out.
+COMPUTE_CALLS = [
     (("classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "4", "--eps", "0.1"),
      "engine", "cn_decide_thermal"),
     (("classify", "--protocol", "lifted", "--class", "balanced", "--n", "3", "--eps", "0.1",
@@ -850,14 +852,13 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     (("signal", "--n", "3", "--dt", "1e-4", "--count", "8"), "timedomain", "transverse_signal"),
     (("signal", "--n", "3", "--dt", "1e-4", "--count", "8", "--out", "t.csv", "--dump-op"),
      "timedomain", "transverse_signal"),
-])
-@pytest.mark.parametrize("target", ["missing/x.json", "blocked"])
-def test_bad_target_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, module, compute,
-                                               target):
-    import importlib
+]
 
-    monkeypatch.chdir(tmp_path)
-    Path("blocked").mkdir()
+
+def run_without_compute(capsys, monkeypatch, argv, module, compute, target):
+    """Run argv with the target as its last output path while the compute
+    call raises, so a refusal must come before any work."""
+    import importlib
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{compute} was reached")
@@ -865,10 +866,30 @@ def test_bad_target_is_refused_before_any_work(capsys, tmp_path, monkeypatch, ar
     monkeypatch.setattr(importlib.import_module(f"evqc.{module}"), compute, refuse)
     if argv[-1] != "--dump-op":
         argv += ("--out",)
-    rc, rec, err = run(capsys, *argv, target)
+    return run(capsys, *argv, target)
+
+
+@pytest.mark.parametrize("argv, module, compute", COMPUTE_CALLS)
+@pytest.mark.parametrize("target", ["missing/x.json", "blocked"])
+def test_bad_target_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, module, compute,
+                                               target):
+    monkeypatch.chdir(tmp_path)
+    Path("blocked").mkdir()
+    rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, target)
     assert_one_line_error(rc, rec, err)
     assert err.rstrip().endswith(f"'{target}'")
     assert [p.name for p in tmp_path.iterdir()] == ["blocked"]
+
+
+@pytest.mark.parametrize("argv, module, compute", COMPUTE_CALLS)
+def test_empty_target_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, module, compute):
+    # Path("") is ".", the working directory, so an empty path has to be
+    # caught as a string before it is ever taken for a target.
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, "")
+    assert_one_line_error(rc, rec, err)
+    assert err == "error: empty output path\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writer_never_touches_the_umask(capsys, tmp_path, monkeypatch):

@@ -141,6 +141,27 @@ def test_s_functional_linearity(rng):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def test_functional_cross_check_is_live(monkeypatch, rng):
+    from evqc import engine
+
+    b = random_hermitian(8, rng)
+    f = random_boolfunc(3, rng)
+    s_functional(b, f)
+    real_fsum = math.fsum
+    monkeypatch.setattr(engine.math, "fsum", lambda values: real_fsum(values) + 1.0)
+    with pytest.raises(AssertionError, match="the two functional forms disagree"):
+        s_functional(b, f)
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_cross_check_pairs_are_the_strict_upper_triangle(dim):
+    rows, cols = np.nonzero(~np.tri(dim, dtype=bool))
+    want_rows, want_cols = np.triu_indices(dim, 1)
+    for got, want in ((rows, want_rows), (cols, want_cols)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_trace_expectation_frozen():
     assert trace_expectation(w_projector(2), pure_w(2)) == 1.0
     assert trace_expectation(w_projector(2), pseudopure(2, 1.0)) == 7.0 / 16

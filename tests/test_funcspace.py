@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -111,6 +112,54 @@ def test_cached_table_is_invisible_to_identity():
     # test_table_width_is_checked_before_any_table_is_built.
 
 
+def test_boolfunc_contract_under_slots():
+    f = BoolFunc(3, 0b10110100)
+    assert not hasattr(f, "__dict__")
+    for name in ("n", "mask", "_table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, 1)
+    before = (f, hash(f), repr(f))
+    table = f.bits()
+    assert (f, hash(f), repr(f)) == before and repr(f) == "BoolFunc(n=3, mask=180)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f._table = None
+    assert f.bits() is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), dataclasses.replace(f)):
+        assert type(twin) is BoolFunc and twin == f and hash(twin) == hash(f)
+        assert twin.bits() is not table and twin.bits().tolist() == table.tolist()
+    assert dataclasses.replace(f, n=4) == BoolFunc(4, 180)
+    assert dataclasses.asdict(f) == {"n": 3, "mask": 180}
+    with pytest.raises(ValueError, match="outside the truth-table range"):
+        BoolFunc(0, 0)
+    with pytest.raises(ValueError, match="mask does not fit a 2-entry truth table"):
+        BoolFunc(1, 4)
+    with pytest.raises(ValueError, match="mask does not fit a 4-entry truth table"):
+        BoolFunc(2, -1)
+    with pytest.raises(ValueError, match="mask does not fit a 8-entry truth table"):
+        dataclasses.replace(f, mask=1 << 8)
+
+
+def test_post_init_runs_once_per_construction(monkeypatch):
+    calls = []
+    check = vars(BoolFunc)["__post_init__"]
+    monkeypatch.setattr(BoolFunc, "__post_init__", lambda self: calls.append(self) or check(self))
+    f = BoolFunc(2, 6)
+    assert calls == [f]
+    routes = (
+        lambda: dataclasses.replace(f, mask=9),
+        lambda: pickle.loads(pickle.dumps(f)),
+        lambda: copy.deepcopy(f),
+        lambda: complement(f),
+        lambda: parse_function("n=2\n0110\n"),
+    )
+    for build in routes:
+        calls.clear()
+        made = build()
+        assert len(calls) == 1 and calls[0] is made
+
+
 def test_boolfunc_validation():
     with pytest.raises(ValueError):
         BoolFunc(0, 0)
@@ -140,6 +189,17 @@ def test_text_format_errors():
         parse_function("n=2\n")
     with pytest.raises(ValueError):
         parse_function("n=1\n0x10\n")
+
+
+@pytest.mark.parametrize("bad", ["_", "+", "-", " ", "\uff10", "\u0661", "\U0001d7d9"])
+def test_table_line_refuses_anything_but_ascii_0_and_1(bad):
+    # int(..., 2) alone would take "_", "+" and "-" (and int() reads the
+    # non-ASCII digits as digits), so the 0/1 check must catch them all.
+    # The line is stripped, so a space can only sit inside it.
+    tables = ["01" + bad + "0"] if bad.isspace() else [bad + "110", "01" + bad + "0", "011" + bad]
+    for table in tables:
+        with pytest.raises(ValueError, match="^table line may only contain 0 and 1$"):
+            parse_function(f"n=2\n{table}\n")
 
 
 def test_imbalance_frozen():
@@ -247,6 +307,19 @@ def test_enumeration_order_is_the_truth_table_sort(n, cls):
     by_table = sorted((BoolFunc(n, m) for m in got), key=lambda g: tuple(g.bits()))
     assert got == [g.mask for g in by_table]
     assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_balanced_enumeration_matches_the_combinations_walk(n):
+    # Of two ones-sets of one size, the lexicographically first holds the
+    # earliest argument where they differ, so its table is the larger:
+    # reversed, the combinations come in truth-table order.
+    size = 1 << n
+    powers = [1 << j for j in range(size)]
+    want = list(reversed([sum(ones) for ones in itertools.combinations(powers, size // 2)]))
+    members = list(enumerate_class(n, FunctionClass.BALANCED_W))
+    assert [f.mask for f in members] == want
+    assert all(type(f.mask) is int and f.n == n for f in members)
 
 
 def test_every_n2_function_is_covered():
