@@ -56,7 +56,6 @@ from evqc.states import (
     thermal_state,
 )
 from evqc.timedomain import (
-    Hamiltonian,
     SignalTrace,
     hamiltonian,
     heisenberg_op,

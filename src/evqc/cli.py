@@ -61,15 +61,14 @@ def _refuse_targets(*paths) -> None:
 def _write_atomic(files: dict) -> None:
     """Write every file or none: each text goes to a temporary file beside
     its target, and the targets are replaced only once all of those are
-    whole.  Bad targets are refused before anything is written; on failure
-    every temporary file not yet renamed is removed.
+    whole; on failure every temporary file not yet renamed is removed.
+    The targets are not checked again: each cmd_* refuses them first.
 
     A temporary file is created with mode 0666, which the kernel narrows
     by the umask, so it gets the mode a plain open() would give.  O_EXCL
     skips any name that already exists, whoever made it.
     """
     targets = [(Path(path), text.encode("utf-8")) for path, text in files.items()]
-    _refuse_targets(*(path for path, _ in targets))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
     pending = []
     try:
@@ -398,7 +397,7 @@ def main(argv=None) -> int:
         # Looked up at call time: the cached parser must not pin the cmd_*
         # functions, so a later rebinding (a monkeypatch, a tracer) runs.
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (_UsageError, OSError, ValueError, json.JSONDecodeError) as err:
+    except (_UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,9 @@
 """Dense operators for n coupled spin-1/2 nuclei.
 
-Spin 1 occupies the most significant bit of the computational index, so
-the matrix of a single-spin operator for spin i is nonzero exactly where
-row and column indices differ by 2**(n-i).  Everything is stored as a
-dense complex matrix; n up to 12 stays within desk-scale memory.
+One index rule builds every spin operator: spin i (1..n) is bit n-i of the
+index, so spin 1 is the most significant.  Iz_i sits on the diagonal, +1/2
+where that bit is 0; Ix_i and Iy_i sit only at (a, a XOR 2**(n-i)).  Every
+matrix is dense and complex; n up to 12 stays within desk-scale memory.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from evqc.funcspace import BoolFunc
-
-# Spin-1/2 angular momentum components (hbar = 1).
-_HALF_SPIN = {
-    "x": 0.5 * np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": 0.5 * np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 MAX_DENSE_N = 12
 
@@ -44,8 +37,8 @@ class Operator:
 
     def __post_init__(self) -> None:
         mat = np.array(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError(f"operator matrix must be square and non-empty, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         if self.hermitian and not is_hermitian(mat):
@@ -72,6 +65,18 @@ def spin_z_column(n: int, i: int) -> np.ndarray:
     return 0.5 - ((idx >> (n - i)) & 1).astype(float)
 
 
+def _transverse_sum(n: int, terms, axis: str) -> np.ndarray:
+    """sum_i w_i I^axis_i over the (i, w_i) pairs, axis x or y, in one zeroed
+    matrix: entry (a, a XOR 2**(n-i)) gets w_i / 2 as its real part for x, or
+    -w_i Iz_i(a) as its imaginary part for y.  No two spins share an entry."""
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    rows = np.arange(1 << n)
+    for i, w in terms:
+        part, value = (mat.real, w * 0.5) if axis == "x" else (mat.imag, -w * spin_z_column(n, i))
+        part[rows, rows ^ (1 << (n - i))] = value
+    return mat
+
+
 def single_spin(n: int, i: int, axis: str) -> Operator:
     """Angular momentum component of spin i embedded in an n-spin register.
 
@@ -80,13 +85,11 @@ def single_spin(n: int, i: int, axis: str) -> Operator:
     _check_register(n)
     if not 1 <= i <= n:
         raise ValueError(f"spin index {i} outside 1..{n}")
-    if axis not in _HALF_SPIN:
+    if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    mat = np.eye(1, dtype=complex)
-    for pos in range(1, n + 1):
-        factor = _HALF_SPIN[axis] if pos == i else np.eye(2, dtype=complex)
-        mat = np.kron(mat, factor)
-    return Operator(mat, hermitian=True)
+    if axis == "z":
+        return Operator(np.diag(spin_z_column(n, i)), hermitian=True)
+    return Operator(_transverse_sum(n, [(i, 1.0)], axis), hermitian=True)
 
 
 def total_spin(n: int, axis: str) -> Operator:
@@ -94,10 +97,7 @@ def total_spin(n: int, axis: str) -> Operator:
     _check_register(n)
     if axis not in ("x", "y"):
         raise ValueError(f"total transverse component is defined for x, y; got {axis!r}")
-    mat = np.zeros((1 << n, 1 << n), dtype=complex)
-    for i in range(1, n + 1):
-        mat = mat + single_spin(n, i, axis).mat
-    return Operator(mat, hermitian=True)
+    return Operator(_transverse_sum(n, [(i, 1.0) for i in range(1, n + 1)], axis), hermitian=True)
 
 
 def w_projector(n: int) -> Operator:
@@ -172,6 +172,8 @@ def load_operator(path) -> Operator:
     if not lines:
         raise ValueError(f"empty operator dump {path}")
     dim = int(lines[0])
+    if dim < 1:
+        raise ValueError(f"operator dump {path} has dimension {dim}, expected at least 1")
     if len(lines) != 1 + dim * dim:
         raise ValueError(f"operator dump {path} has {len(lines) - 1} entries, expected {dim * dim}")
     flat = np.empty(dim * dim, dtype=complex)

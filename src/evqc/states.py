@@ -16,8 +16,8 @@ import numpy as np
 from evqc.spinops import (
     Operator,
     _check_register,
+    _transverse_sum,
     is_hermitian,
-    single_spin,
     spin_z_column,
     w_projector,
 )
@@ -192,8 +192,9 @@ def pseudopure(n: int, alpha: float) -> DensityMatrix:
     size = 1 << n
     if not 0 < alpha <= 1:
         warnings.warn(f"pseudopure weight alpha={alpha:g} outside (0, 1]", stacklevel=2)
-    mat = ((1.0 - alpha / size) / size) * np.eye(size, dtype=complex)
-    mat = mat + (alpha / size) * w_projector(n).mat
+    weight = (alpha / size) * (1.0 / size) + 0.0  # + 0.0: no -0.0 at alpha = -0.0
+    mat = np.full((size, size), weight, dtype=complex)
+    np.fill_diagonal(mat.real, (1.0 - alpha / size) / size + weight)
     return DensityMatrix(Operator(mat, hermitian=True))
 
 
@@ -210,7 +211,7 @@ def pulsed_thermal(sys: SpinSystem) -> DensityMatrix:
     simulated because the substitution is exact for the truncated form.
     """
     size = sys.size
-    mat = (1.0 / size) * np.eye(size, dtype=complex)
-    for i in range(1, sys.n + 1):
-        mat = mat - (sys.theta / size) * sys.omega[i - 1] * single_spin(sys.n, i, "x").mat
+    terms = [(i, -(sys.theta / size) * sys.omega[i - 1]) for i in range(1, sys.n + 1)]
+    mat = _transverse_sum(sys.n, terms, "x")
+    np.fill_diagonal(mat.real, 1.0 / size)
     return DensityMatrix(Operator(mat, hermitian=True))

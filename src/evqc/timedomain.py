@@ -1,9 +1,9 @@
 """Free-evolution signals and their spectra.
 
 The internal Hamiltonian is diagonal in the computational basis (weak
-coupling, hbar = 1), so Heisenberg evolution of a measurement reduces to
-multiplying each entry by a phase, and every readout is a sum of spectral
-lines.
+coupling, hbar = 1) and is passed around as that diagonal, a float
+vector h.  Heisenberg evolution of a measurement multiplies each entry
+by a phase, and every readout is a sum of spectral lines.
 
 `transverse_signal` samples the readout of transverse order on the pulsed
 thermal state after a phase oracle without building a matrix: each spin
@@ -38,22 +38,6 @@ MAX_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
-class Hamiltonian:
-    """Internal Hamiltonian, stored by its diagonal (a read-only float
-    vector, one entry per basis state), with the system it came from."""
-
-    diag: np.ndarray
-    source: SpinSystem
-
-    def __post_init__(self) -> None:
-        diag = np.array(self.diag, dtype=float)
-        if diag.shape != (self.source.size,):
-            raise ValueError("Hamiltonian diagonal does not match the spin system")
-        diag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-
-
-@dataclass(frozen=True, eq=False)
 class SignalTrace:
     """Uniformly sampled real readout trace starting at t = 0."""
 
@@ -76,35 +60,36 @@ class SignalTrace:
         return self.dt * np.arange(self.samples.size)
 
 
-def hamiltonian(sys: SpinSystem) -> Hamiltonian:
+def hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Zeeman terms plus scalar couplings: sum_i omega_i Iz_i
-    + sum_(i<j) 2 pi J_ij Iz_i Iz_j."""
+    + sum_(i<j) 2 pi J_ij Iz_i Iz_j, as its read-only diagonal."""
     diag = np.zeros(sys.size)
     for i in range(1, sys.n + 1):
         diag += sys.omega[i - 1] * spin_z_column(sys.n, i)
     for i, j, strength in sys.couplings:
         diag += 2.0 * np.pi * strength * spin_z_column(sys.n, i) * spin_z_column(sys.n, j)
-    return Hamiltonian(diag=diag, source=sys)
+    diag.setflags(write=False)
+    return diag
 
 
-def heisenberg_op(m: Operator, h: Hamiltonian, t: float) -> Operator:
+def heisenberg_op(m: Operator, h: np.ndarray, t: float) -> Operator:
     """Measurement evolved to time t: exp(iHt) M exp(-iHt).
 
     With H diagonal this is an entrywise phase: entry (j, k) picks up
-    exp(i (H_jj - H_kk) t).
+    exp(i (h_j - h_k) t).
     """
-    if m.dim != h.diag.size:
+    if h.shape != (m.dim,):
         raise ValueError("operator and Hamiltonian dimensions differ")
-    phases = np.exp(1j * h.diag * t)
+    phases = np.exp(1j * h * t)
     mat = phases[:, None] * m.mat * phases.conj()[None, :]
     return Operator(mat, hermitian=m.hermitian)
 
 
-def heisenberg_dense(m: Operator, h: Hamiltonian, t: float) -> Operator:
+def heisenberg_dense(m: Operator, h: np.ndarray, t: float) -> Operator:
     """Same map through a dense matrix exponential; for cross-validation only."""
     from scipy.linalg import expm  # imported here: no command path needs scipy
 
-    u = expm(1j * np.diag(h.diag) * t)
+    u = expm(1j * np.diag(h) * t)
     return Operator(u @ m.mat @ u.conj().T)
 
 
@@ -133,17 +118,17 @@ def _line_sum(kernel, freqs: np.ndarray, amps: np.ndarray, times: np.ndarray) ->
     )
 
 
-def signal(rho: DensityMatrix, h: Hamiltonian, m: Operator, dt: float, count: int) -> SignalTrace:
+def signal(rho: DensityMatrix, h: np.ndarray, m: Operator, dt: float, count: int) -> SignalTrace:
     """Sample Tr(rho M(t)) at t = k dt for k = 0..count-1.
 
-    Every nonzero weight rho_ab M_ba oscillates at H_bb - H_aa; weights at
+    Every nonzero weight rho_ab M_ba oscillates at h_b - h_a; weights at
     the same frequency are summed before any phase is evaluated.
     """
-    if rho.dim != m.dim or rho.dim != h.diag.size:
+    if rho.dim != m.dim or h.shape != (rho.dim,):
         raise ValueError("state, measurement, and Hamiltonian dimensions differ")
     check_sampling(dt, count)
     weights = (rho.mat * m.mat.T).ravel()  # entry (a, b): rho_ab M_ba
-    freq = (h.diag[None, :] - h.diag[:, None]).ravel()  # phase rate per entry
+    freq = (h[None, :] - h[:, None]).ravel()  # phase rate per entry
     keep = weights != 0
     w = weights[keep]
     lines, inverse = np.unique(freq[keep], return_inverse=True)

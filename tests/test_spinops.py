@@ -1,4 +1,7 @@
 import dataclasses
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +21,25 @@ from evqc.spinops import (
     unitarily_equivalent,
     w_projector,
 )
+from evqc.states import SpinSystem, demo_system, pseudopure, pulsed_thermal
 
 HALF = 0.5
+
+# Spin-1/2 angular momentum components (hbar = 1), the factors of the kron
+# definition the builders are held to.
+HALF_SPIN = {
+    "x": 0.5 * np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": 0.5 * np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_spin(n, i, axis):
+    """I^axis_i as the kron chain 1 x ... x I^axis x ... x 1, spin 1 leftmost."""
+    mat = np.eye(1, dtype=complex)
+    for pos in range(1, n + 1):
+        mat = np.kron(mat, HALF_SPIN[axis] if pos == i else np.eye(2, dtype=complex))
+    return mat
 
 
 def test_single_spin_one_spin_matrices():
@@ -206,3 +226,68 @@ def test_every_hermiticity_check_keeps_its_message(tmp_path):
     path = tmp_path / "skew.txt"
     path.write_text(operator_text(Operator(skew)), encoding="ascii")
     assert not load_operator(path).hermitian
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_builders_match_the_kron_definition(n):
+    # Bit for bit for the transverse terms; the chain leaves some zeros of
+    # Iz as -0.0, so z is held equal in value.
+    for axis in "xy":
+        total = np.zeros((1 << n, 1 << n), dtype=complex)
+        for i in range(1, n + 1):
+            ref = kron_spin(n, i, axis)
+            assert single_spin(n, i, axis).mat.tobytes() == ref.tobytes()
+            total = total + ref
+        assert total_spin(n, axis).mat.tobytes() == total.tobytes()
+    for i in range(1, n + 1):
+        np.testing.assert_array_equal(single_spin(n, i, "z").mat, kron_spin(n, i, "z"))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_states_match_their_summed_definitions(n, rng):
+    # pulsed_thermal is I/N - sum_i (theta/N) omega_i Ix_i and pseudopure is
+    # ((1 - alpha/N)/N) I + (alpha/N) W, each summed term by term as written.
+    size = 1 << n
+    systems = [demo_system(n), SpinSystem(n=n, omega=rng.uniform(1.0, 1e4, n), theta=1e-7)]
+    for sys in systems:
+        ref = (1.0 / size) * np.eye(size, dtype=complex)
+        for i in range(1, n + 1):
+            ref = ref - (sys.theta / size) * sys.omega[i - 1] * kron_spin(n, i, "x")
+        assert pulsed_thermal(sys).mat.tobytes() == ref.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for alpha in (1.0, 0.5, 1e-3, 0.3, 0.0, -0.0, -0.25, 2.0, float(size), 1e4):
+            ref = ((1.0 - alpha / size) / size) * np.eye(size, dtype=complex)
+            ref = ref + (alpha / size) * w_projector(n).mat
+            assert pseudopure(n, alpha).mat.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: single_spin(13, 1, "x"),
+    lambda f: single_spin(13, 1, "z"),
+    lambda f: total_spin(13, "y"),
+    lambda f: w_projector(13),
+    lambda f: oracle(f),
+    lambda f: pseudopure(13, 0.5),
+], ids=["single_spin_x", "single_spin_z", "total_spin", "w_projector", "oracle", "pseudopure"])
+def test_dense_builders_refuse_n13_before_allocating(build):
+    f = BoolFunc(13, 0b1011)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1\.\.12"):
+            build(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_empty_operators_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="must be square and non-empty"):
+        Operator(np.zeros((0, 0)))
+    for header, body in (("0", ""), ("-1", "1,0\n")):
+        path = tmp_path / f"dim{header}.txt"
+        path.write_text(f"{header}\n{body}", encoding="ascii")
+        message = re.escape(f"operator dump {path} has dimension {header},")
+        with pytest.raises(ValueError, match=message):
+            load_operator(path)

@@ -12,7 +12,6 @@ from evqc.funcspace import canonical_balanced, constant_one, sample_cn
 from evqc.spinops import Operator, single_spin, total_spin
 from evqc.states import SpinSystem, pulsed_thermal, thermal_state
 from evqc.timedomain import (
-    Hamiltonian,
     SignalTrace,
     find_peaks,
     hamiltonian,
@@ -31,7 +30,7 @@ THETA = 2e-8
 def test_hamiltonian_single_spin_diag():
     sys = SpinSystem(n=1, omega=np.array([1000.0]), theta=THETA)
     h = hamiltonian(sys)
-    np.testing.assert_allclose(h.diag, [500.0, -500.0], atol=1e-12)
+    np.testing.assert_allclose(h, [500.0, -500.0], atol=1e-12)
 
 
 def test_hamiltonian_coupled_pair_diag():
@@ -47,22 +46,24 @@ def test_hamiltonian_coupled_pair_diag():
         (-w1 + w2) / 2 - split,
         (-w1 - w2) / 2 + split,
     ]
-    np.testing.assert_allclose(h.diag, expected, atol=1e-12)
+    np.testing.assert_allclose(h, expected, atol=1e-12)
 
 
 def test_hamiltonian_requires_diagonal_op():
-    # The Hamiltonian is stored by its diagonal: a matrix or a vector of the
-    # wrong length is refused, and the stored vector is read-only.
+    # The Hamiltonian is its diagonal, a read-only float vector; a matrix or
+    # a vector of the wrong length is refused where it is used.
     sys = SpinSystem(n=1, omega=np.array([5.0]), theta=THETA)
-    with pytest.raises(ValueError):
-        Hamiltonian(diag=single_spin(1, 1, "z").mat.real, source=sys)
     sys2 = SpinSystem(n=2, omega=np.array([5.0, 6.0]), theta=THETA)
-    with pytest.raises(ValueError):
-        Hamiltonian(diag=hamiltonian(sys).diag, source=sys2)
     h = hamiltonian(sys2)
-    assert h.diag.shape == (4,) and h.diag.dtype == float
+    assert h.shape == (4,) and h.dtype == float
     with pytest.raises(ValueError):
-        h.diag[0] = 1.0
+        h[0] = 1.0
+    m = single_spin(1, 1, "x")
+    for wrong in (hamiltonian(sys2), single_spin(1, 1, "z").mat.real):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            heisenberg_op(m, wrong, 0.1)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            signal(pulsed_thermal(sys), wrong, m, 1e-4, 4)
 
 
 def test_heisenberg_entrywise_phase():
