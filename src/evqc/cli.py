@@ -152,7 +152,7 @@ def _measurement(kind: str, n: int) -> tuple[tuple[int, ...], str]:
     if kind in ("fx", "fy"):
         return tuple(range(1, n + 1)), kind[1]
     prefix, _, index = kind.partition(":")
-    if prefix == "ixj" and index.isdecimal() and 1 <= int(index) <= n:
+    if prefix == "ixj" and index.isascii() and index.isdecimal() and 1 <= int(index) <= n:
         return (int(index),), "x"
     raise _UsageError(f"unknown measurement {kind!r}; use fx, fy, or ixj:<i> with 1 <= i <= {n}")
 

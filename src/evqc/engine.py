@@ -36,7 +36,7 @@ from evqc.funcspace import (
     flip_correlation,
     lift,
 )
-from evqc.spinops import Operator, _check_register, spectral_range
+from evqc.spinops import Operator, _check_register, require_hermitian, spectral_range
 from evqc.states import DensityMatrix, SpinSystem
 
 # Residual imaginary part tolerated before declaring an input non-hermitian.
@@ -96,6 +96,7 @@ def expectation(m: Operator, rho: DensityMatrix, f: BoolFunc) -> float:
     s = (-1)**f, which is the oracle-conjugated trace without forming the
     conjugated matrix.
     """
+    require_hermitian(m, "expectation")
     _check_compatible(m, rho, f)
     s = f.signs()
     p = m.mat * rho.mat.T
@@ -105,8 +106,9 @@ def expectation(m: Operator, rho: DensityMatrix, f: BoolFunc) -> float:
 
 def b_matrix(rho: DensityMatrix, m: Operator) -> Operator:
     """Coefficient matrix with entries M_jk * rho_kj (no summation)."""
+    require_hermitian(m, "b_matrix")
     _check_compatible(m, rho)
-    return Operator(m.mat * rho.mat.T, hermitian=True)
+    return Operator(m.mat * rho.mat.T)
 
 
 def s_functional(b: Operator, f: BoolFunc) -> complex:
@@ -182,6 +184,7 @@ def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
 
 def trace_expectation(m: Operator, rho: DensityMatrix) -> float:
     """Plain readout without any oracle applied."""
+    require_hermitian(m, "trace_expectation")
     _check_compatible(m, rho)
     return _as_real(complex((m.mat * rho.mat.T).sum()), "expectation")
 

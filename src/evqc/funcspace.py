@@ -140,6 +140,13 @@ class BoolFunc:
         return format(self.mask, f"0{self.size}b")[::-1]
 
 
+def _spelled_in(text: str, alphabet: bytes) -> bool:
+    """Whether text is non-empty and uses only the ASCII characters of
+    alphabet.  Deleting them must leave nothing; int() alone would also
+    take "_", "+", "-" and non-ASCII digits."""
+    return text.isascii() and text != "" and not text.encode("ascii").translate(None, alphabet)
+
+
 def parse_function(text: str) -> BoolFunc:
     """Parse the two-line truth-table format.
 
@@ -151,22 +158,19 @@ def parse_function(text: str) -> BoolFunc:
     if len(lines) != 2:
         raise ValueError("expected a header line and a table line")
     header = lines[0].replace(" ", "")
-    if not header.startswith("n="):
+    if not (header.startswith("n=") and _spelled_in(header[2:], b"0123456789")):
         raise ValueError(f"malformed header {lines[0]!r}, expected 'n=<int>'")
-    try:
-        n = int(header[2:])
-    except ValueError:
-        raise ValueError(f"malformed header {lines[0]!r}") from None
+    n = int(header[2:])
     _check_width(n)
     body = lines[1]
     size = 1 << n
     if body.lower().startswith("0x"):
-        return BoolFunc(n, int(body, 16))
+        if not _spelled_in(body[2:], b"0123456789abcdefABCDEF"):
+            raise ValueError(f"malformed hex table {body!r}")
+        return BoolFunc(n, int(body[2:], 16))
     if len(body) != size:
         raise ValueError(f"table line has {len(body)} entries, expected {size}")
-    # Deleting every 0 and 1 must leave nothing; int(..., 2) alone would
-    # also take "_", "+", "-" and non-ASCII digits.
-    if not body.isascii() or body.encode("ascii").translate(None, b"01"):
+    if not _spelled_in(body, b"01"):
         raise ValueError("table line may only contain 0 and 1")
     # Reversed, the line is the mask's binary digits, highest argument first.
     return BoolFunc(n, int(body[::-1], 2))

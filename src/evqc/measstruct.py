@@ -63,7 +63,7 @@ class InvariantForm:
 
     def reconstruct(self) -> Operator:
         """Assemble the hermitian matrix c * W + diag(d) + A."""
-        return Operator(_assembler(self.dim)(self.c, self.d, self.a_upper), hermitian=True)
+        return Operator(_assembler(self.dim)(self.c, self.d, self.a_upper))
 
 
 def _assembler(size: int):
@@ -292,16 +292,16 @@ def search_max_c_ratio(
     invariant-form parameters, with a decreasing mu schedule and a final
     feasibility polish.  Same seed, same result, bit for bit.
     """
-    # Imported here: scipy.optimize takes tens of MB and most of a second
-    # to load, and no other evqc command needs it.
-    from scipy.optimize import minimize
-
     if not 1 <= n <= SEARCH_N_LIMIT:
         raise ValueError(f"search supports 1 <= n <= {SEARCH_N_LIMIT}")
     if budget < 100:
         raise ValueError("budget too small to do anything")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    # Imported here, after the checks: scipy.optimize takes tens of MB and
+    # most of a second to load, and no other evqc command needs it.
+    from scipy.optimize import minimize
+
     size = 1 << n
     target = eig_multiset(total_spin(n, "x"))
     rng = np.random.default_rng(seed)
@@ -352,7 +352,7 @@ def search_max_c_ratio(
         evaluations += res.nfev
 
         form = InvariantForm(*_split_params(x, size))
-        checked = Operator(assemble(form.c, form.d, form.a_upper), hermitian=True)
+        checked = Operator(assemble(form.c, form.d, form.a_upper))
         vals = np.linalg.eigvalsh(checked.mat)
         residual = float(np.abs(vals - target).max())
         spread = float(vals[-1] - vals[0])

@@ -28,8 +28,9 @@ def is_hermitian(mat: np.ndarray) -> bool:
 class Operator:
     """Immutable dense operator.
 
-    A hermitian flag set True is checked at construction time; False makes
-    no claim either way.
+    Hermiticity is decided here, once: the hermitian field always holds
+    is_hermitian(mat), and every consumer reads it.  Passing hermitian=True
+    demands it, so a non-hermitian matrix is then refused.
     """
 
     mat: np.ndarray
@@ -41,8 +42,10 @@ class Operator:
             raise ValueError(f"operator matrix must be square and non-empty, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        if self.hermitian and not is_hermitian(mat):
+        hermitian = is_hermitian(mat)
+        if self.hermitian and not hermitian:
             raise ValueError("hermitian flag set on a non-hermitian matrix")
+        object.__setattr__(self, "hermitian", hermitian)
 
     @property
     def dim(self) -> int:
@@ -88,8 +91,8 @@ def single_spin(n: int, i: int, axis: str) -> Operator:
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     if axis == "z":
-        return Operator(np.diag(spin_z_column(n, i)), hermitian=True)
-    return Operator(_transverse_sum(n, [(i, 1.0)], axis), hermitian=True)
+        return Operator(np.diag(spin_z_column(n, i)))
+    return Operator(_transverse_sum(n, [(i, 1.0)], axis))
 
 
 def total_spin(n: int, axis: str) -> Operator:
@@ -97,25 +100,25 @@ def total_spin(n: int, axis: str) -> Operator:
     _check_register(n)
     if axis not in ("x", "y"):
         raise ValueError(f"total transverse component is defined for x, y; got {axis!r}")
-    return Operator(_transverse_sum(n, [(i, 1.0) for i in range(1, n + 1)], axis), hermitian=True)
+    return Operator(_transverse_sum(n, [(i, 1.0) for i in range(1, n + 1)], axis))
 
 
 def w_projector(n: int) -> Operator:
     """Projector onto the uniform superposition; every entry is 1/N."""
     _check_register(n)
     size = 1 << n
-    return Operator(np.full((size, size), 1.0 / size, dtype=complex), hermitian=True)
+    return Operator(np.full((size, size), 1.0 / size, dtype=complex))
 
 
 def oracle(f: BoolFunc) -> Operator:
     """Diagonal phase oracle with entries (-1)**f(j); self-inverse."""
     _check_register(f.n)
-    return Operator(np.diag(f.signs().astype(complex)), hermitian=True)
+    return Operator(np.diag(f.signs().astype(complex)))
 
 
 def require_hermitian(m: Operator, what: str) -> None:
-    """Raise unless m is hermitian; a set hermitian flag was already checked."""
-    if not (m.hermitian or is_hermitian(m.mat)):
+    """Raise unless m is hermitian, as its construction decided."""
+    if not m.hermitian:
         raise ValueError(f"{what} requires a hermitian operator")
 
 
@@ -166,7 +169,7 @@ def operator_text(m: Operator) -> str:
 
 
 def load_operator(path) -> Operator:
-    """Read the dump format back; hermiticity is re-detected, the only flag."""
+    """Read the dump format back; the Operator decides hermiticity."""
     with open(path, encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -180,5 +183,4 @@ def load_operator(path) -> Operator:
     for idx, ln in enumerate(lines[1:]):
         re_s, im_s = ln.split(",")
         flat[idx] = complex(float(re_s), float(im_s))
-    mat = flat.reshape(dim, dim)
-    return Operator(mat, hermitian=is_hermitian(mat))
+    return Operator(flat.reshape(dim, dim))

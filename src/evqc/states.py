@@ -17,7 +17,6 @@ from evqc.spinops import (
     Operator,
     _check_register,
     _transverse_sum,
-    is_hermitian,
     spin_z_column,
     w_projector,
 )
@@ -149,11 +148,11 @@ class DensityMatrix:
     op: Operator
 
     def __post_init__(self) -> None:
-        mat = self.op.mat
-        if not (self.op.hermitian or is_hermitian(mat)):
+        if not self.op.hermitian:
             raise ValueError("density matrix must be hermitian")
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {np.trace(mat):} is not 1")
+        trace = self.op.trace
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace} is not 1")
 
     @property
     def mat(self) -> np.ndarray:
@@ -179,7 +178,7 @@ def thermal_state(sys: SpinSystem) -> DensityMatrix:
     diag = np.full(size, 1.0 / size)
     for i in range(1, sys.n + 1):
         diag = diag - (sys.theta / size) * sys.omega[i - 1] * spin_z_column(sys.n, i)
-    return DensityMatrix(Operator(np.diag(diag.astype(complex)), hermitian=True))
+    return DensityMatrix(Operator(np.diag(diag.astype(complex))))
 
 
 def pseudopure(n: int, alpha: float) -> DensityMatrix:
@@ -195,7 +194,7 @@ def pseudopure(n: int, alpha: float) -> DensityMatrix:
     weight = (alpha / size) * (1.0 / size) + 0.0  # + 0.0: no -0.0 at alpha = -0.0
     mat = np.full((size, size), weight, dtype=complex)
     np.fill_diagonal(mat.real, (1.0 - alpha / size) / size + weight)
-    return DensityMatrix(Operator(mat, hermitian=True))
+    return DensityMatrix(Operator(mat))
 
 
 def pure_w(n: int) -> DensityMatrix:
@@ -214,4 +213,4 @@ def pulsed_thermal(sys: SpinSystem) -> DensityMatrix:
     terms = [(i, -(sys.theta / size) * sys.omega[i - 1]) for i in range(1, sys.n + 1)]
     mat = _transverse_sum(sys.n, terms, "x")
     np.fill_diagonal(mat.real, 1.0 / size)
-    return DensityMatrix(Operator(mat, hermitian=True))
+    return DensityMatrix(Operator(mat))

@@ -72,21 +72,27 @@ def hamiltonian(sys: SpinSystem) -> np.ndarray:
     return diag
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+
+
 def heisenberg_op(m: Operator, h: np.ndarray, t: float) -> Operator:
     """Measurement evolved to time t: exp(iHt) M exp(-iHt).
 
     With H diagonal this is an entrywise phase: entry (j, k) picks up
     exp(i (h_j - h_k) t).
     """
+    _check_time(t)
     if h.shape != (m.dim,):
         raise ValueError("operator and Hamiltonian dimensions differ")
     phases = np.exp(1j * h * t)
-    mat = phases[:, None] * m.mat * phases.conj()[None, :]
-    return Operator(mat, hermitian=m.hermitian)
+    return Operator(phases[:, None] * m.mat * phases.conj()[None, :])
 
 
 def heisenberg_dense(m: Operator, h: np.ndarray, t: float) -> Operator:
     """Same map through a dense matrix exponential; for cross-validation only."""
+    _check_time(t)
     from scipy.linalg import expm  # imported here: no command path needs scipy
 
     u = expm(1j * np.diag(h) * t)

@@ -396,7 +396,7 @@ def test_signal_dump_op_is_the_dense_measurement(capsys, tmp_path, measure):
     assert dump.read_bytes() == operator_text(expected).encode("ascii")
 
 
-@pytest.mark.parametrize("measure", ["ixj:0", "ixj:4", "ixj:abc", "ixj:", "fz"])
+@pytest.mark.parametrize("measure", ["ixj:0", "ixj:4", "ixj:abc", "ixj:", "fz", "ixj:\uff12"])
 def test_signal_rejects_bad_measurement_in_one_line(capsys, tmp_path, measure):
     rc, rec, err = run(
         capsys, "signal", "--n", "3", "--measure", measure, "--dt", "1e-4", "--count", "8",
@@ -822,6 +822,30 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
     rc, rec, err = run(capsys, *argv, "--seed", "x")
     assert rc == 1 and err.splitlines()[-1] == "error: argument --seed: invalid int value: 'x'"
+
+
+def test_search_c_refuses_bad_arguments_before_loading_scipy(tmp_path):
+    # Run apart: any earlier search in this process has loaded scipy.optimize.
+    script = (
+        "import sys\n"
+        "from evqc.cli import main\n"
+        "from evqc.measstruct import search_max_c_ratio\n"
+        "bad = [['--n', '9'], ['--n', '2', '--budget', '5'], ['--n', '1', '--restarts', '0']]\n"
+        "codes = [main(['search-c', *argv]) for argv in bad]\n"
+        "refused = 'scipy.optimize' not in sys.modules\n"
+        "search_max_c_ratio(1, budget=100, restarts=1)\n"
+        "print(codes, refused, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[1, 1, 1] True True\n"
+    assert proc.stderr.splitlines() == [
+        "error: search supports 1 <= n <= 3",
+        "error: budget too small to do anything",
+        "error: need at least one restart",
+    ]
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

@@ -77,9 +77,20 @@ def test_expectation_matches_conjugation_route(rng):
 
 
 def test_expectation_rejects_nonhermitian_inputs():
-    m = Operator(np.array([[0.0, 1j], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        expectation(m, pure_w(1), constant_zero(1))
+    rho = pure_w(1)
+    readouts = {
+        "expectation": lambda m: expectation(m, rho, constant_zero(1)),
+        "trace_expectation": lambda m: trace_expectation(m, rho),
+        "b_matrix": lambda m: b_matrix(rho, m),
+    }
+    # A NaN entry would read back as a NaN expectation, and the real
+    # [[0, 1], [0, 0]] as 0.5 with no imaginary residue to catch it.
+    for mat in ([[0.0, 1j], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]):
+        m = Operator(np.array(mat))
+        assert m.hermitian is False
+        for name, readout in readouts.items():
+            with pytest.raises(ValueError, match=f"^{name} requires a hermitian operator$"):
+                readout(m)
 
 
 def test_dimension_guards():

@@ -178,6 +178,7 @@ def test_text_format_roundtrip():
     assert text.splitlines()[0] == "n=3"
     assert parse_function(text) == f
     assert parse_function("n=3\n0xb4\n") == f
+    assert parse_function("n = 03\n0X00B4\n") == f
 
 
 def test_text_format_errors():
@@ -200,6 +201,23 @@ def test_table_line_refuses_anything_but_ascii_0_and_1(bad):
     for table in tables:
         with pytest.raises(ValueError, match="^table line may only contain 0 and 1$"):
             parse_function(f"n=2\n{table}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n=2\n0x1_0\n", "^malformed hex table '0x1_0'$"),
+    ("n=2\n0x\uff11\n", "^malformed hex table '0x\uff11'$"),
+    ("n=2\n0x+1\n", "^malformed hex table '0x\\+1'$"),
+    ("n=2\n0x\n", "^malformed hex table '0x'$"),
+    ("n=\uff13\n0x1\n", "^malformed header 'n=\uff13', expected 'n=<int>'$"),
+    ("n=0_3\n0x1\n", "^malformed header 'n=0_3', expected 'n=<int>'$"),
+    ("n=+3\n0x1\n", "^malformed header 'n=\\+3', expected 'n=<int>'$"),
+    ("n=\n0x1\n", "^malformed header 'n=', expected 'n=<int>'$"),
+])
+def test_header_and_hex_numerals_are_ascii_only(text, message):
+    # int() reads "_" and "+" as part of its syntax and fullwidth digits as
+    # digits; an empty numeral is refused with the same message.
+    with pytest.raises(ValueError, match=message):
+        parse_function(text)
 
 
 def test_imbalance_frozen():

@@ -172,6 +172,30 @@ def test_operator_flag_verification():
     assert [f.name for f in dataclasses.fields(Operator)] == ["mat", "hermitian"]
 
 
+def test_operator_decides_its_own_hermiticity():
+    # No claim is needed: the flag is the detection, not the caller's say.
+    assert Operator(np.array([[1.0, 2j], [-2j, 0.0]])).hermitian is True
+    assert Operator(np.array([[1.0, 2j], [2j, 0.0]])).hermitian is False
+    assert Operator(np.array([[np.nan, 0.0], [0.0, 1.0]])).hermitian is False
+    assert Operator(np.eye(2), hermitian=True).hermitian is True
+
+
+def test_load_operator_detects_hermiticity_once(tmp_path, monkeypatch):
+    from evqc import spinops
+
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return is_hermitian(mat)
+
+    path = tmp_path / "op.txt"
+    path.write_text(operator_text(total_spin(2, "y")), encoding="ascii")
+    monkeypatch.setattr(spinops, "is_hermitian", counted)
+    assert load_operator(path).hermitian is True
+    assert calls == [(4, 4)]
+
+
 def test_operator_is_immutable():
     op = single_spin(1, 1, "x")
     with pytest.raises(ValueError):

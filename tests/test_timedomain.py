@@ -88,6 +88,16 @@ def test_heisenberg_fast_path_matches_dense(n, rng):
         fast = heisenberg_op(m, h, t)
         dense = heisenberg_dense(m, h, t)
         np.testing.assert_allclose(fast.mat, dense.mat, atol=1e-11)
+        assert fast.hermitian is True and dense.hermitian is True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_heisenberg_routes_refuse_a_non_finite_time(t):
+    h = hamiltonian(SpinSystem(n=1, omega=np.array([750.0]), theta=THETA))
+    for route in (heisenberg_op, heisenberg_dense):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t!r}$"):
+            route(single_spin(1, 1, "x"), h, t)
 
 
 def test_heisenberg_preserves_trace_and_spectrum(rng):
