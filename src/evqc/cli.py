@@ -68,11 +68,11 @@ def _write_atomic(files: dict) -> None:
     by the umask, so it gets the mode a plain open() would give.  O_EXCL
     skips any name that already exists, whoever made it.
     """
-    targets = [(Path(path), text.encode("utf-8")) for path, text in files.items()]
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
     pending = []
     try:
-        for path, data in targets:
+        for path, text in files.items():
+            path = Path(path)
             for serial in itertools.count():
                 tmp = path.with_name(f"{path.name}.{os.getpid()}-{serial}.tmp")
                 try:
@@ -82,9 +82,11 @@ def _write_atomic(files: dict) -> None:
                 break
             pending.append((tmp, path))
             try:
-                view = memoryview(data)
+                # Encoded only now, and freed before the next text is.
+                view = memoryview(text.encode("utf-8"))
                 while view:
                     view = view[os.write(fd, view):]
+                del view
             finally:
                 os.close(fd)
         while pending:
@@ -326,13 +328,19 @@ def cmd_signal(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    """argparse type of every integer option: an optional "-" followed by
+    ASCII digits; int() alone would also take "+", "_", spaces and
+    non-ASCII digits."""
+    if not funcspace._is_ascii_int(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _seed(text: str) -> int:
     """argparse type of every --seed: a non-negative integer, as numpy's
     generators need."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
@@ -348,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--protocol", required=True, choices=["pseudopure", "cn-thermal", "lifted"])
     p.add_argument("--fn", help="truth-table file")
     p.add_argument("--class", dest="func_class", choices=["constant", "balanced", "cn"])
-    p.add_argument("--n", type=int, help="argument bits (with --class)")
+    p.add_argument("--n", type=_int, help="argument bits (with --class)")
     p.add_argument("--eps", type=float, required=True, help="readout resolution")
     p.add_argument("--alpha", type=float, default=1.0, help="pseudopure weight")
     p.add_argument("--sys", help="spin-system JSON file")
@@ -358,33 +366,33 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("survey", help="tabulate expectations over a whole class")
     p.add_argument("--mode", choices=["dj", "cn"], default="dj")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--sys", help="spin-system JSON file (cn mode)")
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("search-c", help="search the best |c|/spectral-range ratio")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--budget", type=_int, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=_int, default=50)
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("adversary", help="verify the classical lower-bound witness")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--trials", type=_int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("signal", help="sample a free-evolution trace and its spectrum")
     p.add_argument("--sys", help="spin-system JSON file")
-    p.add_argument("--n", type=int, help="demo system size when --sys is absent")
+    p.add_argument("--n", type=_int, help="demo system size when --sys is absent")
     p.add_argument("--state", choices=["pulsed", "thermal"], default="pulsed")
     p.add_argument("--measure", default="fx", help="fx, fy, or ixj:<i>")
     p.add_argument("--fn", help="apply this oracle before sampling")
     p.add_argument("--class", dest="func_class", choices=["constant", "balanced", "cn"])
     p.add_argument("--seed", type=_seed, help="seed for --class cn sampling")
     p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int, required=True)
     p.add_argument("--out", required=True, help="trace CSV path; spectrum lands beside it")
     p.add_argument("--dump-op", help="dump the measurement operator to this path")
     return parser

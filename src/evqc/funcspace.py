@@ -147,6 +147,11 @@ def _spelled_in(text: str, alphabet: bytes) -> bool:
     return text.isascii() and text != "" and not text.encode("ascii").translate(None, alphabet)
 
 
+def _is_ascii_int(text: str) -> bool:
+    """Whether text is an optional "-" followed by ASCII digits."""
+    return _spelled_in(text.removeprefix("-"), b"0123456789")
+
+
 def parse_function(text: str) -> BoolFunc:
     """Parse the two-line truth-table format.
 

@@ -8,20 +8,44 @@ matrix is dense and complex; n up to 12 stays within desk-scale memory.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from evqc.funcspace import BoolFunc
+from evqc.funcspace import BoolFunc, _is_ascii_int
 
 MAX_DENSE_N = 12
+
+# Rows per %-format call in _float_table.
+_TABLE_BLOCK_ROWS = 4096
+
+# Dump entry lines as operator_text writes them: two %.17g numerals each.
+# float() alone would also take "+", "_", spaces and non-ASCII digits.
+_G17 = r"(?:-?(?:inf|[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?)|nan)"
+_DUMP_ENTRY = re.compile(f"{_G17},{_G17}")
+
+
+def _float_table(header: str, row: str, columns) -> str:
+    """header, then row %-formatted once per index of the equal-length
+    columns.  Each block of rows goes through a single %, and %.17g prints
+    a float exactly as f"{x:.17g}" does; %d prints a whole float column
+    exactly below 2**53."""
+    parts = [header]
+    for start in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _TABLE_BLOCK_ROWS] for c in columns])
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def is_hermitian(mat: np.ndarray) -> bool:
     """Whether mat equals its conjugate transpose to within
     1e-10 * max(1, max|M|); a non-finite matrix never does."""
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    return bool(np.abs(mat - mat.conj().T).max() <= 1e-10 * scale)
+    top = float(np.abs(mat).max(initial=0.0))
+    if not math.isfinite(top):
+        return False
+    return bool(np.abs(mat - mat.conj().T).max() <= 1e-10 * max(1.0, top))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,26 +185,30 @@ def unitarily_equivalent(m1: Operator, m2: Operator, tol: float | None = None) -
 
 def operator_text(m: Operator) -> str:
     """The dump format: dimension header, then row-major re,im pairs."""
-    lines = [str(m.dim)]
-    for row in m.mat:
-        for entry in row:
-            lines.append(f"{entry.real:.17g},{entry.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    flat = m.mat.reshape(-1)
+    return _float_table(f"{m.dim}\n", "%.17g,%.17g\n", (flat.real, flat.imag))
 
 
 def load_operator(path) -> Operator:
-    """Read the dump format back; the Operator decides hermiticity."""
+    """Read the dump format back, taking only the numerals operator_text
+    writes; the Operator decides hermiticity."""
     with open(path, encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty operator dump {path}")
+    if not _is_ascii_int(lines[0]):
+        raise ValueError(f"operator dump {path} has dimension line {lines[0]!r}, expected an integer")
     dim = int(lines[0])
     if dim < 1:
         raise ValueError(f"operator dump {path} has dimension {dim}, expected at least 1")
     if len(lines) != 1 + dim * dim:
         raise ValueError(f"operator dump {path} has {len(lines) - 1} entries, expected {dim * dim}")
-    flat = np.empty(dim * dim, dtype=complex)
-    for idx, ln in enumerate(lines[1:]):
-        re_s, im_s = ln.split(",")
-        flat[idx] = complex(float(re_s), float(im_s))
-    return Operator(flat.reshape(dim, dim))
+    # Each distinct line is checked once, in file order; a dump repeats few values.
+    for ln in dict.fromkeys(lines[1:]):
+        if not _DUMP_ENTRY.fullmatch(ln):
+            idx = lines.index(ln, 1)
+            raise ValueError(f"operator dump {path} entry {idx} is {ln!r}, expected two %.17g numerals")
+    # Text-mode fromstring rounds each numeral as float() does, without a
+    # Python object per numeral.
+    values = np.fromstring(",".join(lines[1:]), sep=",")
+    return Operator(values.view(complex).reshape(dim, dim))

@@ -25,7 +25,7 @@ import numpy as np
 
 from evqc.engine import _check_spins
 from evqc.funcspace import BoolFunc, flip_halves
-from evqc.spinops import Operator, spin_z_column
+from evqc.spinops import Operator, _float_table, spin_z_column
 from evqc.states import DensityMatrix, SpinSystem
 
 # Phase evaluations per block of sample times, so that memory stays
@@ -33,7 +33,8 @@ from evqc.states import DensityMatrix, SpinSystem
 _BLOCK_ELEMENTS = 1 << 16
 
 # Largest accepted sample count.  The trace, its spectrum and both CSV
-# texts are held whole in memory; `signal` at this count peaks near 460 MB.
+# texts are held whole in memory; `signal --n 4` at this count peaks near
+# 260 MB.
 MAX_SAMPLES = 1 << 20
 
 
@@ -221,11 +222,10 @@ def find_peaks(
 
 def trace_csv(trace: SignalTrace) -> str:
     """The trace as CSV text: a k,t,value header, then one row per sample."""
-    rows = zip(trace.times.tolist(), trace.samples.tolist())
-    return "k,t,value\r\n" + "".join(f"{k},{t:.17g},{v:.17g}\r\n" for k, (t, v) in enumerate(rows))
+    k = np.arange(trace.samples.size, dtype=float)
+    return _float_table("k,t,value\r\n", "%d,%.17g,%.17g\r\n", (k, trace.times, trace.samples))
 
 
 def spectrum_csv(spec: tuple[np.ndarray, np.ndarray]) -> str:
     """The spectrum as CSV text: an omega,magnitude header, then one row per bin."""
-    rows = zip(spec[0].tolist(), spec[1].tolist())
-    return "omega,magnitude\r\n" + "".join(f"{w:.17g},{mag:.17g}\r\n" for w, mag in rows)
+    return _float_table("omega,magnitude\r\n", "%.17g,%.17g\r\n", spec)

@@ -961,3 +961,32 @@ def test_writer_finishes_short_writes(tmp_path, monkeypatch):
     text = "évqc " * 40 + "\n"
     cli._write_atomic({tmp_path / "a.txt": text})
     assert (tmp_path / "a.txt").read_bytes() == text.encode("utf-8")
+
+
+# Every integer option, with the arguments that make the rest of its command valid.
+INTEGER_OPTIONS = [
+    (("classify", "--protocol", "pseudopure", "--class", "balanced", "--eps", "0.1"), "--n"),
+    (("classify", "--protocol", "pseudopure", "--class", "cn", "--n", "3", "--eps", "0.1"), "--seed"),
+    (("survey", "--out", "s.csv"), "--n"),
+    (("search-c", "--budget", "200", "--restarts", "1"), "--n"),
+    (("search-c", "--n", "1", "--restarts", "1"), "--budget"),
+    (("search-c", "--n", "1", "--budget", "200"), "--restarts"),
+    (("search-c", "--n", "1", "--budget", "200", "--restarts", "1"), "--seed"),
+    (("adversary", "--trials", "5"), "--n"),
+    (("adversary", "--n", "3"), "--trials"),
+    (("adversary", "--n", "3", "--trials", "5"), "--seed"),
+    (("signal", "--dt", "1e-4", "--count", "8", "--out", "t.csv"), "--n"),
+    (("signal", "--n", "2", "--dt", "1e-4", "--out", "t.csv"), "--count"),
+    (("signal", "--n", "2", "--class", "cn", "--dt", "1e-4", "--count", "8", "--out", "t.csv"), "--seed"),
+]
+
+
+@pytest.mark.parametrize("numeral", ["３", "0_3", "+3", " 3", "3 ", "3.0", ""])
+@pytest.mark.parametrize("argv,option", INTEGER_OPTIONS, ids=[f"{a[0]}{o}" for a, o in INTEGER_OPTIONS])
+def test_integer_options_take_ascii_digits_only(capsys, tmp_path, monkeypatch, argv, option, numeral):
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run(capsys, *argv, option, numeral)
+    assert rc == 1 and rec is None and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: argument {option}: invalid int value: {numeral!r}"
+    assert list(tmp_path.iterdir()) == []
+

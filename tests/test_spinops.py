@@ -234,6 +234,15 @@ def test_is_hermitian_tolerance_scales_with_largest_entry():
     assert not is_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+def test_is_hermitian_refuses_non_finite_entries_silently(entry):
+    mat = np.array([[entry, 0.0], [0.0, 1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(mat)
+        assert not Operator(mat).hermitian
+
+
 def test_every_hermiticity_check_keeps_its_message(tmp_path):
     from evqc.measstruct import decompose_invariant
     from evqc.states import DensityMatrix
@@ -315,3 +324,52 @@ def test_empty_operators_are_refused(tmp_path):
         message = re.escape(f"operator dump {path} has dimension {header},")
         with pytest.raises(ValueError, match=message):
             load_operator(path)
+
+
+def _per_entry_operator_text(m):
+    """The per-entry formatter operator_text replaced, kept as its oracle."""
+    lines = [str(m.dim)]
+    for row in m.mat:
+        for entry in row:
+            lines.append(f"{entry.real:.17g},{entry.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+# dim**2 rows on both sides of the 4096-row blocks the formatter works in.
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 128])
+def test_operator_text_matches_the_per_entry_formatter(rng, dim):
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    odd = [complex(np.nan, -0.0), complex(np.inf, 5e-324), complex(-0.0, -np.inf), 1e300 - 1e-300j]
+    mat.ravel()[-len(odd[:dim * dim]):] = odd[:dim * dim]
+    m = Operator(mat)
+    assert operator_text(m) == _per_entry_operator_text(m)
+
+
+def test_load_operator_reads_back_every_float_it_writes(tmp_path):
+    mat = np.array([[np.nan, -0.0 + 5e-324j], [complex(np.inf, -np.inf), 1e300 + 1.0 / 3.0j]])
+    path = tmp_path / "odd.txt"
+    path.write_text(operator_text(Operator(mat)), encoding="ascii")
+    back = load_operator(path).mat
+    assert np.array_equal(back, mat, equal_nan=True)
+    assert np.signbit(back.real).tolist() == np.signbit(mat.real).tolist()
+
+
+@pytest.mark.parametrize("text", [
+    "+1\n1,0\n", "1_0\n" + "1,0\n" * 100, "1.0\n1,0\n", "0x1\n1,0\n",
+])
+def test_load_operator_refuses_a_dimension_line_operator_text_never_writes(tmp_path, text):
+    path = tmp_path / "dim.txt"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError, match="dimension line"):
+        load_operator(path)
+
+
+@pytest.mark.parametrize("entry", [
+    "1_0,0", "+1,0", "1,+0", "1, 0", "1E+05,0", "1e5,0", ".5,0", "1.,0",
+    "Infinity,0", "infinity,0", "NaN,0", "-nan,0", "+inf,0", "0x1,0",
+])
+def test_load_operator_refuses_numerals_operator_text_never_writes(tmp_path, entry):
+    path = tmp_path / "entry.txt"
+    path.write_text(f"2\n0,0\n0,0\n{entry}\n0,0\n", encoding="ascii")
+    with pytest.raises(ValueError, match=re.escape(f"entry 3 is {entry!r}, expected two %.17g numerals")):
+        load_operator(path)

@@ -415,3 +415,34 @@ def test_check_sampling_caps_the_sample_count():
     timedomain.check_sampling(1e-4, timedomain.MAX_SAMPLES)
     with pytest.raises(ValueError, match="ceiling"):
         timedomain.check_sampling(1e-4, timedomain.MAX_SAMPLES + 1)
+
+
+def _per_row_trace_csv(trace):
+    """The per-row formatter trace_csv replaced, kept as its oracle."""
+    rows = zip(trace.times.tolist(), trace.samples.tolist())
+    return "k,t,value\r\n" + "".join(f"{k},{t:.17g},{v:.17g}\r\n" for k, (t, v) in enumerate(rows))
+
+
+def _per_row_spectrum_csv(spec):
+    """The per-row formatter spectrum_csv replaced, kept as its oracle."""
+    rows = zip(spec[0].tolist(), spec[1].tolist())
+    return "omega,magnitude\r\n" + "".join(f"{w:.17g},{mag:.17g}\r\n" for w, mag in rows)
+
+
+# Rows on both sides of the 4096-row blocks the formatter works in.
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+def test_csv_text_matches_the_per_row_formatter_across_blocks(rng, rows):
+    special = [0.0, -0.0, 5e-324, -1e-300, 1e300, 1.0 / 3.0]
+    samples = rng.standard_normal(rows) * 1e-7
+    samples[-len(special[:rows]):] = special[:rows]
+    trace = SignalTrace(dt=1.0 / 7.0, samples=samples)
+    assert trace_csv(trace) == _per_row_trace_csv(trace)
+
+    # A spectrum is two bare arrays, so it can carry non-finite entries.
+    omegas = rng.standard_normal(rows) * 1e4
+    mags = np.abs(rng.standard_normal(rows))
+    odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    omegas[:len(odd[:rows])] = odd[:rows]
+    mags[-len(odd[:rows]):] = odd[::-1][:rows]
+    spec = (omegas, mags)
+    assert spectrum_csv(spec) == _per_row_spectrum_csv(spec)
