@@ -139,7 +139,7 @@ def _load_function(args, expect_bits: int | None = None) -> BoolFunc:
 
 def _resolve_system(args, n: int | None) -> states.SpinSystem:
     """The --sys system, checked against n when n is given, else the n-spin demo system."""
-    if args.sys:
+    if args.sys is not None:
         sys_obj = states.load_system(args.sys)
         if n is not None and sys_obj.n != n:
             raise _UsageError(f"--sys describes {sys_obj.n} spins but {n} are needed")
@@ -154,7 +154,7 @@ def _measurement(kind: str, n: int) -> tuple[tuple[int, ...], str]:
     if kind in ("fx", "fy"):
         return tuple(range(1, n + 1)), kind[1]
     prefix, _, index = kind.partition(":")
-    if prefix == "ixj" and index.isascii() and index.isdecimal() and 1 <= int(index) <= n:
+    if prefix == "ixj" and funcspace._is_ascii_int(index) and 1 <= int(index) <= n:
         return (int(index),), "x"
     raise _UsageError(f"unknown measurement {kind!r}; use fx, fy, or ixj:<i> with 1 <= i <= {n}")
 
@@ -170,6 +170,8 @@ def _protocol_measurement(protocol: str, n: int) -> Operator:
 
 def cmd_classify(args) -> int:
     _refuse_targets(args.dump_op, args.out)
+    if args.sys is not None and args.protocol == "pseudopure":
+        raise _UsageError("--sys is not read by --protocol pseudopure")
     eps = engine.Resolution(args.eps)
     f = _load_function(args)
     if args.protocol == "pseudopure":
@@ -203,6 +205,8 @@ def cmd_classify(args) -> int:
 
 def cmd_survey(args) -> int:
     _refuse_targets(args.out)
+    if args.sys is not None and args.mode == "dj":
+        raise _UsageError("--sys is only read by --mode cn")
     n = args.n
     if not 1 <= n <= 3:
         raise _UsageError(f"exhaustive survey needs 1 <= n <= 3, got n={n}")

@@ -36,7 +36,7 @@ from evqc.funcspace import (
     flip_correlation,
     lift,
 )
-from evqc.spinops import Operator, _check_register, require_hermitian, spectral_range
+from evqc.spinops import Operator, _check_register, _check_spins, require_hermitian, spectral_range
 from evqc.states import DensityMatrix, SpinSystem
 
 # Residual imaginary part tolerated before declaring an input non-hermitian.
@@ -82,11 +82,14 @@ def _as_real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _check_compatible(m: Operator, rho: DensityMatrix, f: BoolFunc | None = None) -> None:
+def _weights(m: Operator, rho: DensityMatrix, what: str, f: BoolFunc | None = None) -> np.ndarray:
+    """M_jk * rho_kj entrywise, for a hermitian m whose dimension rho and f share."""
+    require_hermitian(m, what)
     if m.dim != rho.dim:
         raise ValueError(f"dimension mismatch: measurement {m.dim}, state {rho.dim}")
     if f is not None and f.size != m.dim:
         raise ValueError(f"function domain {f.size} does not match operator dimension {m.dim}")
+    return m.mat * rho.mat.T
 
 
 def expectation(m: Operator, rho: DensityMatrix, f: BoolFunc) -> float:
@@ -96,19 +99,15 @@ def expectation(m: Operator, rho: DensityMatrix, f: BoolFunc) -> float:
     s = (-1)**f, which is the oracle-conjugated trace without forming the
     conjugated matrix.
     """
-    require_hermitian(m, "expectation")
-    _check_compatible(m, rho, f)
+    p = _weights(m, rho, "expectation", f)
     s = f.signs()
-    p = m.mat * rho.mat.T
     value = complex(s @ p @ s)
     return _as_real(value, "expectation")
 
 
 def b_matrix(rho: DensityMatrix, m: Operator) -> Operator:
     """Coefficient matrix with entries M_jk * rho_kj (no summation)."""
-    require_hermitian(m, "b_matrix")
-    _check_compatible(m, rho)
-    return Operator(m.mat * rho.mat.T)
+    return Operator(_weights(m, rho, "b_matrix"))
 
 
 def s_functional(b: Operator, f: BoolFunc) -> complex:
@@ -160,13 +159,6 @@ def transverse_readout(sys: SpinSystem, f: BoolFunc, spins) -> float:
     return -sys.theta * total / (4.0 * sys.size) + 0.0
 
 
-def _check_spins(spins, n: int) -> tuple[int, ...]:
-    spins = tuple(spins)
-    if not spins or any(not 1 <= i <= n for i in spins):
-        raise ValueError(f"spins {spins} must be a nonempty selection from 1..{n}")
-    return spins
-
-
 def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
     """Readout of the uniform-superposition projector W on the pseudopure
     state after the phase oracle of f, without building a matrix.
@@ -184,9 +176,7 @@ def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
 
 def trace_expectation(m: Operator, rho: DensityMatrix) -> float:
     """Plain readout without any oracle applied."""
-    require_hermitian(m, "trace_expectation")
-    _check_compatible(m, rho)
-    return _as_real(complex((m.mat * rho.mat.T).sum()), "expectation")
+    return _as_real(complex(_weights(m, rho, "trace_expectation").sum()), "expectation")
 
 
 def distinguishable(m: Operator, rho1: DensityMatrix, rho2: DensityMatrix, eps: Resolution) -> bool:

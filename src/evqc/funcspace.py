@@ -397,13 +397,14 @@ def _spread_quarters(n: int) -> Iterator[int]:
     return walk(0, 0, 0, size // 4)
 
 
-def _even_parity_arguments(n: int) -> np.ndarray:
-    """The arguments with an even number of set bits, ascending."""
-    # Bit parity of 0..2^(k+1)-1 is that of 0..2^k-1 followed by its flip.
-    parity = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        parity = np.concatenate((parity, parity ^ 1))
-    return np.flatnonzero(parity == 0)
+def _even_parity_mask(k: int) -> int:
+    """Mask of the arguments below 2**k that have an even number of set bits."""
+    # The even-parity arguments below 2^(j+1) are those below 2^j followed
+    # by the odd-parity ones shifted up by 2^j, and vice versa.
+    even, odd = 1, 0
+    for j in range(k):
+        even, odd = even | (odd << (1 << j)), odd | (even << (1 << j))
+    return even
 
 
 def sample_cn(n: int, seed: int) -> BoolFunc:
@@ -416,7 +417,8 @@ def sample_cn(n: int, seed: int) -> BoolFunc:
     _check_cn_width(n)
     size = 1 << n
     rng = np.random.default_rng(seed)
-    picked = rng.choice(_even_parity_arguments(n), size=size // 4, replace=False)
+    even = np.flatnonzero(BoolFunc(n, _even_parity_mask(n)).bits().view(bool))
+    picked = rng.choice(even, size=size // 4, replace=False)
     return BoolFunc(n, mask_from_support(size, picked))
 
 
@@ -439,9 +441,4 @@ def canonical_cn(n: int) -> BoolFunc:
     """The C_N representative with ones on the first N/4 even-parity
     arguments: the even-parity arguments of the lower half of the domain."""
     _check_cn_width(n)
-    # The even-parity arguments below 2^(k+1) are those below 2^k followed
-    # by the odd-parity ones shifted up by 2^k, and vice versa.
-    even, odd = 1, 0
-    for k in range(n - 1):
-        even, odd = even | (odd << (1 << k)), odd | (even << (1 << k))
-    return BoolFunc(n, even)
+    return BoolFunc(n, _even_parity_mask(n - 1))

@@ -312,14 +312,14 @@ def search_max_c_ratio(
     assemble = _assembler(size)
     eigvalsh = _eigensolver()
 
-    def assess(x: np.ndarray) -> tuple[float, float]:
+    def assess(x: np.ndarray) -> tuple[float, float, np.ndarray]:
         # Runs once per objective evaluation: no InvariantForm, no Operator.
         c, d, a = _split_params(x, size)
         vals = eigvalsh(assemble(c, d, a))
         r = vals - target
         mism = float(np.add.reduce(r * r))
         spread = float(vals[-1] - vals[0])
-        return mism, abs(c) / max(spread, 1e-12)
+        return mism, abs(c) / max(spread, 1e-12), vals
 
     evaluations = 0
     best = None  # (rank, ratio, form, residual) of the preferred candidate
@@ -331,7 +331,7 @@ def search_max_c_ratio(
         for mu in _MU_SCHEDULE:
 
             def penalty(v: np.ndarray, weight: float = mu) -> float:
-                mism, ratio = assess(v)
+                mism, ratio, _ = assess(v)
                 return mism - weight * ratio
 
             res = minimize(
@@ -351,17 +351,13 @@ def search_max_c_ratio(
         x = res.x
         evaluations += res.nfev
 
-        form = InvariantForm(*_split_params(x, size))
-        checked = Operator(assemble(form.c, form.d, form.a_upper))
-        vals = np.linalg.eigvalsh(checked.mat)
+        _, ratio, vals = assess(x)
         residual = float(np.abs(vals - target).max())
-        spread = float(vals[-1] - vals[0])
-        ratio = abs(form.c) / max(spread, 1e-12)
         feasible = residual < FEASIBILITY_TOL
         # The best feasible ratio, else the smallest residual; a tie keeps the first.
         rank = (feasible, ratio if feasible else -residual)
         if best is None or rank > best[0]:
-            best = rank, ratio, form, residual
+            best = rank, ratio, InvariantForm(*_split_params(x, size)), residual
 
     assert best is not None  # restarts >= 1 always yields a candidate
     (feasible, _), ratio, form, residual = best

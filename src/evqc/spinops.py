@@ -85,6 +85,13 @@ def _check_register(n: int) -> None:
         raise ValueError(f"register size n={n} outside dense range 1..{MAX_DENSE_N}")
 
 
+def _check_spins(spins, n: int) -> tuple[int, ...]:
+    spins = tuple(spins)
+    if not spins or any(not 1 <= i <= n for i in spins):
+        raise ValueError(f"spins {spins} must be a nonempty selection from 1..{n}")
+    return spins
+
+
 def spin_z_column(n: int, i: int) -> np.ndarray:
     """Diagonal of Iz for spin i: +1/2 where bit i (counted from the most
     significant) is 0, else -1/2."""

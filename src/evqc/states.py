@@ -65,37 +65,47 @@ class SpinSystem:
         n = _whole(self.n, "n")
         _check_register(n)
         object.__setattr__(self, "n", n)
-        omega = np.array(self.omega, dtype=float)
-        if omega.shape != (self.n,):
-            raise ValueError(f"omega must have shape ({self.n},), got {omega.shape}")
+        try:
+            omega = np.array(self.omega, dtype=float)
+            theta = float(self.theta)
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"malformed spin system config: {err}") from None
+        if omega.shape != (n,):
+            raise ValueError(f"omega must have shape ({n},), got {omega.shape}")
         if not np.all(np.isfinite(omega)) or np.any(omega <= 0):
             raise ValueError("all frequencies must be positive and finite")
         omega.setflags(write=False)
         object.__setattr__(self, "omega", omega)
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
+        if not (np.isfinite(theta) and theta > 0):
+            raise ValueError(f"theta must be positive and finite, got {theta!r}")
+        object.__setattr__(self, "theta", theta)
+        try:
+            couplings = [(i, j, float(strength)) for i, j, strength in self.couplings]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"couplings must be a list of [i, j, J] triples, got {self.couplings!r}"
+            ) from None
         seen = set()
         normalized = []
-        for coupling in self.couplings:
+        for coupling in couplings:
             i, j, strength = coupling
-            i = _whole(i, f"coupling {tuple(coupling)!r} index i")
-            j = _whole(j, f"coupling {tuple(coupling)!r} index j")
-            if not (1 <= i < j <= self.n):
+            i = _whole(i, f"coupling {coupling!r} index i")
+            j = _whole(j, f"coupling {coupling!r} index j")
+            if not (1 <= i < j <= n):
                 raise ValueError(f"coupling ({i}, {j}) must satisfy 1 <= i < j <= n")
             if (i, j) in seen:
                 raise ValueError(f"duplicate coupling ({i}, {j})")
             seen.add((i, j))
-            strength = float(strength)
             if not np.isfinite(strength):
                 raise ValueError(f"coupling ({i}, {j}) strength must be finite, got {strength!r}")
             normalized.append((i, j, strength))
         object.__setattr__(self, "couplings", tuple(normalized))
-        worst = float(self.theta * omega.max())
+        worst = float(theta * omega.max())
         if worst > HIGH_TEMPERATURE_LIMIT:
             warnings.warn(
                 f"theta*omega reaches {worst:.3g}; the linearized states are "
                 "outside their high-temperature regime",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -106,20 +116,12 @@ class SpinSystem:
 def parse_system(data: dict) -> SpinSystem:
     """Build a SpinSystem from the JSON configuration mapping."""
     try:
-        n = data["n"]
-        omega = np.asarray(data["omega"], dtype=float)
-        theta = float(data["theta"])
+        n, omega, theta = data["n"], data["omega"], data["theta"]
     except KeyError as missing:
         raise ValueError(f"spin system config lacks key {missing}") from None
-    except (TypeError, OverflowError) as err:
+    except TypeError as err:
         raise ValueError(f"malformed spin system config: {err}") from None
-    try:
-        couplings = tuple((i, j, float(strength)) for i, j, strength in data.get("couplings", ()))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"couplings must be a list of [i, j, J] triples, got {data['couplings']!r}"
-        ) from None
-    return SpinSystem(n=n, omega=omega, theta=theta, couplings=couplings)
+    return SpinSystem(n=n, omega=omega, theta=theta, couplings=data.get("couplings", ()))
 
 
 def load_system(path) -> SpinSystem:
@@ -143,7 +145,7 @@ def demo_system(n: int) -> SpinSystem:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace operator.  Positivity is checked on demand only."""
+    """Hermitian, unit-trace operator.  Positivity is not checked."""
 
     op: Operator
 
@@ -161,12 +163,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.op.dim
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat)[0])
-
-    def is_positive_semidefinite(self, tol: float = 0.0) -> bool:
-        return self.min_eigenvalue() >= -tol
 
 
 def thermal_state(sys: SpinSystem) -> DensityMatrix:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from evqc.engine import _check_spins
 from evqc.funcspace import BoolFunc, flip_halves
-from evqc.spinops import Operator, _float_table, spin_z_column
+from evqc.spinops import Operator, _check_spins, _float_table, spin_z_column
 from evqc.states import DensityMatrix, SpinSystem
 
 # Phase evaluations per block of sample times, so that memory stays

@@ -303,6 +303,11 @@ def test_signal_class_takes_size_from_system(capsys, tmp_path):
     {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, None, 5.0]]},
     {"n": 2.7, "omega": [2513.27, 3769.91], "theta": THETA},
     {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, 2.5, 5.0]]},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": [THETA]},
+    {"n": 2, "omega": {"1": 2513.27}, "theta": THETA},
+    {"n": 2, "omega": [2513.27, 10**400], "theta": THETA},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, 2, 10**400]]},
+    [2, [2513.27, 3769.91], THETA],
 ])
 def test_classify_rejects_bad_system_in_one_line(capsys, tmp_path, system):
     sys_path = tmp_path / "sys.json"
@@ -312,6 +317,19 @@ def test_classify_rejects_bad_system_in_one_line(capsys, tmp_path, system):
         "--eps", "1e-6", "--sys", str(sys_path),
     )
     assert_one_line_error(rc, rec, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "2", "--eps", "0.1"),
+    ("classify", "--protocol", "lifted", "--class", "balanced", "--n", "1", "--eps", "0.1"),
+    ("survey", "--mode", "cn", "--n", "2", "--out", "s.csv"),
+    ("signal", "--n", "2", "--dt", "1e-4", "--count", "8", "--out", "t.csv"),
+])
+def test_empty_sys_path_is_an_error_not_the_demo_system(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run(capsys, *argv, "--sys", "")
+    assert_one_line_error(rc, rec, err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_coupling_index_error_names_the_coupling(capsys, tmp_path):
@@ -396,7 +414,8 @@ def test_signal_dump_op_is_the_dense_measurement(capsys, tmp_path, measure):
     assert dump.read_bytes() == operator_text(expected).encode("ascii")
 
 
-@pytest.mark.parametrize("measure", ["ixj:0", "ixj:4", "ixj:abc", "ixj:", "fz", "ixj:\uff12"])
+@pytest.mark.parametrize("measure", ["ixj:0", "ixj:4", "ixj:abc", "ixj:", "fz", "ixj:\uff12",
+                                     "ixj:-1", "ixj:+2", "ixj: 2", "ixj:2_"])
 def test_signal_rejects_bad_measurement_in_one_line(capsys, tmp_path, measure):
     rc, rec, err = run(
         capsys, "signal", "--n", "3", "--measure", measure, "--dt", "1e-4", "--count", "8",
@@ -913,6 +932,22 @@ def test_empty_target_is_refused_before_any_work(capsys, tmp_path, monkeypatch, 
     rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, "")
     assert_one_line_error(rc, rec, err)
     assert err == "error: empty output path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, module, compute, message", [
+    (("classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2", "--eps", "0.1"),
+     "engine", "dj_decide_pseudopure", "--sys is not read by --protocol pseudopure"),
+    (("survey", "--mode", "dj", "--n", "2"), "cli", "w_projector", "--sys is only read by --mode cn"),
+])
+def test_unread_sys_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, module, compute,
+                                               message):
+    # The file is never opened, so a missing one must not get past the refusal.
+    monkeypatch.chdir(tmp_path)
+    argv += ("--sys", "missing.json")
+    rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, "r.json")
+    assert_one_line_error(rc, rec, err)
+    assert err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -65,3 +65,36 @@ def test_the_guard_sees_an_uncalled_private_function():
         "def __getattr__(name):\n    raise AttributeError(name)\n"
     )
     assert uncalled_private_functions([tree, caller]) == ["_recursive", "_unused"]
+
+
+# Each module may import only the evqc modules listed before it.
+LAYERS = ["funcspace", "spinops", "states", "timedomain", "engine", "adversary", "measstruct", "cli"]
+
+
+def evqc_imports(tree: ast.Module) -> set[str]:
+    """The evqc modules a module imports, at any depth of its tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("evqc.")}
+        elif isinstance(node, ast.ImportFrom) and node.module == "evqc":
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("evqc."):
+            found.add(node.module.split(".")[1])
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES if p.name != "__main__.py")
+    upward = [f"{path.stem} imports {name}" for path in MODULES if path.stem in LAYERS
+              for name in sorted(evqc_imports(ast.parse(path.read_text(encoding="utf-8"))))
+              if LAYERS.index(name) >= LAYERS.index(path.stem)]
+    assert upward == []
+
+
+def test_the_layer_guard_sees_every_import_form():
+    tree = ast.parse(
+        "import evqc.engine\nfrom evqc import cli, states as st\nfrom evqc.spinops import x\n"
+        "def f():\n    from evqc.timedomain import y\n"
+    )
+    assert evqc_imports(tree) == {"engine", "cli", "states", "spinops", "timedomain"}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,9 +101,42 @@ def test_parse_system_takes_integral_floats():
     assert system_to_dict(sys)["n"] == 2
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"theta": "x"}, "could not convert string to float: 'x'"),
+    ({"theta": [1e-8]}, "malformed spin system config: "),
+    ({"omega": {"a": 1}}, "malformed spin system config: "),
+    ({"omega": [1e3, 10**400]}, "malformed spin system config: "),
+    ({"couplings": [5]}, "couplings must be a list of [i, j, J] triples, got [5]"),
+    ({"couplings": [(1, 2)]}, "couplings must be a list of [i, j, J] triples, got [(1, 2)]"),
+    ({"couplings": [(1, 2, 10**400)]}, "couplings must be a list of [i, j, J] triples, got "),
+], ids=["theta-text", "theta-list", "omega-dict", "omega-overflow", "coupling-int", "coupling-pair",
+        "strength-overflow"])
+def test_spin_system_refuses_malformed_fields_with_value_error(fields, message):
+    with pytest.raises(ValueError) as err:
+        SpinSystem(**{"n": 2, "omega": [1e3, 2e3], "theta": THETA, **fields})
+    assert str(err.value).startswith(message)
+
+
+def test_spin_system_converts_theta_and_strengths():
+    sys = SpinSystem(n=2, omega=[1e3, 2e3], theta=np.float64(2e-8), couplings=[[1, 2, np.int64(5)]])
+    assert sys.theta == 2e-8 and type(sys.theta) is float
+    assert sys.couplings == ((1, 2, 5.0),)
+    np.testing.assert_array_equal(sys.omega, [1e3, 2e3])
+
+
 def test_spin_system_warns_outside_regime():
     with pytest.warns(UserWarning):
         SpinSystem(n=1, omega=np.array([5.0]), theta=1.0)
+
+
+def test_high_temperature_warning_names_the_caller():
+    with pytest.warns(UserWarning) as caught:
+        SpinSystem(n=1, omega=np.array([5.0]), theta=1.0)
+    assert [w.filename for w in caught] == [__file__]
+    with pytest.warns(UserWarning) as caught:
+        parse_system({"n": 1, "omega": [5.0], "theta": 1.0})
+    (w,) = caught
+    assert "SpinSystem(" in Path(w.filename).read_text(encoding="utf-8").splitlines()[w.lineno - 1]
 
 
 def test_system_json_roundtrip(tmp_path):
@@ -163,7 +197,7 @@ def test_pseudopure_structure():
     np.fill_diagonal(expected, on)
     np.testing.assert_allclose(rho.mat.real, expected, atol=1e-16)
     assert abs(np.trace(rho.mat) - 1.0) < 1e-14
-    assert rho.is_positive_semidefinite(tol=1e-14)
+    assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-14
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0])
@@ -222,5 +256,4 @@ def test_density_matrix_validation():
         DensityMatrix(Operator(np.array([[0.5, 0.5], [0.0, 0.5]])))
     bad = np.array([[1.2, 0.0], [0.0, -0.2]])
     rho = DensityMatrix(Operator(bad, hermitian=True))
-    assert not rho.is_positive_semidefinite()
-    assert rho.min_eigenvalue() < 0
+    assert np.linalg.eigvalsh(rho.mat)[0] < 0
