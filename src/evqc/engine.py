@@ -36,7 +36,14 @@ from evqc.funcspace import (
     flip_correlation,
     lift,
 )
-from evqc.spinops import Operator, _check_register, _check_spins, require_hermitian, spectral_range
+from evqc.spinops import (
+    Operator,
+    _check_function,
+    _check_register,
+    _check_spins,
+    require_hermitian,
+    spectral_range,
+)
 from evqc.states import DensityMatrix, SpinSystem
 
 # Residual imaginary part tolerated before declaring an input non-hermitian.
@@ -151,8 +158,7 @@ def transverse_readout(sys: SpinSystem, f: BoolFunc, spins) -> float:
     exact integer and the sum over spins is exactly rounded, so readouts
     that cancel in real arithmetic come out as exact zeros.
     """
-    if f.n != sys.n:
-        raise ValueError(f"function on {f.n} bits does not match {sys.n} spins")
+    _check_function(f, sys.n)
     spins = _check_spins(spins, sys.n)
     total = math.fsum(float(sys.omega[i - 1]) * flip_correlation(f, i) for i in spins)
     # Adding 0.0 turns the -0.0 of an exact cancellation into 0.0.
@@ -167,8 +173,7 @@ def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
     is (1 - alpha/N)/N + (alpha/N) * (sum_j s_j / N)**2.  The mean sign is
     exact, because sum_j s_j = N - 2 * (number of ones).
     """
-    if f.n != n:
-        raise ValueError(f"function on {f.n} bits does not match {n} spins")
+    _check_function(f, n)
     size = 1 << n
     mean = (size - 2 * f.ones) / size
     return (1.0 - alpha / size) / size + (alpha / size) * mean * mean
@@ -261,8 +266,7 @@ def cn_decide_thermal(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
     the constants.
     """
     _check_register(f.n)
-    if f.n != sys.n:
-        raise ValueError(f"function on {f.n} bits does not match {sys.n} spins")
+    _check_function(f, sys.n)
     _check_cn_width(sys.n)
     spins = range(1, sys.n + 1)
     ref_const = transverse_readout(sys, constant_zero(sys.n), spins)

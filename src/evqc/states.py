@@ -8,11 +8,13 @@ and every state here keeps only the term linear in it.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from evqc.funcspace import _is_ascii_int
 from evqc.spinops import (
     Operator,
     _check_register,
@@ -27,16 +29,38 @@ HIGH_TEMPERATURE_LIMIT = 0.1
 TRACE_TOL = 1e-12
 
 
+# A float field's text: an ASCII decimal numeral, or inf or nan for the
+# range checks to refuse.  float() alone would also take "_", spaces and
+# non-ASCII digits.
+_NUMERAL = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)", re.I)
+
+
 def _whole(value, what: str) -> int:
-    """An integer field; a fractional or non-numeric value is refused, not truncated."""
+    """An integer field; a fractional or non-numeric value is refused, not
+    truncated, and text must be an ASCII integer numeral."""
     try:
         number = int(value)
-        whole = number == value or isinstance(value, str)
+        whole = number == value or (isinstance(value, str) and _is_ascii_int(value))
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
         raise ValueError(f"{what} needs a whole number, got {value!r}")
     return number
+
+
+def _numeral(value, what: str, *args):
+    """value itself, or the float its text spells if it is a string; text
+    other than an ASCII numeral is refused, naming the field
+    what.format(*args)."""
+    if not isinstance(value, str):
+        return value
+    if not (value.isascii() and _NUMERAL.fullmatch(value)):
+        raise ValueError(f"{what.format(*args)} needs a number, got {value!r}")
+    return float(value)
+
+
+def _malformed_couplings(couplings) -> ValueError:
+    return ValueError(f"couplings must be a list of [i, j, J] triples, got {couplings!r}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +89,12 @@ class SpinSystem:
         n = _whole(self.n, "n")
         _check_register(n)
         object.__setattr__(self, "n", n)
+        omega = self.omega
+        if isinstance(omega, (list, tuple)):
+            omega = [_numeral(w, "omega[{}]", k) for k, w in enumerate(omega)]
         try:
-            omega = np.array(self.omega, dtype=float)
-            theta = float(self.theta)
+            omega = np.array(_numeral(omega, "omega"), dtype=float)
+            theta = float(_numeral(self.theta, "theta"))
         except (TypeError, OverflowError) as err:
             raise ValueError(f"malformed spin system config: {err}") from None
         if omega.shape != (n,):
@@ -80,11 +107,14 @@ class SpinSystem:
             raise ValueError(f"theta must be positive and finite, got {theta!r}")
         object.__setattr__(self, "theta", theta)
         try:
-            couplings = [(i, j, float(strength)) for i, j, strength in self.couplings]
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(
-                f"couplings must be a list of [i, j, J] triples, got {self.couplings!r}"
-            ) from None
+            triples = [(i, j, strength) for i, j, strength in self.couplings]
+        except (TypeError, ValueError):
+            raise _malformed_couplings(self.couplings) from None
+        try:
+            couplings = [(i, j, float(_numeral(strength, "coupling ({!r}, {!r}) strength", i, j)))
+                         for i, j, strength in triples]
+        except (TypeError, OverflowError):
+            raise _malformed_couplings(self.couplings) from None
         seen = set()
         normalized = []
         for coupling in couplings:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from evqc.funcspace import BoolFunc, flip_halves
-from evqc.spinops import Operator, _check_spins, _float_table, spin_z_column
+from evqc.spinops import Operator, _check_function, _check_spins, _float_table, spin_z_column
 from evqc.states import DensityMatrix, SpinSystem
 
 # Phase evaluations per block of sample times, so that memory stays
@@ -33,7 +33,7 @@ _BLOCK_ELEMENTS = 1 << 16
 
 # Largest accepted sample count.  The trace, its spectrum and both CSV
 # texts are held whole in memory; `signal --n 4` at this count peaks near
-# 260 MB.
+# 266 MB (Python 3.11, numpy 2.4, x86-64).
 MAX_SAMPLES = 1 << 20
 
 
@@ -170,9 +170,8 @@ def transverse_signal(
     n = sys.n
     if f is None:
         bits = np.zeros(sys.size, dtype=np.uint8)
-    elif f.n != n:
-        raise ValueError(f"function on {f.n} bits does not match {n} spins")
     else:
+        _check_function(f, n)
         bits = f.bits()
     amps, lines = [], []
     for i in spins:

@@ -308,6 +308,8 @@ def test_signal_class_takes_size_from_system(capsys, tmp_path):
     {"n": 2, "omega": [2513.27, 10**400], "theta": THETA},
     {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, 2, 10**400]]},
     [2, [2513.27, 3769.91], THETA],
+    {"n": "２", "omega": ["１e3", " 2e3 "], "theta": "2e-8", "couplings": [["1", "2", "5_0"]]},
+    {"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, "couplings": [[1, 2, "5_0"]]},
 ])
 def test_classify_rejects_bad_system_in_one_line(capsys, tmp_path, system):
     sys_path = tmp_path / "sys.json"

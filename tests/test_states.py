@@ -74,6 +74,17 @@ def test_spin_system_validation():
      "coupling ('a', 2, 1.0) index i needs a whole number, got 'a'"),
     ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [[1, 2, None]]},
      "couplings must be a list of [i, j, J] triples, got [[1, 2, None]]"),
+    ({"n": "２", "omega": ["１e3", " 2e3 "], "theta": "2e-8", "couplings": [["1", "2", "5_0"]]},
+     "n needs a whole number, got '２'"),
+    ({"n": " 2", "omega": [5.0, 6.0], "theta": THETA}, "n needs a whole number, got ' 2'"),
+    ({"n": "+2", "omega": [5.0, 6.0], "theta": THETA}, "n needs a whole number, got '+2'"),
+    ({"n": 2, "omega": ["１e3", "2e3"], "theta": THETA}, "omega[0] needs a number, got '１e3'"),
+    ({"n": 2, "omega": ["1e3", " 2e3 "], "theta": THETA}, "omega[1] needs a number, got ' 2e3 '"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": "2_0e-9"}, "theta needs a number, got '2_0e-9'"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [["1", "2", "5_0"]]},
+     "coupling ('1', '2') strength needs a number, got '5_0'"),
+    ({"n": 2, "omega": [5.0, 6.0], "theta": THETA, "couplings": [["１", "2", "50"]]},
+     "coupling ('１', '2', 50.0) index i needs a whole number, got '１'"),
 ])
 def test_parse_system_refuses_to_truncate(data, message):
     with pytest.raises(ValueError) as err:
@@ -102,19 +113,28 @@ def test_parse_system_takes_integral_floats():
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"theta": "x"}, "could not convert string to float: 'x'"),
+    ({"theta": "x"}, "theta needs a number, got 'x'"),
+    ({"omega": ["x", 2e3]}, "omega[0] needs a number, got 'x'"),
+    ({"omega": [1e3, "2e3x"]}, "omega[1] needs a number, got '2e3x'"),
+    ({"couplings": [(1, 2, "x")]}, "coupling (1, 2) strength needs a number, got 'x'"),
     ({"theta": [1e-8]}, "malformed spin system config: "),
     ({"omega": {"a": 1}}, "malformed spin system config: "),
     ({"omega": [1e3, 10**400]}, "malformed spin system config: "),
     ({"couplings": [5]}, "couplings must be a list of [i, j, J] triples, got [5]"),
     ({"couplings": [(1, 2)]}, "couplings must be a list of [i, j, J] triples, got [(1, 2)]"),
     ({"couplings": [(1, 2, 10**400)]}, "couplings must be a list of [i, j, J] triples, got "),
-], ids=["theta-text", "theta-list", "omega-dict", "omega-overflow", "coupling-int", "coupling-pair",
-        "strength-overflow"])
+], ids=["theta-text", "omega-text", "omega-text-1", "strength-text", "theta-list", "omega-dict",
+        "omega-overflow", "coupling-int", "coupling-pair", "strength-overflow"])
 def test_spin_system_refuses_malformed_fields_with_value_error(fields, message):
     with pytest.raises(ValueError) as err:
         SpinSystem(**{"n": 2, "omega": [1e3, 2e3], "theta": THETA, **fields})
     assert str(err.value).startswith(message)
+
+
+def test_parse_system_reads_ascii_numeral_text():
+    sys = parse_system({"n": "2", "omega": ["1e3", "2E3"], "theta": "2e-8", "couplings": [["1", "2", "50"]]})
+    assert sys.n == 2 and sys.theta == 2e-8 and sys.couplings == ((1, 2, 50.0),)
+    np.testing.assert_array_equal(sys.omega, [1e3, 2e3])
 
 
 def test_spin_system_converts_theta_and_strengths():
