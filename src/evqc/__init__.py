@@ -13,7 +13,9 @@ from evqc.engine import (
     dj_decide_pseudopure,
     distinguishable,
     expectation,
+    expectations,
     s_functional,
+    s_functionals,
     satisfiability_gap,
 )
 from evqc.funcspace import (

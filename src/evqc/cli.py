@@ -159,13 +159,13 @@ def _measurement(kind: str, n: int) -> tuple[tuple[int, ...], str]:
     raise _UsageError(f"unknown measurement {kind!r}; use fx, fy, or ixj:<i> with 1 <= i <= {n}")
 
 
-def _protocol_measurement(protocol: str, n: int) -> Operator:
-    """The dense measurement a protocol reads; built only for --dump-op."""
-    if protocol == "pseudopure":
+def _dump_operator(n: int, spins: tuple[int, ...] | None, axis: str) -> Operator:
+    """The dense measurement --dump-op writes: the projector W when spins
+    is None, else the axis component summed over the given spins (all n,
+    or one)."""
+    if spins is None:
         return w_projector(n)
-    if protocol == "cn-thermal":
-        return total_spin(n, "x")
-    return single_spin(n, 1, "x")
+    return total_spin(n, axis) if len(spins) == n else single_spin(n, spins[0], axis)
 
 
 def cmd_classify(args) -> int:
@@ -185,7 +185,8 @@ def cmd_classify(args) -> int:
         n, config_sys = sys_obj.n, states.system_to_dict(sys_obj)
     files = {}
     if args.dump_op is not None:
-        files[Path(args.dump_op)] = operator_text(_protocol_measurement(args.protocol, n))
+        spins = {"pseudopure": None, "cn-thermal": tuple(range(1, n + 1)), "lifted": (1,)}
+        files[Path(args.dump_op)] = operator_text(_dump_operator(n, spins[args.protocol], "x"))
     record = {
         "command": "classify",
         "config": {
@@ -211,36 +212,28 @@ def cmd_survey(args) -> int:
     if not 1 <= n <= 3:
         raise _UsageError(f"exhaustive survey needs 1 <= n <= 3, got n={n}")
     size = 1 << n
-    rows = []
     if args.mode == "dj":
-        m = w_projector(n)
-        rho = states.pure_w(n)
+        fs = [BoolFunc(n, mask) for mask in range(1 << size)]
+        values = engine.expectations(w_projector(n), states.pure_w(n), fs)
         lines = ["f_hex,imbalance,expectation,class,matches_square_law"]
-        for mask in range(1 << size):
-            f = BoolFunc(n, mask)
-            e = engine.expectation(m, rho, f)
+        violations = 0
+        for f, e in zip(fs, values):
             imb = funcspace.imbalance(f)
-            predicted = 4.0 * imb * imb / (size * size)
-            ok = abs(e - predicted) <= 1e-10
-            rows.append(ok)
-            lines.append(
-                f"0x{mask:x},{imb},{e:.17g},{funcspace.classify(f).value},{int(ok)}"
-            )
-        summary = {"rows": len(lines) - 1, "square_law_violations": rows.count(False)}
+            ok = abs(e - 4.0 * imb * imb / (size * size)) <= 1e-10
+            violations += not ok
+            lines.append(f"0x{f.mask:x},{imb},{e:.17g},{funcspace.classify(f).value},{int(ok)}")
+        summary = {"rows": len(fs), "square_law_violations": violations}
     else:  # cn
         funcspace._check_cn_width(n)
         sys_obj = _resolve_system(args, n)
-        mm = total_spin(n, "x")
-        rho = states.pulsed_thermal(sys_obj)
-        b = engine.b_matrix(rho, mm)
+        b = engine.b_matrix(states.pulsed_thermal(sys_obj), total_spin(n, "x"))
+        fs = list(funcspace.enumerate_class(n, FunctionClass.CLASS_CN))
         lines = ["f_hex,imbalance,expectation,class"]
-        members = list(funcspace.enumerate_class(n, FunctionClass.CLASS_CN))
-        for f in members:
-            e = complex(engine.s_functional(b, f)).real
+        for f, e in zip(fs, engine.s_functionals(b, fs)):
             lines.append(
-                f"0x{f.mask:x},{funcspace.imbalance(f)},{e:.17g},{funcspace.classify(f).value}"
+                f"0x{f.mask:x},{funcspace.imbalance(f)},{e.real:.17g},{funcspace.classify(f).value}"
             )
-        summary = {"rows": len(members)}
+        summary = {"rows": len(fs)}
     record = {
         "command": "survey",
         "config": {"mode": args.mode, "n": n, "out": args.out},
@@ -305,8 +298,7 @@ def cmd_signal(args) -> int:
     peaks = timedomain.find_peaks(spec)
     files = {}
     if args.dump_op is not None:
-        m = total_spin(n, axis) if args.measure in ("fx", "fy") else single_spin(n, spins[0], axis)
-        files[Path(args.dump_op)] = operator_text(m)
+        files[Path(args.dump_op)] = operator_text(_dump_operator(n, spins, axis))
     files[out] = timedomain.trace_csv(trace)
     files[spec_path] = timedomain.spectrum_csv(spec)
 

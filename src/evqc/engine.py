@@ -16,6 +16,10 @@ oracles: the direct route conjugates the state by the oracle and
 contracts with the measurement, while the functional route sums a
 sign-weighted quadratic form over a precomputed coefficient matrix.
 Tests pit all three against each other; do not collapse them.
+Each dense route takes a batch of functions (`expectations`,
+`s_functionals`) and checks its inputs once per batch; the
+single-function forms are wrappers, and `survey` reads a whole class
+in one call.
 """
 
 from __future__ import annotations
@@ -83,33 +87,52 @@ class Verdict:
     lam: float  # spectral range of the measurement; the margin is epsilon * lam
 
 
-def _as_real(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value)):
-        raise ValueError(f"{what} has imaginary residue {value.imag:g}; inputs are not hermitian")
-    return float(value.real)
+def _as_real(values, what: str):
+    """Real parts of a complex scalar or array, as a Python float or list
+    of floats, refusing any value whose imaginary residue exceeds IMAG_TOL
+    relative to max(1, |value|)."""
+    values = np.asarray(values)
+    bad = np.abs(values.imag) > IMAG_TOL * np.maximum(1.0, np.abs(values))
+    if bad.any():
+        residue = float(values[bad][0].imag)
+        raise ValueError(f"{what} has imaginary residue {residue:g}; inputs are not hermitian")
+    return values.real.tolist()
 
 
-def _weights(m: Operator, rho: DensityMatrix, what: str, f: BoolFunc | None = None) -> np.ndarray:
-    """M_jk * rho_kj entrywise, for a hermitian m whose dimension rho and f share."""
+def _weights(m: Operator, rho: DensityMatrix, what: str) -> np.ndarray:
+    """M_jk * rho_kj entrywise, for a hermitian m whose dimension rho shares."""
     require_hermitian(m, what)
     if m.dim != rho.dim:
         raise ValueError(f"dimension mismatch: measurement {m.dim}, state {rho.dim}")
-    if f is not None and f.size != m.dim:
-        raise ValueError(f"function domain {f.size} does not match operator dimension {m.dim}")
     return m.mat * rho.mat.T
 
 
-def expectation(m: Operator, rho: DensityMatrix, f: BoolFunc) -> float:
-    """Expectation read after applying the phase oracle of f to the state.
+def _sign_rows(fs, dim: int, what: str) -> np.ndarray:
+    """(-1)**f for each f of the sequence fs, one row each, after checking
+    that every f has dim arguments."""
+    for f in fs:
+        if f.size != dim:
+            raise ValueError(f"function domain {f.size} does not match {what} dimension {dim}")
+    return np.array([f.signs() for f in fs]).reshape(len(fs), dim)
+
+
+def expectations(m: Operator, rho: DensityMatrix, fs) -> list[float]:
+    """Expectation read after applying the phase oracle of each f of the
+    sequence fs to the state, in order.
 
     Computed as the contraction sum_jk s_j s_k M_jk rho_kj with
     s = (-1)**f, which is the oracle-conjugated trace without forming the
-    conjugated matrix.
+    conjugated matrix.  The checks and M_jk rho_kj are done once for the
+    whole batch, and every row of signs is contracted in one product.
     """
-    p = _weights(m, rho, "expectation", f)
-    s = f.signs()
-    value = complex(s @ p @ s)
-    return _as_real(value, "expectation")
+    p = _weights(m, rho, "expectation")
+    s = _sign_rows(fs, m.dim, "operator")
+    return _as_real(((s @ p) * s).sum(axis=1), "expectation")
+
+
+def expectation(m: Operator, rho: DensityMatrix, f: BoolFunc) -> float:
+    """`expectations` of the single function f."""
+    return expectations(m, rho, [f])[0]
 
 
 def b_matrix(rho: DensityMatrix, m: Operator) -> Operator:
@@ -117,36 +140,36 @@ def b_matrix(rho: DensityMatrix, m: Operator) -> Operator:
     return Operator(_weights(m, rho, "b_matrix"))
 
 
-def s_functional(b: Operator, f: BoolFunc) -> complex:
-    """Sign-weighted sum over all entries of b: sum_jk (-1)^(f(j)+f(k)) B_jk.
+def s_functionals(b: Operator, fs) -> list[complex]:
+    """Sign-weighted sum over all entries of b for each f of the sequence
+    fs: sum_jk (-1)^(f(j)+f(k)) B_jk.
 
-    Summation is exactly rounded (math.fsum), so cancellations that are
-    exact in real arithmetic come out as exact zeros here too.
+    Each sum is exactly rounded (math.fsum over that function's nonzero
+    terms), so cancellations that are exact in real arithmetic come out
+    as exact zeros here too, whatever the batch.
     """
-    if f.size != b.dim:
-        raise ValueError(f"function domain {f.size} does not match matrix dimension {b.dim}")
-    s = f.signs()
-    terms = b.mat * np.outer(s, s)
-    flat = terms.ravel()
-    nz = flat[flat != 0]
-    value = complex(math.fsum(nz.real), math.fsum(nz.imag))
+    s = _sign_rows(fs, b.dim, "matrix")
+    # The nonzero terms sit where b is nonzero, as signs are +-1.
+    rows, cols = np.nonzero(b.mat)
+    terms = b.mat[rows, cols] * (s[:, rows] * s[:, cols])
+    values = [complex(math.fsum(re), math.fsum(im))
+              for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
     if __debug__:
-        _cross_check_forms(b.mat, s, value)
-    return value
+        # Same functionals via trace plus symmetrized upper triangle.  The
+        # strict upper triangle's (row, column) pairs, row by row, read off
+        # a boolean mask: no index grid is built.
+        upper = np.nonzero(~np.tri(b.dim, dtype=bool))
+        others = np.trace(b.mat) + (s[:, upper[0]] * s[:, upper[1]]) @ (b.mat + b.mat.T)[upper]
+        tol = 1e-9 * max(1.0, float(np.abs(b.mat).sum()))
+        for value, other in zip(values, others.tolist()):
+            if abs(other - value) > tol:
+                raise AssertionError(f"the two functional forms disagree: {value} vs {other}")
+    return values
 
 
-def _cross_check_forms(bmat: np.ndarray, s: np.ndarray, value: complex) -> None:
-    # Same functional via trace plus symmetrized upper triangle.
-    # The strict upper triangle's (row, column) pairs, row by row, read
-    # off a boolean mask: no index grid is built.
-    upper = np.nonzero(~np.tri(bmat.shape[0], dtype=bool))
-    sym = (bmat + bmat.T)[upper]
-    other = complex(np.trace(bmat) + np.sum(s[upper[0]] * s[upper[1]] * sym))
-    tol = 1e-9 * max(1.0, float(np.abs(bmat).sum()))
-    if abs(other - value) > tol:
-        raise AssertionError(
-            f"the two functional forms disagree: {value} vs {other}"
-        )
+def s_functional(b: Operator, f: BoolFunc) -> complex:
+    """`s_functionals` of the single function f."""
+    return s_functionals(b, [f])[0]
 
 
 def transverse_readout(sys: SpinSystem, f: BoolFunc, spins) -> float:
@@ -181,7 +204,7 @@ def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
 
 def trace_expectation(m: Operator, rho: DensityMatrix) -> float:
     """Plain readout without any oracle applied."""
-    return _as_real(complex(_weights(m, rho, "trace_expectation").sum()), "expectation")
+    return _as_real(_weights(m, rho, "trace_expectation").sum(), "expectation")
 
 
 def distinguishable(m: Operator, rho1: DensityMatrix, rho2: DensityMatrix, eps: Resolution) -> bool:

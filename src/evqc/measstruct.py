@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from evqc.engine import expectation
+from evqc.engine import expectations
 from evqc.funcspace import BoolFunc, mask_from_bits, permute
 from evqc.spinops import Operator, eig_multiset, require_hermitian, total_spin
 from evqc.states import DensityMatrix
@@ -164,7 +164,8 @@ def check_permutation_invariance(
     for _ in range(trials):
         f = BoolFunc(n_bits, mask_from_bits(rng.integers(0, 2, size=m.dim)))
         l, k = map(int, rng.choice(m.dim, size=2, replace=False))
-        if abs(expectation(m, rho, f) - expectation(m, rho, permute(f, l, k))) > tol:
+        e, e_permuted = expectations(m, rho, [f, permute(f, l, k)])
+        if abs(e - e_permuted) > tol:
             return False
     return True
 
@@ -182,11 +183,12 @@ def find_permutation_witness(
     tol = _invariance_tol(m, rho, tol)
     size = m.dim
     n_bits = (size - 1).bit_length()
+    pairs = list(itertools.combinations(range(size), 2))
     for mask in range(1 << size):
         f = BoolFunc(n_bits, mask)
-        base = expectation(m, rho, f)
-        for l, k in itertools.combinations(range(size), 2):
-            if abs(base - expectation(m, rho, permute(f, l, k))) > tol:
+        base, *permuted = expectations(m, rho, [f] + [permute(f, l, k) for l, k in pairs])
+        for (l, k), e in zip(pairs, permuted):
+            if abs(base - e) > tol:
                 return f, l, k
     return None
 

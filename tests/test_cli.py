@@ -564,6 +564,16 @@ def test_survey_cn_matches_golden(capsys, tmp_path, monkeypatch):
     assert h.hexdigest() == "30f7126b0c6f818db73197a97b2b1c1b22e172c27e1bab20767295b66942c27d"
 
 
+def test_survey_dj_matches_golden(capsys, tmp_path, monkeypatch):
+    # Recorded while survey read one function per engine call.
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for n in (1, 2, 3):
+        h.update(_stdout(capsys, "survey", "--mode", "dj", "--n", str(n), "--out", "dj.csv"))
+        h.update(Path("dj.csv").read_bytes())
+    assert h.hexdigest() == "8dd6e7c6b669dfc1284473e39de1dcc31cc5fb85d22945ba15c687711b74cf8f"
+
+
 def test_dump_op_files_match_golden(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     h = hashlib.sha256()

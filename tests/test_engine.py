@@ -15,8 +15,10 @@ from evqc.engine import (
     dj_decide_pseudopure,
     distinguishable,
     expectation,
+    expectations,
     projector_readout,
     s_functional,
+    s_functionals,
     satisfiability_gap,
     trace_expectation,
     transverse_readout,
@@ -341,6 +343,93 @@ def test_dual_routes_agree(rng):
         functional = s_functional(b_matrix(rho, m), f)
         assert abs(functional.imag) < 1e-10
         assert abs(direct - functional.real) < 1e-10
+
+
+def batch_functions(n, rng):
+    """Random functions, both constants and every balanced function."""
+    fs = [random_boolfunc(n, rng) for _ in range(20)]
+    return fs + [constant_zero(n), constant_one(n), *enumerate_class(n, FunctionClass.BALANCED_W)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_routes_equal_single_calls(n, rng):
+    dim = 1 << n
+    for _ in range(5):
+        m = random_hermitian(dim, rng)
+        rho = random_density(dim, rng)
+        b = b_matrix(rho, m)
+        fs = batch_functions(n, rng)
+        # The functional route keeps one exactly rounded sum per function.
+        assert s_functionals(b, fs) == [s_functional(b, f) for f in fs]
+        scale = float(np.abs(b.mat).sum())
+        direct = expectations(m, rho, fs)
+        assert len(direct) == len(fs) and all(type(e) is float for e in direct)
+        for e, f in zip(direct, fs):
+            assert abs(e - expectation(m, rho, f)) <= 1e-12 * scale
+            assert abs(e - conjugation_route(m, rho, f)) <= 1e-12 * scale
+    assert expectations(m, rho, []) == [] and s_functionals(b, []) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_routes_are_exact_on_the_pure_protocol(n):
+    m, rho = w_projector(n), pure_w(n)
+    balanced = list(enumerate_class(n, FunctionClass.BALANCED_W))
+    fs = [constant_zero(n), constant_one(n), *balanced]
+    want = [1.0, 1.0] + [0.0] * len(balanced)
+    for values in (expectations(m, rho, fs), [v.real for v in s_functionals(b_matrix(rho, m), fs)]):
+        assert values == want
+        assert all(math.copysign(1.0, v) == 1.0 for v in values)
+
+
+def test_batch_routes_refuse_a_function_of_the_wrong_width():
+    fs = [constant_zero(2), canonical_balanced(3)]
+    with pytest.raises(ValueError, match="^function domain 8 does not match operator dimension 4$"):
+        expectations(w_projector(2), pure_w(2), fs)
+    with pytest.raises(ValueError, match="^function domain 8 does not match matrix dimension 4$"):
+        s_functionals(b_matrix(pure_w(2), w_projector(2)), fs)
+
+
+def test_batch_route_refuses_nonhermitian_measurement_before_any_arithmetic():
+    class Untouchable:
+        size = dim = 2
+
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} was read")
+
+    m = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="^expectation requires a hermitian operator$"):
+        expectations(m, Untouchable(), [Untouchable(), Untouchable()])
+
+
+def test_imaginary_residue_rule_covers_the_whole_batch():
+    from evqc.engine import _as_real
+
+    assert _as_real(np.array([1.0 + 0j, 1e6 + 1e-5j]), "expectation") == [1.0, 1e6]
+    with pytest.raises(ValueError, match="^expectation has imaginary residue 0.001; inputs are not hermitian$"):
+        _as_real(np.array([1.0 + 0j, 2.0 + 1e-3j, 3.0 + 1.0j]), "expectation")
+
+
+@pytest.mark.parametrize("mode", ["dj", "cn"])
+def test_survey_weighs_once_per_class(mode, monkeypatch, tmp_path):
+    from evqc import cli, engine
+
+    calls = {"_weights": 0, "tri": 0, "expectation": 0, "s_functional": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("_weights", "expectation", "s_functional"):
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    monkeypatch.setattr(np, "tri", counting("tri", np.tri))
+    rc = cli.main(["survey", "--mode", mode, "--n", "3", "--out", str(tmp_path / "s.csv")])
+    rows = (tmp_path / "s.csv").read_text().count("\n") - 1
+    assert rc == 0 and rows == (256 if mode == "dj" else 32)
+    assert calls["_weights"] == 1
+    assert calls["tri"] <= (mode == "cn")
+    assert calls["expectation"] == calls["s_functional"] == 0
 
 
 def random_system(n, rng):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from evqc.measstruct import (
     necessary_conditions,
     search_max_c_ratio,
 )
-from evqc.spinops import Operator, total_spin, unitarily_equivalent, w_projector
+from evqc.spinops import Operator, single_spin, total_spin, unitarily_equivalent, w_projector
 from evqc.states import demo_system, pseudopure, thermal_state
 
 
@@ -125,6 +126,48 @@ def test_witness_for_total_spin():
 def test_witness_absent_for_invariant_form(rng):
     form = InvariantForm(c=1.0, d=rng.standard_normal(4), a_upper=rng.standard_normal(6))
     assert find_permutation_witness(form.reconstruct(), pseudopure(2, 0.5)) is None
+
+
+# (measurement, n, alpha, first witness as (mask, l, k), check results
+# for seeds 0..11 at 1, 2 and 4 trials each), recorded while every readout
+# was its own engine call.
+PERMUTATION_PINS = [
+    (lambda: total_spin(2, "x"), 2, 1.0, (3, 0, 2), "111100111111110110111110000000100111"),
+    (lambda: single_spin(2, 1, "x"), 2, 0.5, (3, 0, 3), "111110111110110111111110000110100111"),
+    (lambda: single_spin(3, 2, "x"), 3, 0.8, (3, 0, 3), "110100110111111110111111100110111110"),
+]
+
+
+@pytest.mark.parametrize("build, n, alpha, witness, checks", PERMUTATION_PINS)
+def test_permutation_checks_keep_their_recorded_results(build, n, alpha, witness, checks):
+    m, rho = build(), pseudopure(n, alpha)
+    f, l, k = find_permutation_witness(m, rho)
+    assert (f.n, f.mask, l, k) == (n, *witness)
+    got = "".join("1" if check_permutation_invariance(m, rho, trials=t, seed=s) else "0"
+                  for s in range(12) for t in (1, 2, 4))
+    assert got == checks
+
+
+def first_witness_by_single_readouts(m, rho, tol):
+    """The witness hunt with one engine call per readout: truth-table order,
+    then transpositions in combinations order."""
+    n = (m.dim - 1).bit_length()
+    for mask in range(1 << m.dim):
+        f = BoolFunc(n, mask)
+        for l, k in itertools.combinations(range(m.dim), 2):
+            if abs(expectation(m, rho, f) - expectation(m, rho, permute(f, l, k))) > tol:
+                return f, l, k
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_is_the_first_in_truth_table_and_pair_order(n, rng):
+    for _ in range(3):
+        z = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+        m = Operator(0.5 * (z + z.conj().T), hermitian=True)
+        rho = pseudopure(n, float(rng.uniform(0.1, 1.0)))
+        tol = 1e-10 * float(np.abs(m.mat).max())
+        assert find_permutation_witness(m, rho) == first_witness_by_single_readouts(m, rho, tol)
 
 
 def test_invariance_check_requires_pseudopure_family():
