@@ -7,11 +7,16 @@ antisymmetric; only c and D ever reach the readout.  This module
 decomposes such operators, spot-checks the invariance, screens
 necessary spectral conditions, and searches for the largest attainable
 |c| relative to the spectral range under a fixed reference spectrum.
+
+The search refines with `_powell`, an exact port of scipy 1.17.1's
+Powell method, so it runs on numpy alone and its bits no longer depend
+on the installed scipy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,45 +78,26 @@ def _assembler(size: int):
     the real and imaginary parts of the same buffer through views, with
     no complex temporary and no read-back, and returns it.  The diagonal's
     imaginary part is never written and stays 0.  A caller that keeps the
-    matrix past the next call must copy it (Operator and zheevd both do).
+    matrix past the next call must copy it (Operator and eigvalsh both do).
     """
     rows, cols = np.triu_indices(size, 1)
-    diag = np.arange(size) * (size + 1)
     upper = rows * size + cols
     lower = cols * size + rows
     mat = np.zeros((size, size), dtype=complex)
     flat = mat.reshape(-1)
     re, im = flat.real, flat.imag
+    diag = re[:: size + 1]
 
     def assemble(c: float, d: np.ndarray, a_upper: np.ndarray) -> np.ndarray:
         w = c / size
         re.fill(w)
-        re[diag] = w + d
+        np.add(d, w, out=diag)
         # 0.0 + a and 0.0 - a: a -0.0 in a_upper gives +0.0 on both sides.
         im[upper] = 0.0 + a_upper
         im[lower] = 0.0 - a_upper
         return mat
 
     return assemble
-
-
-def _eigensolver():
-    """eigvalsh(mat) -> ascending eigenvalues of a hermitian matrix.
-
-    Calls LAPACK's zheevd, the routine np.linalg.eigvalsh runs, on the
-    lower triangle, without numpy's per-call wrapper; the values are the
-    same bits.  scipy.linalg.lapack is imported here, as it comes with
-    scipy.optimize, which only the search loads.
-    """
-    from scipy.linalg.lapack import zheevd
-
-    def eigvalsh(mat: np.ndarray) -> np.ndarray:
-        vals, _, info = zheevd(mat, compute_v=0, lower=1)
-        if info:
-            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (zheevd info={info})")
-        return vals
-
-    return eigvalsh
 
 
 def decompose_invariant(m: Operator, tol: float = 1e-8) -> InvariantForm:
@@ -272,12 +258,15 @@ class SearchResult:
         }
 
 
-def _split_params(x: np.ndarray, size: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(c, d, a_upper) from the search vector, projected to zero trace."""
+def _split_params(
+    x: np.ndarray, size: int, out: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c, d, a_upper) from the search vector, projected to zero trace;
+    d is written into out when one is given."""
     c = float(x[0])
     dx = x[1 : 1 + size]
     # Zero-trace projection: shift the diagonal, leaving c alone.
-    return c, dx - (c + dx.sum()) / size, x[1 + size :]
+    return c, np.subtract(dx, (c + dx.sum()) / size, out=out), x[1 + size :]
 
 
 def search_max_c_ratio(
@@ -292,7 +281,9 @@ def search_max_c_ratio(
     Random-restart derivative-free refinement of a penalty objective
     (eigenvalue mismatch squared minus mu times the ratio) over the
     invariant-form parameters, with a decreasing mu schedule and a final
-    feasibility polish.  Same seed, same result, bit for bit.
+    feasibility polish.  Each refinement is `_powell`, an exact port of
+    scipy 1.17.1's Powell method, so the result depends on numpy alone:
+    same seed, same result, bit for bit, whichever scipy is installed.
     """
     if not 1 <= n <= SEARCH_N_LIMIT:
         raise ValueError(f"search supports 1 <= n <= {SEARCH_N_LIMIT}")
@@ -300,9 +291,6 @@ def search_max_c_ratio(
         raise ValueError("budget too small to do anything")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    # Imported here, after the checks: scipy.optimize takes tens of MB and
-    # most of a second to load, and no other evqc command needs it.
-    from scipy.optimize import minimize
 
     size = 1 << n
     target = eig_multiset(total_spin(n, "x"))
@@ -312,14 +300,15 @@ def search_max_c_ratio(
     polish_budget = 2 * phase_budget
 
     assemble = _assembler(size)
-    eigvalsh = _eigensolver()
+    d_buf = np.empty(size)
+    r_buf = np.empty(size)
 
     def assess(x: np.ndarray) -> tuple[float, float, np.ndarray]:
         # Runs once per objective evaluation: no InvariantForm, no Operator.
-        c, d, a = _split_params(x, size)
-        vals = eigvalsh(assemble(c, d, a))
-        r = vals - target
-        mism = float(np.add.reduce(r * r))
+        c, d, a = _split_params(x, size, d_buf)
+        vals = np.linalg.eigvalsh(assemble(c, d, a))
+        np.subtract(vals, target, out=r_buf)
+        mism = float(np.add.reduce(np.multiply(r_buf, r_buf, out=r_buf)))
         spread = float(vals[-1] - vals[0])
         return mism, abs(c) / max(spread, 1e-12), vals
 
@@ -336,22 +325,10 @@ def search_max_c_ratio(
                 mism, ratio, _ = assess(v)
                 return mism - weight * ratio
 
-            res = minimize(
-                penalty,
-                x,
-                method="Powell",
-                options={"maxfev": phase_budget, "xtol": 1e-10, "ftol": 1e-12},
-            )
-            x = res.x
-            evaluations += res.nfev
-        res = minimize(
-            lambda v: assess(v)[0],
-            x,
-            method="Powell",
-            options={"maxfev": polish_budget, "xtol": 1e-13, "ftol": 1e-15},
-        )
-        x = res.x
-        evaluations += res.nfev
+            x, nfev = _powell(penalty, x, phase_budget, xtol=1e-10, ftol=1e-12)
+            evaluations += nfev
+        x, nfev = _powell(lambda v: assess(v)[0], x, polish_budget, xtol=1e-13, ftol=1e-15)
+        evaluations += nfev
 
         _, ratio, vals = assess(x)
         residual = float(np.abs(vals - target).max())
@@ -373,3 +350,233 @@ def search_max_c_ratio(
         evaluations=evaluations,
         feasible=feasible,
     )
+
+
+# Powell's method, ported from scipy 1.17.1 (scipy.optimize._optimize:
+# _minimize_powell, _linesearch_powell, _recover_from_bracket_error,
+# bracket and Brent.optimize) for the unbounded case with maxfev, xtol and
+# ftol set.  The operations and their order are scipy's, so every search
+# gives the bits scipy.optimize.minimize(method="Powell") gives; the tests
+# hold the port to that oracle.  Scalars are Python floats, which give
+# the same IEEE results as scipy's np.float64 scalars for + - * /, abs and
+# comparisons.  Only division by zero differs (np.float64 warns, a float
+# raises), and it cannot arise: bracket's denominator is at least 2e-21 in
+# magnitude, and Brent divides by tmp2 only when p lies strictly between
+# tmp2 * (a - x) and tmp2 * (b - x), which is empty when tmp2 == 0.
+
+_GOLD = 1.618034  # bracket's growth factor, (1 + sqrt(5)) / 2
+_VERYSMALL = 1e-21
+_GROW_LIMIT = 110.0
+_BRACKET_MAXITER = 1000
+_CG = 0.3819660  # Brent's golden-section fraction, (3 - sqrt(5)) / 2
+_MINTOL = 1.0e-11
+_BRENT_MAXITER = 500
+
+
+class _BudgetSpent(Exception):
+    """The objective was asked for an evaluation past maxfev."""
+
+
+def _powell(fun, x0: np.ndarray, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, int]:
+    """Minimise fun from x0 by Powell's method; return (x, evaluations).
+
+    scipy's minimize(fun, x0, method="Powell", options={"maxfev": maxfev,
+    "xtol": xtol, "ftol": ftol}) with no bounds: iterations are unlimited,
+    and a call past maxfev is refused, which ends the search at the last
+    completed point.  fun takes a float vector it must not modify and
+    returns a float.
+    """
+    nfev = 0
+
+    def func(x: np.ndarray) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    x = np.array(x0, dtype=float)
+    direc = np.eye(x.size)
+    tol = xtol * 100
+    fval = func(x)
+    x1 = x.copy()
+    try:
+        while True:
+            fx = fval
+            bigind = 0
+            delta = 0.0
+            for i in range(x.size):
+                fx2 = fval
+                fval, x, _ = _linesearch_powell(func, x, direc[i], tol, fval)
+                if (fx2 - fval) > delta:
+                    delta = fx2 - fval
+                    bigind = i
+            bnd = ftol * (abs(fx) + abs(fval)) + 1e-20
+            if 2.0 * (fx - fval) <= bnd:
+                break
+            if nfev >= maxfev:
+                break
+            if math.isnan(fx) and math.isnan(fval):
+                break  # ended up in a nan region
+            # The extrapolated point.
+            direc1 = x - x1
+            x1 = x.copy()
+            x2 = x + direc1
+            fx2 = func(x2)
+            if fx > fx2:
+                t = 2.0 * (fx + fx2 - 2.0 * fval)
+                temp = fx - fval - delta
+                t *= temp * temp
+                temp = fx - fx2
+                t -= delta * temp * temp
+                if t < 0.0:
+                    fval, x, direc1 = _linesearch_powell(func, x, direc1, tol, fval)
+                    if np.any(direc1):
+                        direc[bigind] = direc[-1]
+                        direc[-1] = direc1
+    except _BudgetSpent:
+        pass
+    return x, nfev
+
+
+def _linesearch_powell(func, p: np.ndarray, xi: np.ndarray, tol: float, fval: float):
+    """(f, p + alpha * xi, alpha * xi) at Brent's minimum along xi; a zero
+    direction returns (fval, p, xi) with no evaluation."""
+    if not np.any(xi):
+        return fval, p, xi
+    alpha, fret = _brent(lambda alpha: func(p + alpha * xi), tol)
+    xi = alpha * xi
+    return fret, p + xi, xi
+
+
+def _brent(func, tol: float) -> tuple[float, float]:
+    """(x, f(x)) at Brent's minimum of a scalar function, from the bracket
+    that starts at 0 and 1; a failed bracket gives its best point (nan
+    when any point or value is nan)."""
+    xa, xb, xc, fa, fb, fc = _bracket(func)
+    valid = (
+        ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+        and (xa < xb < xc or xc < xb < xa)
+        and math.isfinite(xa) and math.isfinite(xb) and math.isfinite(xc)
+    )
+    if not valid:
+        xs, fs = [xa, xb, xc], [fa, fb, fc]
+        if any(math.isnan(v) for v in xs + fs):
+            return math.nan, math.nan
+        imin = int(np.argmin(fs))
+        return xs[imin], fs[imin]
+    x = w = v = xb
+    fw = fv = fx = fb
+    if xa < xc:
+        a, b = xa, xc
+    else:
+        a, b = xc, xa
+    deltax = 0.0
+    # rat is bound before its first use: deltax starts at 0 <= tol1, so the
+    # first iteration takes the golden-section step.
+    for _ in range(_BRENT_MAXITER):
+        tol1 = tol * abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x  # golden-section step
+            rat = _CG * deltax
+        else:  # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if (p > tmp2 * (a - x)) and (p < tmp2 * (b - x)) and (abs(p) < abs(0.5 * tmp2 * dx_temp)):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _CG * deltax
+        if abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = func(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if (fu <= fw) or (w == x):
+                v, w = w, u
+                fv, fw = fw, fu
+            elif (fu <= fv) or (v == x) or (v == w):
+                v = u
+                fv = fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return x, fx
+
+
+def _bracket(func) -> tuple[float, float, float, float, float, float]:
+    """(xa, xb, xc, fa, fb, fc): three points walked downhill from 0 and 1
+    until f(xc) no longer falls below f(xb).  They need not bracket a
+    minimum; past _BRACKET_MAXITER steps the walk raises RuntimeError."""
+    xa, xb = 0.0, 1.0
+    fa = func(xa)
+    fb = func(xb)
+    if fa < fb:  # switch so fa > fb
+        xa, xb = xb, xa
+        fa, fb = fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = func(xc)
+    iteration = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * _VERYSMALL if abs(val) < _VERYSMALL else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + _GROW_LIMIT * (xc - xb)
+        if iteration > _BRACKET_MAXITER:
+            raise RuntimeError("no valid bracket was found before the iteration limit was reached")
+        iteration += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = func(w)
+            if fw < fc:
+                xa, xb = xb, w
+                fa, fb = fb, fw
+                break
+            elif fw > fb:
+                xc = w
+                fc = fw
+                break
+            w = xc + _GOLD * (xc - xb)
+            fw = func(w)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = func(w)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = func(w)
+            if fw < fc:
+                xb = xc
+                xc = w
+                w = xc + _GOLD * (xc - xb)
+                fb = fc
+                fc = fw
+                fw = func(w)
+        else:
+            w = xc + _GOLD * (xc - xb)
+            fw = func(w)
+        xa, xb, xc = xb, xc, w
+        fa, fb, fc = fb, fc, fw
+    return xa, xb, xc, fa, fb, fc

@@ -855,8 +855,8 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, tmp_path, monk
     assert rc == 1 and err.splitlines()[-1] == "error: argument --seed: invalid int value: 'x'"
 
 
-def test_search_c_refuses_bad_arguments_before_loading_scipy(tmp_path):
-    # Run apart: any earlier search in this process has loaded scipy.optimize.
+def test_search_c_refuses_bad_arguments_and_loads_no_scipy(tmp_path):
+    # Run apart, in a process where nothing else can have loaded scipy.
     script = (
         "import sys\n"
         "from evqc.cli import main\n"
@@ -865,18 +865,50 @@ def test_search_c_refuses_bad_arguments_before_loading_scipy(tmp_path):
         "codes = [main(['search-c', *argv]) for argv in bad]\n"
         "refused = 'scipy.optimize' not in sys.modules\n"
         "search_max_c_ratio(1, budget=100, restarts=1)\n"
-        "print(codes, refused, 'scipy.optimize' in sys.modules)\n"
+        "print(codes, refused, any(m.partition('.')[0] == 'scipy' for m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[1, 1, 1] True True\n"
+    assert proc.stdout == "[1, 1, 1] True False\n"
     assert proc.stderr.splitlines() == [
         "error: search supports 1 <= n <= 3",
         "error: budget too small to do anything",
         "error: need at least one restart",
     ]
+
+
+def test_one_run_of_every_command_loads_no_scipy(tmp_path):
+    runs = [
+        ["classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2", "--eps", "0.1",
+         "--out", "p.json", "--dump-op", "p.op"],
+        ["classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "3", "--seed", "1",
+         "--eps", "0.001", "--out", "c.json", "--dump-op", "c.op"],
+        ["classify", "--protocol", "lifted", "--class", "constant", "--n", "2", "--eps", "0.001",
+         "--out", "l.json", "--dump-op", "l.op"],
+        ["survey", "--mode", "dj", "--n", "2", "--out", "dj.csv"],
+        ["survey", "--mode", "cn", "--n", "2", "--out", "cn.csv"],
+        ["search-c", "--n", "2", "--budget", "200", "--restarts", "1", "--out", "s.json"],
+        ["adversary", "--n", "3", "--trials", "5", "--out", "a.json"],
+        ["signal", "--n", "2", "--class", "cn", "--seed", "2", "--dt", "1e-4", "--count", "16",
+         "--out", "t.csv", "--dump-op", "t.op"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from evqc.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == []
+    # Each command ran to a report (exit 2 is a classify "cannot exclude").
+    assert set(codes) <= {0, 2}, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} >= {"p.op", "c.op", "l.op", "t.op", "s.json", "a.json"}
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

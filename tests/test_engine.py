@@ -154,6 +154,7 @@ def test_s_functional_linearity(rng):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+@pytest.mark.skipif(not __debug__, reason="python -O strips the __debug__ cross-check")
 def test_functional_cross_check_is_live(monkeypatch, rng):
     from evqc import engine
 

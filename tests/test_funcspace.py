@@ -532,6 +532,7 @@ def test_clear_pattern_matches_per_bit_reference(n, monkeypatch):
         assert funcspace._clear_pattern(k, size) & ((1 << size) - 1) == reference
 
 
+@pytest.mark.skipif(not __debug__, reason="python -O strips the __debug__ cross-check")
 def test_flip_correlation_cross_check_is_live(monkeypatch):
     f = sample_cn(4, 0)
     assert flip_correlation(f, 2) == 0

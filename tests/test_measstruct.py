@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -308,27 +309,88 @@ def test_assembler_matches_the_complex_formula(size, rng):
             assert got.tobytes() == want.tobytes(), c
 
 
-def _eigvalsh_inputs(rng):
-    for size in (2, 4, 8):
-        for _ in range(50):
-            z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            yield (z + z.conj().T) / 2.0
-    for n in (1, 2, 3):
-        yield total_spin(n, "x").mat  # degenerate spectrum
+def _scipy_powell(fun, x0, maxfev, xtol, ftol):
+    """The oracle for measstruct._powell: scipy's own unbounded Powell."""
+    from scipy.optimize import minimize
+
+    res = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol})
+    return res.x, res.nfev
 
 
-def test_direct_lapack_route_matches_eigvalsh(rng):
-    eigvalsh = measstruct._eigensolver()
-    for mat in _eigvalsh_inputs(rng):
-        assert eigvalsh(mat).tobytes() == np.linalg.eigvalsh(mat).tobytes()
+def _coupled(x):
+    return float((x[0] - 1.0) ** 2 + 10.0 * (x[1] - x[0] ** 2) ** 2
+                 + 0.5 * (x[2] + 0.25) ** 2 + 0.3 * x[0] * x[2])
 
 
-def test_direct_lapack_route_raises_on_failure(monkeypatch):
-    from scipy.linalg import lapack
+def _signbit(x):
+    # -0.0 + 0.0 is +0.0: the first line search moves x without changing it
+    # by value, so the extrapolation direction x - x1 is zero.
+    return 1.0 if math.copysign(1.0, x[0]) < 0 else 0.0
 
-    def failing(a, compute_v=1, lower=0):
-        return np.zeros(a.shape[0]), np.zeros_like(a), 1
 
-    monkeypatch.setattr(lapack, "zheevd", failing)
-    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
-        measstruct._eigensolver()(np.eye(4, dtype=complex))
+def _nan_past_a_wall(x):
+    return float((x[0] - 3.0) ** 2 + x[1] ** 2) if x[0] < 2.0 else math.nan
+
+
+def _spike(x):
+    # The bracket's parabolic trial point lands on the spike.
+    return (x[0] - 2.4) ** 2 + 5.0 * math.exp(-(((x[0] - 2.4) / 0.05) ** 2)) + x[1] ** 2
+
+
+def _wavy(x):
+    return float(np.sin(3.0 * x[0]) + 0.1 * x[0] ** 2 + np.cos(2.0 * x[1]) * x[1])
+
+
+# (objective, x0, maxfev, xtol, ftol), each reaching one branch of the port.
+POWELL_CASES = {
+    "failed-bracket": (lambda x: 2.5, [0.3, -1.0], 100, 1e-4, 1e-4),
+    "zero-direction": (_signbit, [-0.0], 100, 1e-4, 1e-4),
+    "direction-replacement": (_coupled, [0.0, 0.0, 0.0], 2000, 1e-10, 1e-12),
+    "ftol-stop": (_coupled, [0.0, 0.0, 0.0], 100_000, 1e-4, 1e-4),
+    "nan-region": (lambda x: math.nan, [1.0, 2.0], 100, 1e-4, 1e-4),
+    "nan-past-a-wall": (_nan_past_a_wall, [0.0, 1.0], 500, 1e-4, 1e-4),
+    "bracket-growth": (lambda x: float((x[0] - 700.0) ** 2 + (x[1] + 3.0) ** 4), [0.0, 0.0], 3000, 1e-4, 1e-4),
+    "bracket-past-a-bump": (_spike, [0.0, 0.3], 500, 1e-4, 1e-4),
+    "bracket-golden-step": (_wavy, [2.0, -2.0], 500, 1e-4, 1e-4),
+}
+
+
+@pytest.mark.parametrize("case", POWELL_CASES.values(), ids=POWELL_CASES.keys())
+def test_powell_port_matches_scipy_bit_for_bit(case):
+    fun, x0, maxfev, xtol, ftol = case
+    x, nfev = measstruct._powell(fun, np.array(x0), maxfev, xtol, ftol)
+    want_x, want_nfev = _scipy_powell(fun, np.array(x0), maxfev, xtol, ftol)
+    assert x.tobytes() == want_x.tobytes()
+    assert nfev == want_nfev
+
+
+def test_powell_ftol_stop_leaves_budget_unspent():
+    _, nfev = measstruct._powell(*POWELL_CASES["ftol-stop"])
+    assert nfev < POWELL_CASES["ftol-stop"][2]
+
+
+@pytest.mark.parametrize("maxfev", range(1, 60))
+def test_powell_budget_running_out_keeps_the_last_completed_point(maxfev):
+    # Small budgets run out inside a line search, at the extrapolated point
+    # or at the end of a sweep; every one must stop where scipy stops.
+    x, nfev = measstruct._powell(_coupled, np.zeros(3), maxfev, 1e-4, 1e-4)
+    want_x, want_nfev = _scipy_powell(_coupled, np.zeros(3), maxfev, 1e-4, 1e-4)
+    assert x.tobytes() == want_x.tobytes()
+    assert nfev == want_nfev == maxfev
+
+
+def _seeded_search_configs(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (int(rng.integers(1, 4)), int(rng.integers(100, 1000)),
+               int(rng.integers(0, 1_000_000)), int(rng.integers(1, 5)))
+
+
+def test_search_with_scipy_powell_gives_the_same_records(monkeypatch):
+    configs = list(_seeded_search_configs(50, 2110))
+    ported = [search_max_c_ratio(n, budget=b, seed=s, restarts=r) for n, b, s, r in configs]
+    monkeypatch.setattr(measstruct, "_powell", _scipy_powell)
+    for (n, b, s, r), mine in zip(configs, ported):
+        theirs = search_max_c_ratio(n, budget=b, seed=s, restarts=r)
+        assert json.dumps(mine.to_record()) == json.dumps(theirs.to_record()), (n, b, s, r)
+        assert mine.evaluations == theirs.evaluations, (n, b, s, r)
