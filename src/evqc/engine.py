@@ -7,15 +7,15 @@ are identity plus a rank-one projector, so each readout comes from bit
 counts on the packed truth table and each spectral range is known in
 closed form.
 The bit-flip correlations c_i come from `funcspace.flip_correlation`, the
-packed-mask kernel that C_N membership shares; the halves count on the
-unpacked table checks it under ``__debug__`` and in the tests, and the XOR
-gather on the sign vector is a test oracle only.
+packed-mask kernel that C_N membership shares.
 
 Two dense evaluation routes are kept deliberately separate as its
 oracles: the direct route conjugates the state by the oracle and
 contracts with the measurement, while the functional route sums a
 sign-weighted quadratic form over a precomputed coefficient matrix.
-Tests pit all three against each other; do not collapse them.
+Tests pit all three against each other, and the functional route also
+against its trace-plus-upper-triangle form, which lives only in the
+tests; do not collapse them.
 Each dense route takes a batch of functions (`expectations`,
 `s_functionals`) and checks its inputs once per batch; the
 single-function forms are wrappers, and `survey` reads a whole class
@@ -152,19 +152,8 @@ def s_functionals(b: Operator, fs) -> list[complex]:
     # The nonzero terms sit where b is nonzero, as signs are +-1.
     rows, cols = np.nonzero(b.mat)
     terms = b.mat[rows, cols] * (s[:, rows] * s[:, cols])
-    values = [complex(math.fsum(re), math.fsum(im))
-              for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
-    if __debug__:
-        # Same functionals via trace plus symmetrized upper triangle.  The
-        # strict upper triangle's (row, column) pairs, row by row, read off
-        # a boolean mask: no index grid is built.
-        upper = np.nonzero(~np.tri(b.dim, dtype=bool))
-        others = np.trace(b.mat) + (s[:, upper[0]] * s[:, upper[1]]) @ (b.mat + b.mat.T)[upper]
-        tol = 1e-9 * max(1.0, float(np.abs(b.mat).sum()))
-        for value, other in zip(values, others.tolist()):
-            if abs(other - value) > tol:
-                raise AssertionError(f"the two functional forms disagree: {value} vs {other}")
-    return values
+    return [complex(math.fsum(re), math.fsum(im))
+            for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
 
 
 def s_functional(b: Operator, f: BoolFunc) -> complex:

@@ -3,28 +3,19 @@
 A function on an n-bit argument is stored as its full truth table, packed
 little-endian into a Python integer: bit j of ``mask`` holds f(j).  That
 gives O(1) evaluation, cheap complement/permutation via bit twiddling, and
-exact hashing.  The unpacked table (one byte per argument) is built on
-the first `BoolFunc.bits` call and then kept in the instance's ``_table``
-slot, so a function that is only counted, compared, printed or
-transformed never pays for it.  All values are immutable; every
-operation returns a new instance.
+exact hashing.  The unpacked table (one byte per argument) is built only
+when `BoolFunc.bits` is called, so a function that is only counted,
+compared, printed or transformed never pays for it.  All values are
+immutable; every operation returns a new instance.
 
 The bit-flip (hypercube-neighbour) rule lives here: argument a pairs with
-a XOR 2**(n-i), spin i counted from the most significant bit.  Its
-correlations c_i have three routes with fixed roles:
-
-* the packed kernel, `flip_correlation`, serves the program: a shift, an
-  XOR, an AND with a cached pattern and a popcount on the mask.  C_N
-  membership, the classifier, the adversary witness and the structured
-  readouts in `engine` all go through it;
-* the halves count, `halves_correlation`, compares the two halves that
-  `flip_halves` cuts from the unpacked table.  It is the exact ``__debug__``
-  cross-check inside `flip_correlation` and a test oracle;
-* the XOR gather, s . s[a XOR 2**(n-i)] on the sign vector, is a test
-  oracle only and lives in the tests.
-
-`flip_halves` itself also serves the matrix-free signal, which needs the
-pair signs one by one.
+a XOR 2**(n-i), spin i counted from the most significant bit.  One kernel,
+`flip_correlation`, computes its correlations c_i on the packed mask for
+the whole program: C_N membership, the classifier, the adversary witness
+and the structured readouts in `engine`.  Its test oracles, the halves
+count and the XOR gather on the unpacked table, live in the tests.
+`flip_halves` pairs each argument with its neighbour for the matrix-free
+signal, which needs the pair signs one by one.
 """
 
 from __future__ import annotations
@@ -71,10 +62,8 @@ class BoolFunc:
     mask : int
         Packed truth table, bit j = f(j).
 
-    Construction checks n and mask only; the unpacked read-only table
-    behind `bits` and `signs` is built on first use and kept in the
-    ``_table`` slot.  Equality, hashing, repr, pickling, `replace` and
-    `asdict` see only n and mask.
+    Construction checks n and mask only; `bits` and `signs` unpack the
+    table on each call.
 
     Class walks build thousands of these, so the layout is slotted (no
     per-instance dict) and the constructor is written by hand: the one a
@@ -84,7 +73,7 @@ class BoolFunc:
     construction.
     """
 
-    __slots__ = ("n", "mask", "_table")
+    __slots__ = ("n", "mask")
 
     n: int
     mask: int
@@ -100,8 +89,8 @@ class BoolFunc:
             raise ValueError("mask does not fit a %d-entry truth table" % (1 << self.n))
 
     def __reduce__(self):
-        # Rebuild through the constructor: the kept table stays out of
-        # the pickle, and a loaded copy builds its own read-only one.
+        # Rebuild through the constructor: a frozen slotted instance
+        # cannot be unpickled by setting its fields.
         return BoolFunc, (self.n, self.mask)
 
     @property
@@ -121,14 +110,9 @@ class BoolFunc:
 
     def bits(self) -> np.ndarray:
         """Truth table as a read-only uint8 vector indexed by argument."""
-        try:
-            return self._table
-        except AttributeError:
-            pass
         packed = np.frombuffer(self.mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
         table = np.unpackbits(packed, count=self.size, bitorder="little")
         table.setflags(write=False)
-        _set(self, "_table", table)
         return table
 
     def signs(self) -> np.ndarray:
@@ -280,21 +264,7 @@ def flip_correlation(f: BoolFunc, i: int) -> int:
         raise ValueError(f"spin {i} outside 1..{f.n}")
     shift = f.n - i
     differ = (f.mask ^ (f.mask >> (1 << shift))) & _clear_pattern(shift, f.size)
-    c = f.size - 4 * differ.bit_count()
-    if __debug__:
-        by_halves = halves_correlation(f, i)
-        if by_halves != c:
-            raise AssertionError(
-                f"bit-flip correlation of spin {i} disagrees: {c} packed, {by_halves} by halves"
-            )
-    return c
-
-
-def halves_correlation(f: BoolFunc, i: int) -> int:
-    """c_i counted on the unpacked table: the pairs of `flip_halves` that
-    hold a 0 and a 1."""
-    clear, flipped = flip_halves(f.bits(), f.n, i)
-    return f.size - 4 * int(np.count_nonzero(clear != flipped))
+    return f.size - 4 * differ.bit_count()
 
 
 def is_in_cn(f: BoolFunc) -> bool:

@@ -338,7 +338,6 @@ def search_max_c_ratio(
         if best is None or rank > best[0]:
             best = rank, ratio, InvariantForm(*_split_params(x, size)), residual
 
-    assert best is not None  # restarts >= 1 always yields a candidate
     (feasible, _), ratio, form, residual = best
     return SearchResult(
         n=n,

@@ -1,6 +1,8 @@
 """Every name a module imports is used there, and every private
 module-level function has a caller in the package.  The package __init__
-is exempt from the first: its imports are the public re-exports."""
+is exempt from the first: its imports are the public re-exports.  No
+module holds code that only the default interpreter runs, so the package
+is one program under ``python`` and ``python -O``."""
 
 import ast
 from pathlib import Path
@@ -31,6 +33,32 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a.b import c, d as e\nimport x.y\nprint(c, x.y)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "e")]
+
+
+def debug_only_code(tree: ast.Module) -> list[tuple[int, str]]:
+    """Lines that ``python -O`` strips: each assert statement and each
+    use of the name __debug__."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append((node.lineno, "__debug__"))
+    return sorted(found)
+
+
+def test_no_module_holds_code_that_python_o_strips():
+    found = [f"{path.name}:{line} {what}" for path in PACKAGE
+             for line, what in debug_only_code(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_guard_sees_code_that_python_o_strips():
+    tree = ast.parse(
+        "if __debug__:\n    check()\nassert x, 'message'\ny = z or __debug__\n"
+        "def f(v):\n    assert v is not None\n    return v\n"
+    )
+    assert debug_only_code(tree) == [(1, "__debug__"), (3, "assert"), (4, "__debug__"), (6, "assert")]
 
 
 def uncalled_private_functions(trees: list[ast.Module]) -> list[str]:

@@ -154,26 +154,39 @@ def test_s_functional_linearity(rng):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-@pytest.mark.skipif(not __debug__, reason="python -O strips the __debug__ cross-check")
-def test_functional_cross_check_is_live(monkeypatch, rng):
-    from evqc import engine
-
-    b = random_hermitian(8, rng)
-    f = random_boolfunc(3, rng)
-    s_functional(b, f)
-    real_fsum = math.fsum
-    monkeypatch.setattr(engine.math, "fsum", lambda values: real_fsum(values) + 1.0)
-    with pytest.raises(AssertionError, match="the two functional forms disagree"):
-        s_functional(b, f)
+def two_form_functionals(b, fs):
+    """sum_jk (-1)^(f(j)+f(k)) B_jk for each f of fs as the trace plus the
+    symmetrised strict upper triangle: a second form of `s_functionals`,
+    kept here as a test oracle only."""
+    s = np.array([f.signs() for f in fs])
+    rows, cols = np.triu_indices(b.dim, 1)
+    return (np.trace(b.mat) + (s[:, rows] * s[:, cols]) @ (b.mat + b.mat.T)[rows, cols]).tolist()
 
 
-@pytest.mark.parametrize("dim", range(1, 17))
-def test_cross_check_pairs_are_the_strict_upper_triangle(dim):
-    rows, cols = np.nonzero(~np.tri(dim, dtype=bool))
-    want_rows, want_cols = np.triu_indices(dim, 1)
-    for got, want in ((rows, want_rows), (cols, want_cols)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+def assert_functional_forms_agree(b, fs):
+    tol = 1e-9 * max(1.0, float(np.abs(b.mat).sum()))
+    for f, value, other in zip(fs, s_functionals(b, fs), two_form_functionals(b, fs)):
+        assert abs(other - value) <= tol, (f, value, other)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_functional_forms_agree_on_every_function_of_the_pure_protocol(n):
+    fs = [BoolFunc(n, mask) for mask in range(1 << (1 << n))]
+    assert_functional_forms_agree(b_matrix(pure_w(n), w_projector(n)), fs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_functional_forms_agree_on_every_cn_member_of_the_survey(n):
+    # The coefficients `survey --mode cn` forms on the demo system.
+    b = b_matrix(pulsed_thermal(demo_system(n)), total_spin(n, "x"))
+    assert_functional_forms_agree(b, list(enumerate_class(n, FunctionClass.CLASS_CN)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_functional_forms_agree_on_random_hermitian_coefficients(n, rng):
+    for _ in range(8):
+        assert_functional_forms_agree(random_hermitian(1 << n, rng),
+                                      [random_boolfunc(n, rng) for _ in range(4)])
 
 
 def test_trace_expectation_frozen():
@@ -414,7 +427,7 @@ def test_imaginary_residue_rule_covers_the_whole_batch():
 def test_survey_weighs_once_per_class(mode, monkeypatch, tmp_path):
     from evqc import cli, engine
 
-    calls = {"_weights": 0, "tri": 0, "expectation": 0, "s_functional": 0}
+    calls = {"_weights": 0, "expectation": 0, "s_functional": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -424,12 +437,10 @@ def test_survey_weighs_once_per_class(mode, monkeypatch, tmp_path):
 
     for name in ("_weights", "expectation", "s_functional"):
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
-    monkeypatch.setattr(np, "tri", counting("tri", np.tri))
     rc = cli.main(["survey", "--mode", mode, "--n", "3", "--out", str(tmp_path / "s.csv")])
     rows = (tmp_path / "s.csv").read_text().count("\n") - 1
     assert rc == 0 and rows == (256 if mode == "dj" else 32)
     assert calls["_weights"] == 1
-    assert calls["tri"] <= (mode == "cn")
     assert calls["expectation"] == calls["s_functional"] == 0
 
 

@@ -76,7 +76,6 @@ def test_bit_table_matches_per_bit_reference(nm):
     f = BoolFunc(n, mask)
     reference = [(mask >> j) & 1 for j in range(1 << n)]
     assert f.bits().tolist() == reference
-    assert f.bits() is f.bits()
     assert not f.bits().flags.writeable
     assert str(f) == "".join(map(str, reference))
 
@@ -115,20 +114,18 @@ def test_cached_table_is_invisible_to_identity():
 def test_boolfunc_contract_under_slots():
     f = BoolFunc(3, 0b10110100)
     assert not hasattr(f, "__dict__")
-    for name in ("n", "mask", "_table"):
+    for name in ("n", "mask"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(f, name, 1)
     before = (f, hash(f), repr(f))
     table = f.bits()
     assert (f, hash(f), repr(f)) == before and repr(f) == "BoolFunc(n=3, mask=180)"
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        f._table = None
-    assert f.bits() is table and not table.flags.writeable
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 1
     for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), dataclasses.replace(f)):
         assert type(twin) is BoolFunc and twin == f and hash(twin) == hash(f)
-        assert twin.bits() is not table and twin.bits().tolist() == table.tolist()
+        assert twin.bits().tolist() == table.tolist()
     assert dataclasses.replace(f, n=4) == BoolFunc(4, 180)
     assert dataclasses.asdict(f) == {"n": 3, "mask": 180}
     with pytest.raises(ValueError, match="outside the truth-table range"):
@@ -492,6 +489,14 @@ def test_is_in_cn_matches_pairwise_definition():
                 assert is_in_cn(BoolFunc(n, mask)) == cn_by_pairs(n, mask), (n, seed, hex(mask))
 
 
+def halves_correlation(f, i):
+    """c_i counted on the unpacked table: the pairs of `flip_halves` that
+    hold a 0 and a 1.  A second route beside the packed kernel, kept here
+    as a test oracle only."""
+    clear, flipped = flip_halves(f.bits(), f.n, i)
+    return f.size - 4 * int(np.count_nonzero(clear != flipped))
+
+
 def xor_gather_correlation(f, i):
     """c_i by the XOR gather: the sign vector against itself indexed by
     a XOR 2**(n-i).  A third route beside the packed kernel and the halves
@@ -506,18 +511,23 @@ def test_flip_correlation_matches_xor_gather(n, rng):
     funcs += [BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n))) for _ in range(8)]
     if n >= 2:
         funcs += [sample_cn(n, n), canonical_cn(n)]
+    # Every function where there are few, every C_N member one size up.
+    if n <= 3:
+        funcs += [BoolFunc(n, mask) for mask in range(1 << (1 << n))]
+    if n == 4:
+        funcs += list(enumerate_class(n, FunctionClass.CLASS_CN))
     for f in funcs:
         for i in range(1, n + 1):
             c = flip_correlation(f, i)
             assert type(c) is int
-            assert c == funcspace.halves_correlation(f, i) == xor_gather_correlation(f, i), (f, i)
+            assert c == halves_correlation(f, i) == xor_gather_correlation(f, i), (f, i)
 
 
 def test_flip_correlation_matches_xor_gather_on_a_wide_table(rng):
     n = 20
     f = BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n)))
     for i in range(1, n + 1):
-        assert flip_correlation(f, i) == funcspace.halves_correlation(f, i) == xor_gather_correlation(f, i)
+        assert flip_correlation(f, i) == halves_correlation(f, i) == xor_gather_correlation(f, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -530,15 +540,6 @@ def test_clear_pattern_matches_per_bit_reference(n, monkeypatch):
         # Kept wider for a larger table, a pattern still serves this one.
         funcspace._clear_pattern(k, 4 * size)
         assert funcspace._clear_pattern(k, size) & ((1 << size) - 1) == reference
-
-
-@pytest.mark.skipif(not __debug__, reason="python -O strips the __debug__ cross-check")
-def test_flip_correlation_cross_check_is_live(monkeypatch):
-    f = sample_cn(4, 0)
-    assert flip_correlation(f, 2) == 0
-    monkeypatch.setattr(funcspace, "halves_correlation", lambda f, i: 4)
-    with pytest.raises(AssertionError, match="spin 2 disagrees: 0 packed, 4 by halves"):
-        flip_correlation(f, 2)
 
 
 @pytest.mark.parametrize("i", [0, -1, 5])
