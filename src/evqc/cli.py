@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from evqc import adversary as adversary_mod
-from evqc import engine, funcspace, measstruct, states, timedomain
+from evqc import engine, funcspace, measstruct, spinops, states, timedomain
 from evqc.funcspace import BoolFunc, FunctionClass
 from evqc.spinops import Operator, operator_text, single_spin, total_spin, w_projector
 
@@ -174,15 +174,16 @@ def cmd_classify(args) -> int:
         raise _UsageError("--sys is not read by --protocol pseudopure")
     eps = engine.Resolution(args.eps)
     f = _load_function(args)
+    lifted = args.protocol == "lifted"
+    n = f.n + lifted  # spins: lifted runs an (n - 1)-bit function
+    if args.dump_op is not None:
+        spinops._check_register(n)
     if args.protocol == "pseudopure":
-        verdict = engine.dj_decide_pseudopure(f, args.alpha, eps)
-        n, config_sys = f.n, None
-    else:  # cn-thermal on n spins, or lifted on n + 1
-        lifted = args.protocol == "lifted"
-        sys_obj = _resolve_system(args, f.n + lifted)
+        sys_obj, verdict = None, engine.dj_decide_pseudopure(f, args.alpha, eps)
+    else:
+        sys_obj = _resolve_system(args, n)
         decide = engine.dj_decide_lifted if lifted else engine.cn_decide_thermal
         verdict = decide(f, sys_obj, eps)
-        n, config_sys = sys_obj.n, states.system_to_dict(sys_obj)
     files = {}
     if args.dump_op is not None:
         spins = {"pseudopure": None, "cn-thermal": tuple(range(1, n + 1)), "lifted": (1,)}
@@ -194,7 +195,7 @@ def cmd_classify(args) -> int:
             "function": str(f),
             "n_bits": f.n,
             "alpha": args.alpha if args.protocol == "pseudopure" else None,
-            "system": config_sys,
+            "system": None if sys_obj is None else states.system_to_dict(sys_obj),
             "epsilon": args.eps,
             "seed": args.seed,
         },
@@ -286,6 +287,8 @@ def cmd_signal(args) -> int:
     timedomain.check_sampling(args.dt, args.count)
     sys_obj = _resolve_system(args, args.n)
     n = sys_obj.n
+    if args.dump_op is not None:
+        spinops._check_register(n)
     spins, axis = _measurement(args.measure, n)
     f = _load_function(args, expect_bits=n) if args.fn or args.func_class else None
     if args.state == "pulsed":

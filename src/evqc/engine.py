@@ -43,7 +43,6 @@ from evqc.funcspace import (
 from evqc.spinops import (
     Operator,
     _check_function,
-    _check_register,
     _check_spins,
     require_hermitian,
     spectral_range,
@@ -260,11 +259,9 @@ def dj_decide_pseudopure(f: BoolFunc, alpha: float, eps: Resolution) -> Verdict:
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha={alpha:g} outside (0, 1]")
-    n = f.n
-    _check_register(n)
-    ref_const = projector_readout(n, alpha, constant_zero(n))
-    ref_balanced = projector_readout(n, alpha, canonical_balanced(n))
-    e = projector_readout(n, alpha, f)
+    ref_const = projector_readout(f.n, alpha, constant_zero(f.n))
+    ref_balanced = projector_readout(f.n, alpha, canonical_balanced(f.n))
+    e = projector_readout(f.n, alpha, f)
     # A projector has eigenvalues 0 and 1.
     return _decide(e, [ref_const], ref_balanced, Decision.NOT_BALANCED, 1.0, eps)
 
@@ -277,7 +274,6 @@ def cn_decide_thermal(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
     C_N is that the naturally prepared state already separates it from
     the constants.
     """
-    _check_register(f.n)
     _check_function(f, sys.n)
     _check_cn_width(sys.n)
     spins = range(1, sys.n + 1)
@@ -298,7 +294,6 @@ def dj_decide_lifted(f: BoolFunc, sys: SpinSystem, eps: Resolution) -> Verdict:
     """
     if sys.n != f.n + 1:
         raise ValueError(f"lifted protocol needs {f.n + 1} spins for a {f.n}-bit function")
-    _check_register(sys.n)
     spin = (1,)
     ref_zero = transverse_readout(sys, lift(constant_zero(f.n)), spin)
     ref_one = transverse_readout(sys, lift(constant_one(f.n)), spin)

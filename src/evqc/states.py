@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evqc.funcspace import _is_ascii_int
+from evqc.funcspace import _check_width, _is_ascii_int
 from evqc.spinops import (
     Operator,
     _check_register,
@@ -70,7 +70,7 @@ class SpinSystem:
     Parameters
     ----------
     n : int
-        Number of spins, 1..12.
+        Number of spins, 1..22.
     omega : array_like
         Angular precession frequency per spin, all positive, length n.
     theta : float
@@ -87,7 +87,7 @@ class SpinSystem:
 
     def __post_init__(self) -> None:
         n = _whole(self.n, "n")
-        _check_register(n)
+        _check_width(n)
         object.__setattr__(self, "n", n)
         omega = self.omega
         if isinstance(omega, (list, tuple)):
@@ -168,7 +168,7 @@ def system_to_dict(sys: SpinSystem) -> dict:
 
 def demo_system(n: int) -> SpinSystem:
     """Deterministic demonstration register with spread-out frequencies."""
-    _check_register(n)
+    _check_width(n)
     omega = 2.0 * np.pi * np.linspace(400.0, 600.0, n)
     return SpinSystem(n=n, omega=omega, theta=2e-8)
 
@@ -200,6 +200,7 @@ def thermal_state(sys: SpinSystem) -> DensityMatrix:
 
     Diagonal, hence invariant under every phase oracle.
     """
+    _check_register(sys.n)
     size = sys.size
     diag = np.full(size, 1.0 / size)
     for i in range(1, sys.n + 1):
@@ -235,6 +236,7 @@ def pulsed_thermal(sys: SpinSystem) -> DensityMatrix:
     one in the linearized equilibrium state; no pulse propagator is
     simulated because the substitution is exact for the truncated form.
     """
+    _check_register(sys.n)
     size = sys.size
     terms = [(i, -(sys.theta / size) * sys.omega[i - 1]) for i in range(1, sys.n + 1)]
     mat = _transverse_sum(sys.n, terms, "x")

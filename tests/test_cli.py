@@ -502,12 +502,40 @@ def test_signal_rejects_count_above_ceiling(capsys, tmp_path):
 
 def test_classify_rejects_large_table_file_in_one_line(capsys, tmp_path):
     fn = tmp_path / "f.fn"
-    fn.write_text("n=20\n" + "01" * (1 << 19) + "\n")
+    fn.write_text("n=23\n" + "01" * (1 << 22) + "\n")
     rc, rec, err = run(
         capsys, "classify", "--protocol", "pseudopure", "--fn", str(fn), "--eps", "0.1",
     )
     assert_one_line_error(rc, rec, err)
-    assert "n=20" in err and "1..12" in err
+    assert "n=23" in err and "1..22" in err
+
+
+@pytest.mark.parametrize("protocol, func_class, n", [
+    ("cn-thermal", "cn", 20), ("cn-thermal", "cn", 22),
+    ("pseudopure", "balanced", 20), ("pseudopure", "balanced", 22),
+    ("lifted", "balanced", 20), ("lifted", "balanced", 21),
+])
+def test_classify_runs_past_dense_cap_in_one_json_line(capsys, protocol, func_class, n):
+    # At eps = 1e-6 the pseudopure gap alpha/N is below the margin from
+    # n = 20 on, so it reads Inconclusive; the thermal protocols decide.
+    rc = main(["classify", "--protocol", protocol, "--class", func_class, "--n", str(n),
+               "--eps", "1e-6"])
+    captured = capsys.readouterr()
+    inconclusive = protocol == "pseudopure"
+    assert rc == 2 * inconclusive and captured.err == ""
+    assert captured.out.count("\n") == 1
+    rec = json.loads(captured.out)
+    assert rec["config"]["n_bits"] == n and rec["result"]["n"] == n + (protocol == "lifted")
+    assert rec["result"]["decided"] == ("Inconclusive" if inconclusive else "NotConstant")
+
+
+def test_lifted_past_truth_table_limit_is_one_line(capsys):
+    rc, rec, err = run(
+        capsys, "classify", "--protocol", "lifted", "--class", "balanced", "--n", "22",
+        "--eps", "1e-6",
+    )
+    assert_one_line_error(rc, rec, err)
+    assert "n=23" in err and "1..22" in err
 
 
 def _stdout(capsys, *argv):
@@ -661,7 +689,7 @@ def test_signal_rejects_oversized_demo_system_before_building(capsys, tmp_path, 
         "--out", str(tmp_path / "t.csv"),
     )
     assert_one_line_error(rc, rec, err)
-    assert f"n={n}" in err and "1..12" in err
+    assert f"n={n}" in err and "1..22" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -992,6 +1020,25 @@ def test_unread_sys_is_refused_before_any_work(capsys, tmp_path, monkeypatch, ar
     rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, "r.json")
     assert_one_line_error(rc, rec, err)
     assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, module, compute", [
+    (("classify", "--protocol", "cn-thermal", "--class", "cn", "--n", "13", "--eps", "0.1",
+      "--dump-op"), "engine", "cn_decide_thermal"),
+    (("classify", "--protocol", "lifted", "--class", "balanced", "--n", "12", "--eps", "0.1",
+      "--dump-op"), "engine", "dj_decide_lifted"),
+    (("classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "13", "--eps", "0.1",
+      "--dump-op"), "engine", "dj_decide_pseudopure"),
+    (("signal", "--n", "13", "--dt", "1e-4", "--count", "8", "--out", "t.csv", "--dump-op"),
+     "timedomain", "transverse_signal"),
+])
+def test_dump_op_past_dense_cap_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv,
+                                                           module, compute):
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, "op.txt")
+    assert_one_line_error(rc, rec, err)
+    assert "n=13" in err and "1..12" in err
     assert list(tmp_path.iterdir()) == []
 
 

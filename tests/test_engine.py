@@ -525,16 +525,34 @@ def test_protocol_lambda_matches_dense_spectral_range(n):
     assert cases[1][0].lam == cases[2][0].lam == 1.0
 
 
-def test_protocols_reject_past_dense_cap():
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_protocols_match_closed_forms_past_dense_cap(rng):
+    # The protocols build no matrix, so they run past the dense cap up to
+    # the truth-table limit; each readout against its closed form.
     eps = Resolution(1e-6)
-    # SpinSystem itself refuses n = 13, so the protocols see a stand-in.
-    sys13 = SimpleNamespace(n=13, omega=np.full(13, 2.0 * np.pi * 500.0), theta=2e-8, size=1 << 13)
-    with pytest.raises(ValueError, match="outside"):
-        dj_decide_pseudopure(constant_zero(13), 1.0, eps)
-    with pytest.raises(ValueError, match="outside"):
-        cn_decide_thermal(constant_zero(13), sys13, eps)
-    with pytest.raises(ValueError, match="outside"):
-        dj_decide_lifted(constant_zero(12), sys13, eps)
+    for n in (13, 18, 22):
+        sys = random_system(n, rng)
+        member = cn_decide_thermal(sample_cn(n, 3), sys, eps)
+        assert member.expectation == 0.0 and member.decided is Decision.NOT_CONSTANT
+        constant = cn_decide_thermal(constant_zero(n), sys, eps)
+        assert _close(constant.expectation, -sys.theta * math.fsum(sys.omega) / 4.0)
+        assert constant.gap_reference == constant.expectation
+
+        gap = sys.theta * sys.omega[0] / 4.0
+        zero, one, balanced = (dj_decide_lifted(f(n - 1), sys, eps)
+                               for f in (constant_zero, constant_one, canonical_balanced))
+        assert balanced.expectation == 0.0
+        assert _close(zero.expectation, -gap) and _close(one.expectation, gap)
+
+        alpha, size = 0.5, 1 << n
+        f = BoolFunc(n, int.from_bytes(rng.bytes(size // 8), "little"))
+        pure = dj_decide_pseudopure(f, alpha, eps)
+        mean = (size - 2 * f.mask.bit_count()) / size
+        assert _close(pure.expectation, (1.0 - alpha / size) / size + (alpha / size) * mean * mean)
+        assert (constant.lam, zero.lam, pure.lam) == (float(n), 1.0, 1.0)
 
 
 def test_decide_refuses_non_finite_readout():

@@ -21,7 +21,7 @@ from evqc.spinops import (
     unitarily_equivalent,
     w_projector,
 )
-from evqc.states import SpinSystem, demo_system, pseudopure, pulsed_thermal
+from evqc.states import SpinSystem, demo_system, pseudopure, pulsed_thermal, thermal_state
 
 HALF = 0.5
 
@@ -302,7 +302,10 @@ def test_states_match_their_summed_definitions(n, rng):
     lambda f: w_projector(13),
     lambda f: oracle(f),
     lambda f: pseudopure(13, 0.5),
-], ids=["single_spin_x", "single_spin_z", "total_spin", "w_projector", "oracle", "pseudopure"])
+    lambda f: thermal_state(SpinSystem(n=13, omega=np.full(13, 3000.0), theta=1e-8)),
+    lambda f: pulsed_thermal(SpinSystem(n=13, omega=np.full(13, 3000.0), theta=1e-8)),
+], ids=["single_spin_x", "single_spin_z", "total_spin", "w_projector", "oracle", "pseudopure",
+        "thermal_state", "pulsed_thermal"])
 def test_dense_builders_refuse_n13_before_allocating(build):
     f = BoolFunc(13, 0b1011)
     tracemalloc.start()
