@@ -10,12 +10,12 @@ immutable; every operation returns a new instance.
 
 The bit-flip (hypercube-neighbour) rule lives here: argument a pairs with
 a XOR 2**(n-i), spin i counted from the most significant bit.  One kernel,
-`flip_correlation`, computes its correlations c_i on the packed mask for
-the whole program: C_N membership, the classifier, the adversary witness
-and the structured readouts in `engine`.  Its test oracles, the halves
-count and the XOR gather on the unpacked table, live in the tests.
-`flip_halves` pairs each argument with its neighbour for the matrix-free
-signal, which needs the pair signs one by one.
+`flip_differences`, finds the pairs that differ on the packed mask for the
+whole program.  `flip_correlation` counts them into c_i for C_N
+membership, the classifier, the adversary witness and the structured
+readouts in `engine`; the matrix-free signal in `timedomain` counts them
+per neighbour pattern.  Its test oracles, the halves count and the XOR
+gather on the unpacked table, live in the tests.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def parse_function(text: str) -> BoolFunc:
 def _check_width(n: int) -> None:
     """Reject an argument width outside 1..MAX_TABLE_N."""
     if not 1 <= n <= MAX_TABLE_N:
-        raise ValueError(f"n={n} outside the truth-table range 1..{MAX_TABLE_N}")
+        raise ValueError(f"n={n} outside 1..{MAX_TABLE_N}, the range of truth-table widths and spin counts")
 
 
 def _check_cn_width(n: int) -> None:
@@ -224,15 +224,6 @@ def permute(f: BoolFunc, l: int, m: int) -> BoolFunc:
     return BoolFunc(f.n, f.mask ^ ((1 << l) | (1 << m)))
 
 
-def flip_halves(values: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of a length-2**n vector at the arguments a whose bit i
-    (1-based from the most significant) is clear, and at their
-    neighbours a XOR 2**(n-i), entry for entry."""
-    # Axis 1 splits each block of 2**(n-i+1) arguments on bit n-i.
-    halves = values.reshape(-1, 2, 1 << (n - i))
-    return halves[:, 0], halves[:, 1]
-
-
 # Bit k of argument a clear -> bit a of the pattern set: runs of 2**k ones
 # and 2**k zeros.  Keyed by k, each pattern is kept at the widest table
 # asked for so far, so every pattern serves all narrower tables too (an AND
@@ -253,18 +244,24 @@ def _clear_pattern(k: int, size: int) -> int:
     return pattern
 
 
+def flip_differences(f: BoolFunc, i: int) -> int:
+    """Mask of the arguments a whose bit i (1-based from the most
+    significant) is clear and whose neighbour a XOR 2**(n-i) holds the
+    other value: (m XOR (m >> 2**(n-i))) AND P, with P the arguments whose
+    bit n-i is clear, in one pass over the packed mask."""
+    if not 1 <= i <= f.n:
+        raise ValueError(f"spin {i} outside 1..{f.n}")
+    shift = f.n - i
+    return (f.mask ^ (f.mask >> (1 << shift))) & _clear_pattern(shift, f.size)
+
+
 def flip_correlation(f: BoolFunc, i: int) -> int:
     """c_i = sum_j s_j s_(j XOR 2**(n-i)) for s = (-1)**f, an exact integer.
 
     Every unordered pair enters c_i twice, +1 when equal and -1 when not,
-    so c_i = N - 4 * popcount((m XOR (m >> 2**(n-i))) AND P) with P the
-    arguments whose bit n-i is clear: one pass over the packed mask.
+    so c_i = N - 4 * (pairs that differ).
     """
-    if not 1 <= i <= f.n:
-        raise ValueError(f"spin {i} outside 1..{f.n}")
-    shift = f.n - i
-    differ = (f.mask ^ (f.mask >> (1 << shift))) & _clear_pattern(shift, f.size)
-    return f.size - 4 * differ.bit_count()
+    return f.size - 4 * flip_differences(f, i).bit_count()
 
 
 def is_in_cn(f: BoolFunc) -> bool:

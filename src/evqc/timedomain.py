@@ -8,12 +8,12 @@ by a phase, and every readout is a sum of spectral lines.
 `transverse_signal` samples the readout of transverse order on the pulsed
 thermal state after a phase oracle without building a matrix: each spin
 contributes a few lines, split by its couplings, weighted by exact integer
-bit-flip correlations over the pairs `funcspace.flip_halves` makes.  The
-dense routes are kept deliberately separate as its oracles: `signal` sums
-the lines of a state and a measurement matrix, `heisenberg_op` moves a
-measurement by entrywise phases, and `heisenberg_dense` does the same
-through a matrix exponential.  Tests pit them against each other; do not
-collapse them.
+bit-flip correlations counted per neighbour pattern from the one packed
+kernel, `funcspace.flip_differences`.  The dense routes are kept
+deliberately separate as its oracles: `signal` sums the lines of a state
+and a measurement matrix, `heisenberg_op` moves a measurement by
+entrywise phases, and `heisenberg_dense` does the same through a matrix
+exponential.  Tests pit them against each other; do not collapse them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from evqc.funcspace import BoolFunc, flip_halves
+from evqc.funcspace import BoolFunc, constant_zero, flip_differences
 from evqc.spinops import Operator, _check_function, _check_spins, _float_table, spin_z_column
 from evqc.states import DensityMatrix, SpinSystem
 
@@ -158,31 +158,34 @@ def transverse_signal(
     contribute, at the line Delta = omega_i + 2 pi sum_j J_ij z_j(a), so
     the signal is -(theta / 2N) sum_i omega_i sum_l c_(i,l) cos(Delta_l t),
     with sin for the y axis.  c_(i,l) is the exact integer sum of
-    s_a s_(a XOR 2**(n-i)) over the states a on line l, with s = (-1)**f.
-    Lines are summed from the couplings in one fixed order, so states with
-    the same neighbour pattern give bitwise-equal lines and each spin has
-    at most 2**(its coupling count) of them.
+    s_a s_(a XOR 2**(n-i)) over the pairs on line l, with s = (-1)**f.  A
+    line depends only on spin i's coupled neighbours, so the pairs that
+    `flip_differences` marks are counted per neighbour pattern, and each
+    pattern's line is summed from the couplings in one fixed order: at most
+    2**(coupling count) lines per spin, equal lines bitwise equal.
     """
     check_sampling(dt, count)
     if axis not in ("x", "y"):
         raise ValueError(f"transverse axis must be x or y, got {axis!r}")
     spins = _check_spins(spins, sys.n)
     n = sys.n
-    if f is None:
-        bits = np.zeros(sys.size, dtype=np.uint8)
-    else:
-        _check_function(f, n)
-        bits = f.bits()
+    f = constant_zero(n) if f is None else f
+    _check_function(f, n)
     amps, lines = [], []
     for i in spins:
-        delta = np.full(sys.size, sys.omega[i - 1])
-        for a, b, strength in sys.couplings:
-            if i in (a, b):
-                delta = delta + 2.0 * np.pi * strength * spin_z_column(n, b if a == i else a)
-        clear, flipped = flip_halves(bits, n, i)
-        pair_signs = 1 - 2 * (clear != flipped).ravel()
-        line, inverse = np.unique(flip_halves(delta, n, i)[0].ravel(), return_inverse=True)
-        c = np.bincount(inverse, pair_signs, line.size)
+        coupled = [(b if a == i else a, J) for a, b, J in sys.couplings if i in (a, b)]
+        near = sorted(j for j, _ in coupled)
+        # Differing pairs per neighbour pattern: the marked arguments, at bit
+        # i clear, summed over every other spin's axis but the neighbours'.
+        marked = np.take(BoolFunc(n, flip_differences(f, i)).bits().reshape([2] * n), 0, axis=i - 1)
+        far = tuple(j - 1 - (j > i) for j in range(1, n + 1) if j != i and j not in near)
+        c = (1 << (n - 1 - len(near))) - 2 * marked.sum(axis=far, dtype=np.int64).ravel()
+        delta = np.full([2] * len(near), sys.omega[i - 1])
+        for j, strength in coupled:
+            z = spin_z_column(1, 1).reshape([2 if k == j else 1 for k in near])
+            delta = delta + 2.0 * np.pi * strength * z
+        line, inverse = np.unique(delta.ravel(), return_inverse=True)
+        c = np.bincount(inverse, c, line.size)
         keep = c != 0
         amps.append(sys.omega[i - 1] * c[keep])
         lines.append(line[keep])

@@ -22,7 +22,7 @@ from evqc.funcspace import (
     constant_zero,
     enumerate_class,
     flip_correlation,
-    flip_halves,
+    flip_differences,
     format_function,
     imbalance,
     is_in_cn,
@@ -128,7 +128,7 @@ def test_boolfunc_contract_under_slots():
         assert twin.bits().tolist() == table.tolist()
     assert dataclasses.replace(f, n=4) == BoolFunc(4, 180)
     assert dataclasses.asdict(f) == {"n": 3, "mask": 180}
-    with pytest.raises(ValueError, match="outside the truth-table range"):
+    with pytest.raises(ValueError, match=r"n=0 outside 1\.\.22, .*truth-table widths and spin counts"):
         BoolFunc(0, 0)
     with pytest.raises(ValueError, match="mask does not fit a 2-entry truth table"):
         BoolFunc(1, 4)
@@ -490,11 +490,12 @@ def test_is_in_cn_matches_pairwise_definition():
 
 
 def halves_correlation(f, i):
-    """c_i counted on the unpacked table: the pairs of `flip_halves` that
-    hold a 0 and a 1.  A second route beside the packed kernel, kept here
-    as a test oracle only."""
-    clear, flipped = flip_halves(f.bits(), f.n, i)
-    return f.size - 4 * int(np.count_nonzero(clear != flipped))
+    """c_i counted on the unpacked table: the pairs (a, a XOR 2**(n-i)) with
+    bit i of a clear that hold a 0 and a 1.  A second route beside the
+    packed kernel, kept here as a test oracle only."""
+    # Axis 1 splits each block of 2**(n-i+1) arguments on bit n-i.
+    halves = f.bits().reshape(-1, 2, 1 << (f.n - i))
+    return f.size - 4 * int(np.count_nonzero(halves[:, 0] != halves[:, 1]))
 
 
 def xor_gather_correlation(f, i):
@@ -544,20 +545,19 @@ def test_clear_pattern_matches_per_bit_reference(n, monkeypatch):
 
 @pytest.mark.parametrize("i", [0, -1, 5])
 def test_flip_correlation_rejects_a_spin_outside_the_register(i):
-    with pytest.raises(ValueError, match="outside 1..4"):
-        flip_correlation(canonical_cn(4), i)
+    for kernel in (flip_correlation, flip_differences):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            kernel(canonical_cn(4), i)
 
 
-def test_flip_halves_pair_each_argument_with_its_neighbour():
-    n = 5
-    idx = np.arange(1 << n)
-    for i in range(1, n + 1):
-        bit = 1 << (n - i)
-        clear, flipped = flip_halves(idx, n, i)
-        assert np.shares_memory(clear, idx) and np.shares_memory(flipped, idx)
-        assert not np.any(clear & bit)
-        np.testing.assert_array_equal(flipped, clear ^ bit)
-        assert sorted(np.concatenate([clear.ravel(), flipped.ravel()])) == idx.tolist()
+@pytest.mark.parametrize("n", range(1, 6))
+def test_flip_differences_marks_each_differing_pair_once(n, rng):
+    random_table = BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n)))
+    for f in (constant_one(n), canonical_balanced(n), random_table):
+        for i in range(1, n + 1):
+            bit = 1 << (n - i)
+            marked = {a for a in range(f.size) if not a & bit and f(a) != f(a ^ bit)}
+            assert flip_differences(f, i) == sum(1 << a for a in marked), (f, i)
 
 
 @pytest.mark.parametrize("n", [0, MAX_TABLE_N + 1, 28, 70])

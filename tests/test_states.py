@@ -43,6 +43,8 @@ def brute_thermal_diag(sys):
 def test_spin_system_validation():
     with pytest.raises(ValueError):
         SpinSystem(n=0, omega=np.array([]), theta=THETA)
+    with pytest.raises(ValueError, match=r"^n=23 outside 1\.\.22, .*spin counts"):
+        SpinSystem(n=23, omega=np.ones(23), theta=THETA)
     with pytest.raises(ValueError):
         SpinSystem(n=2, omega=np.array([1.0]), theta=THETA)
     with pytest.raises(ValueError):
@@ -152,7 +154,10 @@ def test_spin_system_warns_outside_regime():
 def test_high_temperature_warning_names_the_caller():
     with pytest.warns(UserWarning) as caught:
         SpinSystem(n=1, omega=np.array([5.0]), theta=1.0)
-    assert [w.filename for w in caught] == [__file__]
+    # The code object's own filename, not __file__: bytecode compiled in
+    # another checkout keeps that checkout's path.
+    here = test_high_temperature_warning_names_the_caller.__code__.co_filename
+    assert [w.filename for w in caught] == [here]
     with pytest.warns(UserWarning) as caught:
         parse_system({"n": 1, "omega": [5.0], "theta": 1.0})
     (w,) = caught

@@ -1,15 +1,16 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import oracle_conjugated, random_boolfunc, random_density, random_hermitian
-from evqc import timedomain
+from evqc import funcspace, timedomain
 from evqc.cli import _write_atomic
 from evqc.engine import transverse_readout
-from evqc.funcspace import canonical_balanced, constant_one, sample_cn
-from evqc.spinops import Operator, single_spin, total_spin
+from evqc.funcspace import BoolFunc, canonical_balanced, constant_one, mask_from_bits, sample_cn
+from evqc.spinops import Operator, single_spin, spin_z_column, total_spin
 from evqc.states import SpinSystem, pulsed_thermal, thermal_state
 from evqc.timedomain import (
     SignalTrace,
@@ -267,13 +268,19 @@ def _coupled_system(n, topology, rng):
         pairs = [(i, i + 1) for i in range(1, n)]
     elif topology == "all":
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    elif topology == "star":
+        # One equal J from the hub to every spin: the hub's neighbour
+        # patterns with equal up and down counts share a line.
+        strength = float(rng.uniform(5.0, 15.0))
+        couplings = tuple((1, j, strength) for j in range(2, n + 1))
+        return SpinSystem(n=n, omega=omega, theta=THETA, couplings=couplings)
     else:
         pairs = []
     couplings = tuple((i, j, float(rng.uniform(5.0, 15.0))) for i, j in pairs)
     return SpinSystem(n=n, omega=omega, theta=THETA, couplings=couplings)
 
 
-@pytest.mark.parametrize("topology", ["chain", "all", "none"])
+@pytest.mark.parametrize("topology", ["chain", "all", "star", "none"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_transverse_signal_matches_dense_signal(n, topology, rng):
     sys = _coupled_system(n, topology, rng)
@@ -292,6 +299,66 @@ def test_transverse_signal_matches_dense_signal(n, topology, rng):
             fast = transverse_signal(sys, f, spins, axis, dt, count).samples
             scale = THETA * float(sys.omega[list(np.array(spins) - 1)].sum()) / 4.0
             assert np.abs(fast - dense).max() <= 1e-12 * scale, (f, spins, axis)
+
+
+def halves_transverse_signal(sys, f, spins, axis, dt, count):
+    """`transverse_signal` on the unpacked table: a line value for every
+    argument, the pair signs of each argument with bit i clear against its
+    neighbour, and `np.unique` over those N/2 lines per spin.  A second
+    route beside the packed kernel's count per neighbour pattern, kept here
+    as a test oracle only."""
+    n = sys.n
+    bits = np.zeros(sys.size, dtype=np.uint8) if f is None else f.bits()
+    amps, lines = [], []
+    for i in spins:
+        delta = np.full(sys.size, sys.omega[i - 1])
+        for a, b, strength in sys.couplings:
+            if i in (a, b):
+                delta = delta + 2.0 * np.pi * strength * spin_z_column(n, b if a == i else a)
+        # Axis 1 splits each block of 2**(n-i+1) arguments on bit n-i.
+        halves = bits.reshape(-1, 2, 1 << (n - i))
+        pair_signs = 1 - 2 * (halves[:, 0] != halves[:, 1]).ravel()
+        clear = delta.reshape(-1, 2, 1 << (n - i))[:, 0].ravel()
+        line, inverse = np.unique(clear, return_inverse=True)
+        c = np.bincount(inverse, pair_signs, line.size)
+        keep = c != 0
+        amps.append(sys.omega[i - 1] * c[keep])
+        lines.append(line[keep])
+    kernel = np.cos if axis == "x" else np.sin
+    times = dt * np.arange(count)
+    values = timedomain._line_sum(kernel, np.concatenate(lines), np.concatenate(amps), times)
+    return -sys.theta / (2.0 * sys.size) * values + 0.0
+
+
+@pytest.mark.parametrize("topology", ["chain", "all", "star", "none"])
+@pytest.mark.parametrize("n", [*range(1, 13), 16])
+def test_transverse_signal_is_bitwise_the_halves_route(n, topology, rng):
+    sys = _coupled_system(n, topology, rng)
+    oracles = [None, random_boolfunc(n, rng)]
+    if n >= 2:
+        oracles.append(sample_cn(n, n))
+    measures = [(tuple(range(1, n + 1)), "x"), ((1,), "y"), ((n,), "x")]
+    for f in oracles:
+        for spins, axis in measures:
+            fast = transverse_signal(sys, f, spins, axis, 1.3e-4, 17).samples
+            slow = halves_transverse_signal(sys, f, spins, axis, 1.3e-4, 17)
+            assert fast.tobytes() == slow.tobytes(), (f, spins, axis)
+
+
+def test_transverse_signal_memory_stays_per_pattern(rng, monkeypatch):
+    # The bit table and the neighbour patterns, not an N-float line vector
+    # per spin: a 20-spin table is 1 MiB unpacked, one float per argument 8 MiB.
+    n = 20
+    sys = _coupled_system(n, "chain", rng)
+    f = BoolFunc(n, mask_from_bits(rng.integers(0, 2, 1 << n)))
+    monkeypatch.setattr(funcspace, "_CLEAR_PATTERNS", {})
+    tracemalloc.start()
+    try:
+        transverse_signal(sys, f, range(1, n + 1), "x", 1e-4, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("n", range(1, 9))
