@@ -10,16 +10,21 @@ necessary spectral conditions, and searches for the largest attainable
 
 The search refines with `_powell`, an exact port of scipy 1.17.1's
 Powell method, so it runs on numpy alone and its bits no longer depend
-on the installed scipy.
+on the installed scipy.  Each evaluation calls `_eigvalsh`, the LAPACK
+gufunc behind `np.linalg.eigvalsh`, directly; the error state that
+wrapper sets per call is set once per search instead, so a
+non-convergent eigensolve still raises LinAlgError.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from evqc.engine import expectations
 from evqc.funcspace import BoolFunc, mask_from_bits, permute
@@ -30,6 +35,16 @@ FEASIBILITY_TOL = 1e-6  # eigenvalue-match gate for accepted candidates
 SEARCH_N_LIMIT = 3
 
 _MU_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3)
+
+# The gufunc and the signature np.linalg.eigvalsh(mat) runs for a complex
+# matrix with UPLO="L": the same eigenvalues, bit for bit, without the
+# wrapper's per-call checks, conversions and error state.
+_eigvalsh = functools.partial(_umath_linalg.eigvalsh_lo, signature="D->d")
+
+
+def _raise_nonconvergence(err: str, flag: int) -> None:
+    """The error np.linalg.eigvalsh raises when LAPACK flags invalid."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 class NotInvariantFormError(ValueError):
@@ -78,7 +93,8 @@ def _assembler(size: int):
     the real and imaginary parts of the same buffer through views, with
     no complex temporary and no read-back, and returns it.  The diagonal's
     imaginary part is never written and stays 0.  A caller that keeps the
-    matrix past the next call must copy it (Operator and eigvalsh both do).
+    matrix past the next call must copy it (Operator does; the eigvalsh
+    gufunc reads it into its own LAPACK workspace).
     """
     rows, cols = np.triu_indices(size, 1)
     upper = rows * size + cols
@@ -266,7 +282,7 @@ def _split_params(
     c = float(x[0])
     dx = x[1 : 1 + size]
     # Zero-trace projection: shift the diagonal, leaving c alone.
-    return c, np.subtract(dx, (c + dx.sum()) / size, out=out), x[1 + size :]
+    return c, np.subtract(dx, (c + np.add.reduce(dx)) / size, out=out), x[1 + size :]
 
 
 def search_max_c_ratio(
@@ -284,6 +300,10 @@ def search_max_c_ratio(
     feasibility polish.  Each refinement is `_powell`, an exact port of
     scipy 1.17.1's Powell method, so the result depends on numpy alone:
     same seed, same result, bit for bit, whichever scipy is installed.
+
+    The restarts run in the error state np.linalg.eigvalsh sets around
+    its gufunc: invalid calls `_raise_nonconvergence`, while overflow,
+    division by zero and underflow pass silently.
     """
     if not 1 <= n <= SEARCH_N_LIMIT:
         raise ValueError(f"search supports 1 <= n <= {SEARCH_N_LIMIT}")
@@ -306,7 +326,7 @@ def search_max_c_ratio(
     def assess(x: np.ndarray) -> tuple[float, float, np.ndarray]:
         # Runs once per objective evaluation: no InvariantForm, no Operator.
         c, d, a = _split_params(x, size, d_buf)
-        vals = np.linalg.eigvalsh(assemble(c, d, a))
+        vals = _eigvalsh(assemble(c, d, a))
         np.subtract(vals, target, out=r_buf)
         mism = float(np.add.reduce(np.multiply(r_buf, r_buf, out=r_buf)))
         spread = float(vals[-1] - vals[0])
@@ -315,28 +335,31 @@ def search_max_c_ratio(
     evaluations = 0
     best = None  # (rank, ratio, form, residual) of the preferred candidate
 
-    for restart in range(restarts):
-        if evaluations >= budget:
-            break
-        x = rng.standard_normal(n_params) * (0.5 * n)
-        for mu in _MU_SCHEDULE:
+    with np.errstate(
+        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        for restart in range(restarts):
+            if evaluations >= budget:
+                break
+            x = rng.standard_normal(n_params) * (0.5 * n)
+            for mu in _MU_SCHEDULE:
 
-            def penalty(v: np.ndarray, weight: float = mu) -> float:
-                mism, ratio, _ = assess(v)
-                return mism - weight * ratio
+                def penalty(v: np.ndarray, weight: float = mu) -> float:
+                    mism, ratio, _ = assess(v)
+                    return mism - weight * ratio
 
-            x, nfev = _powell(penalty, x, phase_budget, xtol=1e-10, ftol=1e-12)
+                x, nfev = _powell(penalty, x, phase_budget, xtol=1e-10, ftol=1e-12)
+                evaluations += nfev
+            x, nfev = _powell(lambda v: assess(v)[0], x, polish_budget, xtol=1e-13, ftol=1e-15)
             evaluations += nfev
-        x, nfev = _powell(lambda v: assess(v)[0], x, polish_budget, xtol=1e-13, ftol=1e-15)
-        evaluations += nfev
 
-        _, ratio, vals = assess(x)
-        residual = float(np.abs(vals - target).max())
-        feasible = residual < FEASIBILITY_TOL
-        # The best feasible ratio, else the smallest residual; a tie keeps the first.
-        rank = (feasible, ratio if feasible else -residual)
-        if best is None or rank > best[0]:
-            best = rank, ratio, InvariantForm(*_split_params(x, size)), residual
+            _, ratio, vals = assess(x)
+            residual = float(np.abs(vals - target).max())
+            feasible = residual < FEASIBILITY_TOL
+            # The best feasible ratio, else the smallest residual; a tie keeps the first.
+            rank = (feasible, ratio if feasible else -residual)
+            if best is None or rank > best[0]:
+                best = rank, ratio, InvariantForm(*_split_params(x, size)), residual
 
     (feasible, _), ratio, form, residual = best
     return SearchResult(
@@ -430,7 +453,7 @@ def _powell(fun, x0: np.ndarray, maxfev: int, xtol: float, ftol: float) -> tuple
                 t -= delta * temp * temp
                 if t < 0.0:
                     fval, x, direc1 = _linesearch_powell(func, x, direc1, tol, fval)
-                    if np.any(direc1):
+                    if direc1.any():
                         direc[bigind] = direc[-1]
                         direc[-1] = direc1
     except _BudgetSpent:
@@ -441,7 +464,7 @@ def _powell(fun, x0: np.ndarray, maxfev: int, xtol: float, ftol: float) -> tuple
 def _linesearch_powell(func, p: np.ndarray, xi: np.ndarray, tol: float, fval: float):
     """(f, p + alpha * xi, alpha * xi) at Brent's minimum along xi; a zero
     direction returns (fval, p, xi) with no evaluation."""
-    if not np.any(xi):
+    if not xi.any():
         return fval, p, xi
     alpha, fret = _brent(lambda alpha: func(p + alpha * xi), tol)
     xi = alpha * xi

@@ -171,6 +171,7 @@ def transverse_signal(
     n = sys.n
     f = constant_zero(n) if f is None else f
     _check_function(f, n)
+    z = spin_z_column(1, 1)
     amps, lines = [], []
     for i in spins:
         coupled = [(b if a == i else a, J) for a, b, J in sys.couplings if i in (a, b)]
@@ -182,8 +183,7 @@ def transverse_signal(
         c = (1 << (n - 1 - len(near))) - 2 * marked.sum(axis=far, dtype=np.int64).ravel()
         delta = np.full([2] * len(near), sys.omega[i - 1])
         for j, strength in coupled:
-            z = spin_z_column(1, 1).reshape([2 if k == j else 1 for k in near])
-            delta = delta + 2.0 * np.pi * strength * z
+            delta = delta + 2.0 * np.pi * strength * z.reshape([2 if k == j else 1 for k in near])
         line, inverse = np.unique(delta.ravel(), return_inverse=True)
         c = np.bincount(inverse, c, line.size)
         keep = c != 0

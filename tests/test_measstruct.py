@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def test_search_matches_golden_records(config, digest, evaluations):
 
 
 def test_search_validates_once_per_restart_not_per_evaluation(monkeypatch):
-    calls = {"Operator": 0, "InvariantForm": 0, "triu_indices": 0}
+    calls = {"Operator": 0, "InvariantForm": 0, "triu_indices": 0, "eigvalsh": 0, "errstate": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -263,6 +264,8 @@ def test_search_validates_once_per_restart_not_per_evaluation(monkeypatch):
         InvariantForm, "__post_init__", counting("InvariantForm", InvariantForm.__post_init__)
     )
     monkeypatch.setattr(measstruct.np, "triu_indices", counting("triu_indices", np.triu_indices))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
     n, restarts = 2, 3
     result = search_max_c_ratio(n, budget=3000, seed=5, restarts=restarts)
     # The reference spectrum builds n + 1 operators; each restart's
@@ -270,6 +273,10 @@ def test_search_validates_once_per_restart_not_per_evaluation(monkeypatch):
     assert calls["Operator"] <= n + 1 + restarts
     assert calls["InvariantForm"] <= restarts
     assert calls["triu_indices"] == 1
+    # Only the reference spectrum goes through numpy's wrapper; every
+    # evaluation calls the gufunc inside the search's one error state.
+    assert calls["eigvalsh"] == 1
+    assert calls["errstate"] == 1
     assert result.evaluations > 100 * restarts
 
 
@@ -307,6 +314,66 @@ def test_assembler_matches_the_complex_formula(size, rng):
             assert np.array_equal(got, want)
         else:
             assert got.tobytes() == want.tobytes(), c
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_eigvalsh_gufunc_matches_numpys_wrapper(size, rng):
+    assemble = measstruct._assembler(size)
+    for c in rng.standard_normal(40) * 3.0:
+        d = _with_signed_zeros(rng.standard_normal(size), rng)
+        a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
+        mat = assemble(float(c), d, a)
+        want = np.linalg.eigvalsh(mat)
+        got = measstruct._eigvalsh(mat)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), c
+
+
+def _poisoned_assembler(value, where):
+    """measstruct._assembler with one entry of every assembled matrix overwritten."""
+    original = measstruct._assembler
+
+    def factory(size):
+        assemble = original(size)
+
+        def poisoned(c, d, a_upper):
+            mat = assemble(c, d, a_upper)
+            mat[where] = value
+            return mat
+
+        return poisoned
+
+    return factory
+
+
+# (n, value, entry) -> sha256 of json.dumps(to_record()) and the evaluation
+# count of a search that ends, or None for one that raises LinAlgError.
+# Recorded from the route through numpy's eigvalsh wrapper.
+POISONED_SEARCHES = [
+    (2, math.inf, (0, 0), None),
+    (2, math.nan, (1, 0), None),
+    # NaN eigenvalues, so a NaN record.
+    (1, math.nan, (1, 0), ("e7f6889ef066540f26d5ffbb5d8056c4fd056a025fc4afec6361cd164ddd081d", 65)),
+    # The upper triangle is never read.
+    (2, math.nan, (0, 1), ("0cd72bffb40b464b962b8c9c83237e4cb08fa6df04947af9cd8cf3380e0d6395", 360)),
+]
+
+
+@pytest.mark.parametrize("n, value, where, outcome", POISONED_SEARCHES)
+def test_search_keeps_numpys_errors_and_restores_the_error_state(monkeypatch, n, value, where, outcome):
+    monkeypatch.setattr(measstruct, "_assembler", _poisoned_assembler(value, where))
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if outcome is None:
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                search_max_c_ratio(n, budget=300, seed=0, restarts=1)
+        else:
+            result = search_max_c_ratio(n, budget=300, seed=0, restarts=1)
+            digest = hashlib.sha256(json.dumps(result.to_record()).encode()).hexdigest()
+            assert (digest, result.evaluations) == outcome
+    assert caught == []
+    assert np.geterr() == before
 
 
 def _scipy_powell(fun, x0, maxfev, xtol, ftol):
@@ -386,11 +453,21 @@ def _seeded_search_configs(count, seed):
                int(rng.integers(0, 1_000_000)), int(rng.integers(1, 5)))
 
 
-def test_search_with_scipy_powell_gives_the_same_records(monkeypatch):
+def _assert_same_records_with(monkeypatch, name, oracle):
+    """50 seeded searches give the same records and counts with
+    measstruct.<name> replaced by its oracle."""
     configs = list(_seeded_search_configs(50, 2110))
-    ported = [search_max_c_ratio(n, budget=b, seed=s, restarts=r) for n, b, s, r in configs]
-    monkeypatch.setattr(measstruct, "_powell", _scipy_powell)
-    for (n, b, s, r), mine in zip(configs, ported):
+    ours = [search_max_c_ratio(n, budget=b, seed=s, restarts=r) for n, b, s, r in configs]
+    monkeypatch.setattr(measstruct, name, oracle)
+    for (n, b, s, r), mine in zip(configs, ours):
         theirs = search_max_c_ratio(n, budget=b, seed=s, restarts=r)
         assert json.dumps(mine.to_record()) == json.dumps(theirs.to_record()), (n, b, s, r)
         assert mine.evaluations == theirs.evaluations, (n, b, s, r)
+
+
+def test_search_with_scipy_powell_gives_the_same_records(monkeypatch):
+    _assert_same_records_with(monkeypatch, "_powell", _scipy_powell)
+
+
+def test_search_with_numpys_eigvalsh_gives_the_same_records(monkeypatch):
+    _assert_same_records_with(monkeypatch, "_eigvalsh", np.linalg.eigvalsh)
