@@ -11,12 +11,10 @@ from evqc.engine import (
     cn_decide_thermal,
     dj_decide_lifted,
     dj_decide_pseudopure,
-    distinguishable,
     expectation,
     expectations,
     s_functional,
     s_functionals,
-    satisfiability_gap,
 )
 from evqc.funcspace import (
     BoolFunc,
@@ -33,9 +31,7 @@ from evqc.funcspace import (
 from evqc.measstruct import (
     InvariantForm,
     NotInvariantFormError,
-    check_permutation_invariance,
     decompose_invariant,
-    necessary_conditions,
     search_max_c_ratio,
 )
 from evqc.spinops import (
@@ -45,7 +41,6 @@ from evqc.spinops import (
     single_spin,
     spectral_range,
     total_spin,
-    unitarily_equivalent,
     w_projector,
 )
 from evqc.states import (

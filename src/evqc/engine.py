@@ -45,7 +45,6 @@ from evqc.spinops import (
     _check_function,
     _check_spins,
     require_hermitian,
-    spectral_range,
 )
 from evqc.states import DensityMatrix, SpinSystem
 
@@ -193,26 +192,6 @@ def projector_readout(n: int, alpha: float, f: BoolFunc) -> float:
 def trace_expectation(m: Operator, rho: DensityMatrix) -> float:
     """Plain readout without any oracle applied."""
     return _as_real(_weights(m, rho, "trace_expectation").sum(), "expectation")
-
-
-def distinguishable(m: Operator, rho1: DensityMatrix, rho2: DensityMatrix, eps: Resolution) -> bool:
-    """Machine-level distinguishability of two states under one measurement.
-
-    True when the readout difference exceeds eps times the spectral range
-    of the measurement (strictly).
-    """
-    lam = spectral_range(m)
-    if lam == 0.0:
-        raise ValueError("measurement with zero spectral range cannot distinguish anything")
-    gap = abs(trace_expectation(m, rho1) - trace_expectation(m, rho2))
-    return gap > eps.epsilon * lam
-
-
-def satisfiability_gap(n: int) -> float:
-    """Readout gap between constant and balanced inputs on the pure protocol."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return 2.0 ** (2 - n) * (1.0 - 2.0 ** (-n))
 
 
 def _decide(

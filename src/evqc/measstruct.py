@@ -4,9 +4,8 @@ A hermitian measurement gives permutation-invariant readouts on the
 pseudopure family exactly when it splits as c * W + D + A with W the
 uniform-superposition projector, D real diagonal and A pure-imaginary
 antisymmetric; only c and D ever reach the readout.  This module
-decomposes such operators, spot-checks the invariance, screens
-necessary spectral conditions, and searches for the largest attainable
-|c| relative to the spectral range under a fixed reference spectrum.
+decomposes such operators and searches for the largest attainable |c|
+relative to the spectral range under a fixed reference spectrum.
 
 The search refines with `_powell`, an exact port of scipy 1.17.1's
 Powell method, so it runs on numpy alone and its bits no longer depend
@@ -19,19 +18,16 @@ non-convergent eigensolve still raises LinAlgError.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from evqc.engine import expectations
-from evqc.funcspace import BoolFunc, mask_from_bits, permute
 from evqc.spinops import Operator, eig_multiset, require_hermitian, total_spin
-from evqc.states import DensityMatrix
 
 FEASIBILITY_TOL = 1e-6  # eigenvalue-match gate for accepted candidates
+UNIFORM_TOL = 1e-8  # spread allowed among the symmetrized off-diagonal entries
 SEARCH_N_LIMIT = 3
 
 _MU_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3)
@@ -116,10 +112,10 @@ def _assembler(size: int):
     return assemble
 
 
-def decompose_invariant(m: Operator, tol: float = 1e-8) -> InvariantForm:
+def decompose_invariant(m: Operator) -> InvariantForm:
     """Split a hermitian operator into the invariant form, or refuse.
 
-    The symmetrized off-diagonal entries must agree within tol; their
+    The symmetrized off-diagonal entries must agree within UNIFORM_TOL; their
     common value fixes c, the diagonal fixes D, and what remains is the
     antisymmetric imaginary part.
     """
@@ -133,118 +129,18 @@ def decompose_invariant(m: Operator, tol: float = 1e-8) -> InvariantForm:
     # Hermitian input makes these real up to rounding.
     vals = sym.real
     spread = float(vals.max() - vals.min())
-    if spread > tol:
+    if spread > UNIFORM_TOL:
         lo = int(np.argmin(vals))
         hi = int(np.argmax(vals))
         raise NotInvariantFormError(
             "symmetrized off-diagonal entries are not uniform: "
             f"entry ({rows[lo]},{cols[lo]}) gives {vals[lo]:.6g} but "
-            f"({rows[hi]},{cols[hi]}) gives {vals[hi]:.6g} (spread {spread:.3g} > tol {tol:g})"
+            f"({rows[hi]},{cols[hi]}) gives {vals[hi]:.6g} (spread {spread:.3g} > tol {UNIFORM_TOL:g})"
         )
     c = size * float(vals.mean()) / 2.0
     d = np.diag(mat).real - c / size
     a_upper = mat[rows, cols].imag.copy()
     return InvariantForm(c=c, d=d, a_upper=a_upper)
-
-
-def check_permutation_invariance(
-    m: Operator,
-    rho: DensityMatrix,
-    trials: int,
-    seed: int,
-    tol: float | None = None,
-) -> bool:
-    """Randomized check that readouts ignore argument transpositions.
-
-    Draws random functions and transpositions; returns False on the first
-    readout pair that differs beyond tol.  The state must belong to the
-    pseudopure family, which is what the invariance statement covers.
-    """
-    tol = _invariance_tol(m, rho, tol)
-    n_bits = (m.dim - 1).bit_length()
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        f = BoolFunc(n_bits, mask_from_bits(rng.integers(0, 2, size=m.dim)))
-        l, k = map(int, rng.choice(m.dim, size=2, replace=False))
-        e, e_permuted = expectations(m, rho, [f, permute(f, l, k)])
-        if abs(e - e_permuted) > tol:
-            return False
-    return True
-
-
-def find_permutation_witness(
-    m: Operator,
-    rho: DensityMatrix,
-    tol: float | None = None,
-) -> tuple[BoolFunc, int, int] | None:
-    """Exhaustive hunt for a transposition that shifts some readout.
-
-    Returns (f, l, k) for the first violation in truth-table order, or
-    None when every readout is invariant.  Only sensible at small n.
-    """
-    tol = _invariance_tol(m, rho, tol)
-    size = m.dim
-    n_bits = (size - 1).bit_length()
-    pairs = list(itertools.combinations(range(size), 2))
-    for mask in range(1 << size):
-        f = BoolFunc(n_bits, mask)
-        base, *permuted = expectations(m, rho, [f] + [permute(f, l, k) for l, k in pairs])
-        for (l, k), e in zip(pairs, permuted):
-            if abs(base - e) > tol:
-                return f, l, k
-    return None
-
-
-def _invariance_tol(m: Operator, rho: DensityMatrix, tol: float | None) -> float:
-    """Refuse a state outside the pseudopure family, which is what the
-    invariance statement covers; return tol, by default 1e-10 * max(1, max|M|)."""
-    mat = rho.mat
-    off = mat - np.diag(np.diag(mat))
-    rows, cols = np.triu_indices(mat.shape[0], 1)
-    off_vals = mat[rows, cols]
-    diag_vals = np.diag(mat)
-    uniform = (
-        np.abs(off_vals - off_vals[0]).max(initial=0.0) <= 1e-12
-        and np.abs(diag_vals - diag_vals[0]).max() <= 1e-12
-        and np.abs(off.imag).max() <= 1e-12
-    )
-    if not uniform:
-        raise ValueError("permutation invariance is only claimed for pseudopure-family states")
-    return 1e-10 * max(1.0, float(np.abs(m.mat).max(initial=0.0))) if tol is None else tol
-
-
-@dataclass(frozen=True, eq=False)
-class NecessaryConditionsReport:
-    """Spectral screening of a candidate against a reference operator."""
-
-    trace_value: float
-    trace_ok: bool
-    det_checks: tuple[tuple[float, float, bool], ...]  # (lambda, |det(M - lambda)|, ok)
-    passed: bool
-
-
-def necessary_conditions(m: Operator, reference: Operator, tol: float) -> NecessaryConditionsReport:
-    """Check the trace and the vanishing of det(M - lambda) for each
-    reference eigenvalue.
-
-    Necessary but not sufficient for unitary equivalence: multiplicities
-    are not compared.
-    """
-    vals_m = eig_multiset(m)
-    vals_ref = eig_multiset(reference)
-    trace_value = float(np.trace(m.mat).real)
-    trace_ok = abs(trace_value - float(np.trace(reference.mat).real)) <= tol
-    checks = []
-    for lam in vals_ref:
-        det = float(np.prod(vals_m - lam))
-        checks.append((float(lam), abs(det), abs(det) <= tol))
-    passed = trace_ok and all(ok for _, _, ok in checks)
-    return NecessaryConditionsReport(
-        trace_value=trace_value,
-        trace_ok=trace_ok,
-        det_checks=tuple(checks),
-        passed=passed,
-    )
 
 
 @dataclass(frozen=True, eq=False)

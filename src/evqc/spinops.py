@@ -17,22 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from evqc.funcspace import BoolFunc, _is_ascii_int
+from evqc.funcspace import BoolFunc
 
 MAX_DENSE_N = 12
-
-# Dump entry lines as operator_text writes them: two %.17g numerals each.
-# float() alone would also take "+", "_", spaces and non-ASCII digits.
-_G17 = r"(?:-?(?:inf|[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?)|nan)"
-# The characters str.strip() strips inside a line of ASCII text.
-_WS = r"\t\x0b\x0c\r\x1c-\x1f "
-_DUMP_BLANK_LINE = re.compile(f"^[{_WS}]*$", re.MULTILINE)
-# From the first character that is not whitespace to the end of its line.
-_DUMP_FILLED = re.compile(f"[^\\n{_WS}][^\\n]*")
-_DUMP_BAD_LINE = re.compile(f"^(?![{_WS}]*(?:{_G17},{_G17})?[{_WS}]*$)[^\\n]*", re.MULTILINE)
-# Commas and the whitespace C's isspace() does not know become spaces.
-_DUMP_TO_SPACES = str.maketrans(",\x1c\x1d\x1e\x1f", "     ")
-
 
 # Rows per block in _float_table, and entries per gather in _lay_out:
 # together they bound the arrays the formatter holds at once.
@@ -435,61 +422,8 @@ def spectral_range(m: Operator) -> float:
     return float(values[-1] - values[0])
 
 
-def unitarily_equivalent(m1: Operator, m2: Operator, tol: float | None = None) -> bool:
-    """Whether two hermitian operators share an eigenvalue multiset.
-
-    For hermitian inputs this is exactly unitary equivalence.  The default
-    tolerance scales with dimension: 1e-9 * N per eigenvalue.
-    """
-    if m1.dim != m2.dim:
-        raise ValueError(f"dimension mismatch: {m1.dim} vs {m2.dim}")
-    if tol is None:
-        tol = 1e-9 * m1.dim
-    v1 = eig_multiset(m1)
-    v2 = eig_multiset(m2)
-    return bool(np.abs(v1 - v2).max() <= tol)
-
-
 def operator_text(m: Operator) -> str:
     """The dump format: dimension header, then row-major re,im pairs."""
     flat = m.mat.reshape(-1)
     return _float_table(f"{m.dim}\n", "%.17g,%.17g\n", (flat.real, flat.imag))
 
-
-def load_operator(path) -> Operator:
-    """Read the dump format back, taking only the numerals operator_text
-    writes; the Operator decides hermiticity.
-
-    Blank lines and whitespace around a line are ignored.  The checks run
-    over the file text with no Python object per line.
-    """
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    entries = _count_filled_lines(text, len(text)) - 1
-    if entries < 0:
-        raise ValueError(f"empty operator dump {path}")
-    first = _DUMP_FILLED.search(text)
-    header = first.group().strip()
-    if not _is_ascii_int(header):
-        raise ValueError(f"operator dump {path} has dimension line {header!r}, expected an integer")
-    dim = int(header)
-    if dim < 1:
-        raise ValueError(f"operator dump {path} has dimension {dim}, expected at least 1")
-    if entries != dim * dim:
-        raise ValueError(f"operator dump {path} has {entries} entries, expected {dim * dim}")
-    bad = _DUMP_BAD_LINE.search(text, first.end())
-    if bad:
-        idx = _count_filled_lines(text, bad.start())
-        raise ValueError(
-            f"operator dump {path} entry {idx} is {bad.group().strip()!r}, expected two %.17g numerals"
-        )
-    # Text-mode fromstring rounds each numeral as float() does, without a
-    # Python object per numeral; it splits on C whitespace only.
-    values = np.fromstring(text[first.end() :].translate(_DUMP_TO_SPACES), sep=" ")
-    return Operator(values.view(complex).reshape(dim, dim))
-
-
-def _count_filled_lines(text: str, end: int) -> int:
-    """Lines of text[:end] that hold more than whitespace."""
-    lines = text.count("\n", 0, end) + 1
-    return lines - sum(1 for _ in _DUMP_BLANK_LINE.finditer(text, 0, end))

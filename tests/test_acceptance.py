@@ -11,18 +11,21 @@ import time
 
 import numpy as np
 
-from conftest import oracle_conjugated
+from conftest import (
+    distinguishable,
+    find_permutation_witness,
+    oracle_conjugated,
+    satisfiability_gap,
+    unitarily_equivalent,
+)
 from evqc.engine import (
     Decision,
     Resolution,
     b_matrix,
     cn_decide_thermal,
     dj_decide_lifted,
-    dj_decide_pseudopure,
-    distinguishable,
     expectation,
     s_functional,
-    satisfiability_gap,
     trace_expectation,
 )
 from evqc.funcspace import (
@@ -37,15 +40,12 @@ from evqc.adversary import cn_witness, min_queries, verify_adversary
 from evqc.measstruct import (
     FEASIBILITY_TOL,
     InvariantForm,
-    find_permutation_witness,
     search_max_c_ratio,
 )
 from evqc.spinops import (
     Operator,
     single_spin,
-    spectral_range,
     total_spin,
-    unitarily_equivalent,
     w_projector,
 )
 from evqc.states import (

@@ -1,16 +1,20 @@
-"""Every name a module imports is used there, and every private
-module-level function has a caller in the package.  The package __init__
-is exempt from the first: its imports are the public re-exports.  No
-module holds code that only the default interpreter runs, so the package
-is one program under ``python`` and ``python -O``."""
+"""Every name a module imports is used there, every private module-level
+function has a caller in the package, and every public module-level
+function or class has a user in the package, in the benchmark, or a
+reason to stay as a test oracle.  The package __init__ is exempt from the
+first and counts as no user for the third: its imports are the public
+re-exports.  No module holds code that only the default interpreter runs,
+so the package is one program under ``python`` and ``python -O``."""
 
 import ast
+import re
 from pathlib import Path
 
 import evqc
 
 PACKAGE = sorted(Path(evqc.__file__).parent.glob("*.py"))
 MODULES = sorted(p for p in Path(evqc.__file__).parent.glob("*.py") if p.name != "__init__.py")
+BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -61,21 +65,26 @@ def test_the_guard_sees_code_that_python_o_strips():
     assert debug_only_code(tree) == [(1, "__debug__"), (3, "assert"), (4, "__debug__"), (6, "assert")]
 
 
-def uncalled_private_functions(trees: list[ast.Module]) -> list[str]:
-    """Private (_-prefixed, not dunder) module-level functions that no other
-    top-level statement of any of the trees names; a function naming
-    itself does not count as a caller."""
-    private, names_by_statement = set(), []
+def unnamed_definitions(trees: list[ast.Module], kinds, picked) -> list[str]:
+    """Module-level definitions of the given node kinds whose names pass
+    picked and that no other top-level statement of any of the trees
+    names; a definition naming itself does not count."""
+    defined, names_by_statement = set(), []
     for tree in trees:
         for stmt in tree.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
-                    and not stmt.name.startswith("__"):
-                private.add(stmt.name)
+            if isinstance(stmt, kinds) and picked(stmt.name):
+                defined.add(stmt.name)
             names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
             names_by_statement.append((getattr(stmt, "name", None), names))
-    return sorted(name for name in private
+    return sorted(name for name in defined
                   if not any(name in names for owner, names in names_by_statement if owner != name))
+
+
+def uncalled_private_functions(trees: list[ast.Module]) -> list[str]:
+    """Private (_-prefixed, not dunder) module-level functions no other
+    top-level statement names."""
+    return unnamed_definitions(trees, ast.FunctionDef, lambda name: name.startswith("_") and not name.startswith("__"))
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -95,8 +104,46 @@ def test_the_guard_sees_an_uncalled_private_function():
     assert uncalled_private_functions([tree, caller]) == ["_recursive", "_unused"]
 
 
+# Public definitions no command or benchmark workload reaches, kept
+# because the tests hold the package to them.
+KEPT_ORACLES = (
+    "decompose_invariant",  # inverse of InvariantForm.reconstruct: splits operators into (c, D, A)
+    "heisenberg_dense",  # dense exp(iHt) M exp(-iHt), the oracle for heisenberg_op's diagonal-phase route
+    "permute",  # argument transposition that check 06 and the permutation-witness hunt apply
+)
+
+
+def unused_public_definitions(trees: list[ast.Module], elsewhere: set[str]) -> list[str]:
+    """Public module-level functions and classes, cmd_* handlers aside,
+    that no other top-level statement names and that are not in elsewhere."""
+    found = unnamed_definitions(trees, (ast.FunctionDef, ast.ClassDef),
+                                lambda name: not name.startswith(("_", "cmd_")))
+    return [name for name in found if name not in elsewhere]
+
+
+def test_every_public_definition_has_a_user_or_a_reason():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    bench_words = {w for path in BENCHMARK for w in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    assert unused_public_definitions(trees, bench_words) == sorted(KEPT_ORACLES)
+
+
+def test_the_guard_sees_an_unused_public_definition():
+    caller = ast.parse("from m import by_name\nimport m\n\ndef run():\n    return m.by_attribute() + by_name()\n")
+    tree = ast.parse(
+        "def by_name():\n    return 1\n\n"
+        "def by_attribute():\n    return 2\n\n"
+        "class Used:\n    pass\n\n"
+        "def make():\n    return Used()\n\n"
+        "def benched():\n    return 3\n\n"
+        "def cmd_run(args):\n    return 0\n\n"
+        "def recursive(k):\n    return recursive(k - 1)\n\n"
+        "class Unused:\n    pass\n"
+    )
+    assert unused_public_definitions([tree, caller], {"benched", "make", "run"}) == ["Unused", "recursive"]
+
+
 # Each module may import only the evqc modules listed before it.
-LAYERS = ["funcspace", "spinops", "states", "timedomain", "engine", "adversary", "measstruct", "cli"]
+LAYERS = ["funcspace", "spinops", "measstruct", "states", "timedomain", "engine", "adversary", "cli"]
 
 
 def evqc_imports(tree: ast.Module) -> set[str]:

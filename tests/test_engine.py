@@ -5,7 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import oracle_conjugated, random_boolfunc, random_density, random_hermitian
+from conftest import (
+    distinguishable,
+    oracle_conjugated,
+    random_boolfunc,
+    random_density,
+    random_hermitian,
+    satisfiability_gap,
+)
 from evqc.engine import (
     Decision,
     Resolution,
@@ -13,13 +20,11 @@ from evqc.engine import (
     cn_decide_thermal,
     dj_decide_lifted,
     dj_decide_pseudopure,
-    distinguishable,
     expectation,
     expectations,
     projector_readout,
     s_functional,
     s_functionals,
-    satisfiability_gap,
     trace_expectation,
     transverse_readout,
     verdict_record,

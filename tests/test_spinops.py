@@ -1,24 +1,21 @@
 import dataclasses
-import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_hermitian
+from conftest import haar_unitary, unitarily_equivalent
 from evqc.funcspace import BoolFunc
 from evqc.spinops import (
     Operator,
     eig_multiset,
     is_hermitian,
-    load_operator,
     operator_text,
     oracle,
     single_spin,
     spectral_range,
     total_spin,
-    unitarily_equivalent,
     w_projector,
 )
 from evqc.states import SpinSystem, demo_system, pseudopure, pulsed_thermal, thermal_state
@@ -180,45 +177,10 @@ def test_operator_decides_its_own_hermiticity():
     assert Operator(np.eye(2), hermitian=True).hermitian is True
 
 
-def test_load_operator_detects_hermiticity_once(tmp_path, monkeypatch):
-    from evqc import spinops
-
-    calls = []
-
-    def counted(mat):
-        calls.append(mat.shape)
-        return is_hermitian(mat)
-
-    path = tmp_path / "op.txt"
-    path.write_text(operator_text(total_spin(2, "y")), encoding="ascii")
-    monkeypatch.setattr(spinops, "is_hermitian", counted)
-    assert load_operator(path).hermitian is True
-    assert calls == [(4, 4)]
-
-
 def test_operator_is_immutable():
     op = single_spin(1, 1, "x")
     with pytest.raises(ValueError):
         op.mat[0, 0] = 5.0
-
-
-def test_dump_load_roundtrip(tmp_path, rng):
-    m = random_hermitian(8, rng, scale=3.0)
-    path = tmp_path / "op.txt"
-    path.write_text(operator_text(m), encoding="ascii")
-    back = load_operator(path)
-    np.testing.assert_array_equal(back.mat, m.mat)
-    assert back.hermitian
-
-
-def test_load_detects_diagonal(tmp_path):
-    # The dump keeps a diagonal matrix exactly diagonal; only hermiticity is
-    # re-detected as a flag.
-    path = tmp_path / "diag.txt"
-    path.write_text(operator_text(oracle(BoolFunc(1, 0b10))), encoding="ascii")
-    back = load_operator(path)
-    np.testing.assert_array_equal(back.mat, np.diag([1, -1]))
-    assert back.hermitian
 
 
 def test_is_hermitian_tolerance_scales_with_largest_entry():
@@ -243,7 +205,7 @@ def test_is_hermitian_refuses_non_finite_entries_silently(entry):
         assert not Operator(mat).hermitian
 
 
-def test_every_hermiticity_check_keeps_its_message(tmp_path):
+def test_every_hermiticity_check_keeps_its_message():
     from evqc.measstruct import decompose_invariant
     from evqc.states import DensityMatrix
 
@@ -256,9 +218,6 @@ def test_every_hermiticity_check_keeps_its_message(tmp_path):
         DensityMatrix(Operator(skew))
     with pytest.raises(ValueError, match="decompose_invariant requires a hermitian operator"):
         decompose_invariant(Operator(skew))
-    path = tmp_path / "skew.txt"
-    path.write_text(operator_text(Operator(skew)), encoding="ascii")
-    assert not load_operator(path).hermitian
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -318,15 +277,9 @@ def test_dense_builders_refuse_n13_before_allocating(build):
     assert peak < 1 << 20
 
 
-def test_empty_operators_are_refused(tmp_path):
+def test_empty_operators_are_refused():
     with pytest.raises(ValueError, match="must be square and non-empty"):
         Operator(np.zeros((0, 0)))
-    for header, body in (("0", ""), ("-1", "1,0\n")):
-        path = tmp_path / f"dim{header}.txt"
-        path.write_text(f"{header}\n{body}", encoding="ascii")
-        message = re.escape(f"operator dump {path} has dimension {header},")
-        with pytest.raises(ValueError, match=message):
-            load_operator(path)
 
 
 def _per_entry_operator_text(m):
@@ -346,33 +299,3 @@ def test_operator_text_matches_the_per_entry_formatter(rng, dim):
     mat.ravel()[-len(odd[:dim * dim]):] = odd[:dim * dim]
     m = Operator(mat)
     assert operator_text(m) == _per_entry_operator_text(m)
-
-
-def test_load_operator_reads_back_every_float_it_writes(tmp_path):
-    mat = np.array([[np.nan, -0.0 + 5e-324j], [complex(np.inf, -np.inf), 1e300 + 1.0 / 3.0j]])
-    path = tmp_path / "odd.txt"
-    path.write_text(operator_text(Operator(mat)), encoding="ascii")
-    back = load_operator(path).mat
-    assert np.array_equal(back, mat, equal_nan=True)
-    assert np.signbit(back.real).tolist() == np.signbit(mat.real).tolist()
-
-
-@pytest.mark.parametrize("text", [
-    "+1\n1,0\n", "1_0\n" + "1,0\n" * 100, "1.0\n1,0\n", "0x1\n1,0\n",
-])
-def test_load_operator_refuses_a_dimension_line_operator_text_never_writes(tmp_path, text):
-    path = tmp_path / "dim.txt"
-    path.write_text(text, encoding="ascii")
-    with pytest.raises(ValueError, match="dimension line"):
-        load_operator(path)
-
-
-@pytest.mark.parametrize("entry", [
-    "1_0,0", "+1,0", "1,+0", "1, 0", "1E+05,0", "1e5,0", ".5,0", "1.,0",
-    "Infinity,0", "infinity,0", "NaN,0", "-nan,0", "+inf,0", "0x1,0",
-])
-def test_load_operator_refuses_numerals_operator_text_never_writes(tmp_path, entry):
-    path = tmp_path / "entry.txt"
-    path.write_text(f"2\n0,0\n0,0\n{entry}\n0,0\n", encoding="ascii")
-    with pytest.raises(ValueError, match=re.escape(f"entry 3 is {entry!r}, expected two %.17g numerals")):
-        load_operator(path)
