@@ -336,6 +336,14 @@ def _int(text: str) -> int:
     return int(text)
 
 
+def _float(text: str) -> float:
+    """argparse type of every float option: the numerals a --sys file's
+    float fields take, inf and nan included for the range checks to refuse."""
+    if not states._is_ascii_float(text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
+
+
 def _seed(text: str) -> int:
     """argparse type of every --seed: a non-negative integer, as numpy's
     generators need."""
@@ -356,8 +364,8 @@ def build_parser() -> _Parser:
     p.add_argument("--fn", help="truth-table file")
     p.add_argument("--class", dest="func_class", choices=["constant", "balanced", "cn"])
     p.add_argument("--n", type=_int, help="argument bits (with --class)")
-    p.add_argument("--eps", type=float, required=True, help="readout resolution")
-    p.add_argument("--alpha", type=float, default=1.0, help="pseudopure weight")
+    p.add_argument("--eps", type=_float, required=True, help="readout resolution")
+    p.add_argument("--alpha", type=_float, default=1.0, help="pseudopure weight")
     p.add_argument("--sys", help="spin-system JSON file")
     p.add_argument("--seed", type=_seed, help="seed for --class cn sampling")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -390,7 +398,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fn", help="apply this oracle before sampling")
     p.add_argument("--class", dest="func_class", choices=["constant", "balanced", "cn"])
     p.add_argument("--seed", type=_seed, help="seed for --class cn sampling")
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--dt", type=_float, required=True)
     p.add_argument("--count", type=_int, required=True)
     p.add_argument("--out", required=True, help="trace CSV path; spectrum lands beside it")
     p.add_argument("--dump-op", help="dump the measurement operator to this path")

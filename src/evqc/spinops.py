@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,9 +24,6 @@ MAX_DENSE_N = 12
 # together they bound the arrays the formatter holds at once.
 _TABLE_BLOCK_ROWS = 4096
 _GATHER_ROWS = 256
-
-# The conversions _float_table fills in; the rest of a row is literal.
-_CONVERSION = re.compile(r"%d|%\.17g")
 
 # Finite %.17g entries in this range take the digit route: every 10**q it
 # needs, and both halves of each, stays a normal double.
@@ -46,11 +42,6 @@ _G_BLANK = 25 * 17 * 2  # template rows: exponent slot x last significant digit 
 _G_PLAIN = np.frombuffer(b"".join(t.ljust(_G_WIDTH, b"\0") for t in (b"0", b"-0", b"inf", b"-inf", b"nan")),
                          np.uint8).reshape(-1, _G_WIDTH)
 
-# Source bytes of one %d entry, 5 words: 16 digits, then "-" and NULs.
-_D_MINUS, _D_NUL = 16, 17
-_D_FIXED = np.frombuffer(b"-\0\0\0", np.uint32)
-_D_WIDTH = 17  # sign and up to 16 digits
-
 
 class _Tables(NamedTuple):
     quads: np.ndarray  # ASCII digits of 0..9999, one uint32 word each
@@ -64,7 +55,6 @@ class _Tables(NamedTuple):
     exp_quads: np.ndarray  # the quads word of |q|
     slots: np.ndarray  # the exponent slot of E = q, as _g_template takes it
     g_rows: np.ndarray  # template rows of %.17g, keyed as in _g17_texts
-    d_rows: np.ndarray  # template rows of %d, keyed by 2 * digits + sign
 
 
 def _g_template(slot: int, last: int, neg: bool) -> list[int]:
@@ -107,17 +97,12 @@ def _format_tables() -> _Tables:
         at_least.append(math.nextafter(top, math.inf) if rest > 0 else top)
     hi = np.array(hi)
     g_rows = [_g_template(*key) for key in itertools.product(range(25), range(17), (0, 1))] + [[]]
-    d_rows = [[_D_MINUS] * neg + list(range(16 - digits, 16)) for digits in range(17) for neg in (0, 1)]
+    g_rows = np.array([row + [_G_NUL] * (_G_WIDTH - len(row)) for row in g_rows], np.uint8)
     exp_quads = quads[[abs(q) for q in range(_POW_LOW, _POW_HIGH + 1)]]
     slots = np.array([q + 4 if -4 <= q <= 16 else 21 + 2 * (q < 0) + (abs(q) >= 100)
                       for q in range(_POW_LOW, _POW_HIGH + 1)])
-    return _Tables(quads, zeros, is_zero, hi, *_split(hi), np.array(lo), np.array(at_least), exp_quads, slots,
-                   _padded(g_rows, _G_WIDTH, _G_NUL), _padded(d_rows, _D_WIDTH, _D_NUL))
-
-
-def _padded(rows: list[list[int]], width: int, pad: int) -> np.ndarray:
-    """The template rows as a uint8 matrix, each padded to width with pad."""
-    return np.array([row + [pad] * (width - len(row)) for row in rows], np.uint8)
+    return _Tables(quads, zeros, is_zero, hi, *_split(hi), np.array(lo), np.array(at_least), exp_quads,
+                   slots, g_rows)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,12 +122,6 @@ def _lay_out(words: np.ndarray, templates: np.ndarray, key: np.ndarray) -> np.nd
         idx = picks + (words.shape[1] * 4 * np.arange(start, start + len(picks)))[:, None]
         np.take(flat, idx, out=out[start:start + len(idx)], mode="clip")
     return out
-
-
-def _put_text(out: np.ndarray, j: int, text: str) -> None:
-    """Write text into row j of a NUL-padded text matrix."""
-    out[j] = 0
-    out[j, :len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
 
 
 def _g17_one(x: float) -> str:
@@ -220,40 +199,21 @@ def _g17_texts(x: np.ndarray) -> np.ndarray:
     fallback = np.isfinite(x) & (x != 0)
     fallback[sel[ok]] = False
     for j in np.flatnonzero(fallback):
-        _put_text(out, j, _g17_one(float(x[j])))
-    return out
-
-
-def _d_texts(x: np.ndarray) -> np.ndarray:
-    """The %d texts (int() of each entry) of the float vector x,
-    NUL-padded to _D_WIDTH bytes or to the longest per-entry text."""
-    t = _format_tables()
-    exact = np.abs(x) < 2.0**53  # False for inf and nan
-    texts = {j: "%d" % x[j] for j in np.flatnonzero(~exact)}
-    ax = np.where(exact, np.abs(x), 0.0)
-    # Below 1 the text is "0"; above, int(x) has as many digits as x.
-    digits = _exponent10(np.maximum(ax, 1.0), t) + 1
-    u = ax.astype(np.int64)
-    words = np.empty((x.size, 5), np.uint32)
-    words[:, 4] = _D_FIXED[0]
-    for col in range(3, -1, -1):
-        u, low = _split_digits(u, 10**4)
-        words[:, col] = t.quads[low]
-    out = _lay_out(words, t.d_rows, digits * 2 + (x <= -1))
-    if texts:
-        out = np.pad(out, ((0, 0), (0, max(0, max(map(len, texts.values())) - _D_WIDTH))))
-        for j, text in texts.items():
-            _put_text(out, j, text)
+        text = np.frombuffer(_g17_one(float(x[j])).encode("ascii"), np.uint8)
+        out[j] = 0
+        out[j, :text.size] = text
     return out
 
 
 def _float_table(header: str, row: str, columns) -> str:
-    """header, then row with its %d and %.17g conversions filled in once
-    per index of the equal-length float columns: byte for byte the text
-    of (row * len) % values.
+    """header, then row with its %.17g conversions filled in once per
+    index of the equal-length float columns: byte for byte the text of
+    (row * len) % values.  The trace and spectrum CSVs and the operator
+    dump come from here; a whole number below 10**17 gets neither point
+    nor exponent.
 
     Each block of rows lays every field out as NUL-padded text and joins
-    the block with one boolean compress.  A %.17g entry x with
+    the block with one boolean compress.  An entry x with
     1e-230 <= |x| <= 1e250 takes the digit route: E = floor(log10 |x|),
     settled exactly against a table of 10**q, and the 17 digits
     D = round(|x| * 10**(16 - E)) from a double-double product, written
@@ -263,19 +223,15 @@ def _float_table(header: str, row: str, columns) -> str:
     no digit work.  An entry goes to the per-entry "%.17g" % x only when
     it is subnormal, |x| lies outside that range, the fraction of
     |x| * 10**(16 - E) lies within 1e-9 of 1/2 (a decimal tie or
-    near-tie), or D rounds up to 10**17.  A %d entry is int(x) written
-    from int64 digits by the same gather; only |x| >= 2**53, inf and nan
-    go through the per-entry "%d" % x, which raises on the last two."""
-    literals = [np.frombuffer(lit.encode("ascii"), np.uint8) for lit in _CONVERSION.split(row)]
-    kinds = _CONVERSION.findall(row)
+    near-tie), or D rounds up to 10**17."""
+    literals = [np.frombuffer(lit.encode("ascii"), np.uint8) for lit in row.split("%.17g")]
     parts = [header]
     for start in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
         block = [np.asarray(c[start:start + _TABLE_BLOCK_ROWS], dtype=float) for c in columns]
         rows = len(block[0])
         pieces = [np.broadcast_to(literals[0], (rows, literals[0].size))]
-        for kind, col, lit in zip(kinds, block, literals[1:]):
-            pieces.append(_d_texts(col) if kind == "%d" else _g17_texts(col))
-            pieces.append(np.broadcast_to(lit, (rows, lit.size)))
+        for col, lit in zip(block, literals[1:]):
+            pieces += [_g17_texts(col), np.broadcast_to(lit, (rows, lit.size))]
         text = np.concatenate(pieces, axis=1)
         parts.append(str(text[text != 0], "ascii"))
     return "".join(parts)

@@ -35,6 +35,11 @@ TRACE_TOL = 1e-12
 _NUMERAL = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)", re.I)
 
 
+def _is_ascii_float(text: str) -> bool:
+    """Whether text spells a float as _NUMERAL does, in ASCII only."""
+    return text.isascii() and _NUMERAL.fullmatch(text) is not None
+
+
 def _whole(value, what: str) -> int:
     """An integer field; a fractional or non-numeric value is refused, not
     truncated, and text must be an ASCII integer numeral."""
@@ -54,7 +59,7 @@ def _numeral(value, what: str, *args):
     what.format(*args)."""
     if not isinstance(value, str):
         return value
-    if not (value.isascii() and _NUMERAL.fullmatch(value)):
+    if not _is_ascii_float(value):
         raise ValueError(f"{what.format(*args)} needs a number, got {value!r}")
     return float(value)
 

@@ -1115,3 +1115,34 @@ def test_integer_options_take_ascii_digits_only(capsys, tmp_path, monkeypatch, a
     assert err.splitlines()[-1] == f"error: argument {option}: invalid int value: {numeral!r}"
     assert list(tmp_path.iterdir()) == []
 
+
+# Every float option, with the arguments that make the rest of its command
+# valid, and the range check's message for its value {}.
+FLOAT_OPTIONS = [
+    (("classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2"), "--eps",
+     "epsilon must be positive and finite, got {}"),
+    (("classify", "--protocol", "pseudopure", "--class", "balanced", "--n", "2", "--eps", "0.1"), "--alpha",
+     "alpha={} outside (0, 1]"),
+    (("signal", "--n", "2", "--count", "8", "--out", "t.csv"), "--dt", "dt must be positive and finite, got {}"),
+]
+
+
+@pytest.mark.parametrize("numeral", ["1_0e-7", "１e-6", "０.5", " 1e-6", "1e-6 ", "0x1p-3", "ınf", ""])
+@pytest.mark.parametrize("argv,option,_", FLOAT_OPTIONS, ids=[f"{a[0]}{o}" for a, o, _ in FLOAT_OPTIONS])
+def test_float_options_take_ascii_numerals_only(capsys, tmp_path, monkeypatch, argv, option, _, numeral):
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run(capsys, *argv, option, numeral)
+    assert rc == 1 and rec is None and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: argument {option}: invalid float value: {numeral!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,option,message", FLOAT_OPTIONS, ids=[f"{a[0]}{o}" for a, o, _ in FLOAT_OPTIONS])
+def test_float_options_pass_inf_and_nan_to_the_range_checks(capsys, tmp_path, monkeypatch, argv, option, message):
+    monkeypatch.chdir(tmp_path)
+    for numeral, text in (("inf", "inf"), ("Infinity", "inf"), ("NaN", "nan")):
+        rc, rec, err = run(capsys, *argv, option, numeral)
+        assert (rc, rec) == (1, None)
+        assert err.splitlines() == ["error: " + message.format(text)]
+    assert list(tmp_path.iterdir()) == []
+

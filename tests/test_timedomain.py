@@ -176,6 +176,19 @@ def test_spectrum_is_sorted_and_sized():
         spectrum(SignalTrace(dt=0.5, samples=np.array([1.0])))
 
 
+@pytest.mark.parametrize("count", [2, 3, 1023, 1024])
+def test_spectrum_takes_the_order_of_an_argsort_by_omega(count, rng):
+    for dt in (1e-4, 1.0 / 3.0, 0.5):
+        trace = SignalTrace(dt=dt, samples=rng.standard_normal(count))
+        omegas, mags = spectrum(trace)
+        transform = np.fft.fft(trace.samples)
+        bin_omegas = 2.0 * np.pi * np.fft.fftfreq(count, d=dt)
+        order = np.argsort(bin_omegas)
+        assert omegas.tobytes() == bin_omegas[order].tobytes()
+        assert mags.tobytes() == np.hypot(transform.real, transform.imag)[order].tobytes()
+        assert (np.diff(omegas) > 0).all()
+
+
 def test_coupled_doublet_peak_positions():
     # bin-exact sampling: every expected line sits on an FFT bin
     sys = SpinSystem(
