@@ -9,15 +9,17 @@ relative to the spectral range under a fixed reference spectrum.
 
 The search refines with `_powell`, an exact port of scipy 1.17.1's
 Powell method, so it runs on numpy alone and its bits no longer depend
-on the installed scipy.  Each evaluation calls `_eigvalsh`, the LAPACK
-gufunc behind `np.linalg.eigvalsh`, directly; the error state that
-wrapper sets per call is set once per search instead, so a
-non-convergent eigensolve still raises LinAlgError.
+on the installed scipy.  Each evaluation (`_evaluator`) fills only the
+lower triangle LAPACK reads and calls `_eigvalsh`, the gufunc behind
+np.linalg.eigvalsh, in one error state per search, so a non-convergent
+eigensolve still raises LinAlgError; each line search writes its trial
+points in place and reuses the value at its start.  No bit moves: what
+LAPACK reads takes the same operations in the same order, and a value
+is reused only at the point it was computed for.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,10 +34,9 @@ SEARCH_N_LIMIT = 3
 
 _MU_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3)
 
-# The gufunc and the signature np.linalg.eigvalsh(mat) runs for a complex
-# matrix with UPLO="L": the same eigenvalues, bit for bit, without the
-# wrapper's per-call checks, conversions and error state.
-_eigvalsh = functools.partial(_umath_linalg.eigvalsh_lo, signature="D->d")
+# np.linalg.eigvalsh's gufunc, UPLO="L", which reads the lower triangle only:
+# complex128 picks the same D->d loop, so the same bits, with no wrapper.
+_eigvalsh = _umath_linalg.eigvalsh_lo
 
 
 def _raise_nonconvergence(err: str, flag: int) -> None:
@@ -83,15 +84,10 @@ class InvariantForm:
 
 
 def _assembler(size: int):
-    """assemble(c, d, a_upper) -> c * W + diag(d) + A for one dimension.
-
-    The indices and the complex buffer are made once; every call writes
-    the real and imaginary parts of the same buffer through views, with
-    no complex temporary and no read-back, and returns it.  The diagonal's
-    imaginary part is never written and stays 0.  A caller that keeps the
-    matrix past the next call must copy it (Operator does; the eigvalsh
-    gufunc reads it into its own LAPACK workspace).
-    """
+    """assemble(c, d, a_upper) -> c * W + diag(d) + A for one dimension,
+    written through the real and imaginary views of one buffer that every
+    call returns; the diagonal's imaginary part stays 0.  A caller that
+    keeps the matrix past the next call must copy it (Operator does)."""
     rows, cols = np.triu_indices(size, 1)
     upper = rows * size + cols
     lower = cols * size + rows
@@ -170,15 +166,35 @@ class SearchResult:
         }
 
 
-def _split_params(
-    x: np.ndarray, size: int, out: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(c, d, a_upper) from the search vector, projected to zero trace;
-    d is written into out when one is given."""
+def _split_params(x: np.ndarray, size: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c, d, a_upper) from the search vector; the diagonal is shifted to
+    zero trace, leaving c alone."""
     c = float(x[0])
     dx = x[1 : 1 + size]
-    # Zero-trace projection: shift the diagonal, leaving c alone.
-    return c, np.subtract(dx, (c + np.add.reduce(dx)) / size, out=out), x[1 + size :]
+    return c, dx - (c + np.add.reduce(dx)) / size, x[1 + size :]
+
+
+def _evaluator(size: int, target: np.ndarray):
+    """assess(x) -> (mismatch, ratio, eigenvalues), the bits _split_params,
+    _assembler and np.linalg.eigvalsh give, writing only the lower triangle."""
+    rows, cols = np.triu_indices(size, 1)
+    lower = cols * size + rows
+    mat = np.zeros((size, size), dtype=complex)
+    re, im = mat.reshape(-1).real, mat.reshape(-1).imag
+    diag, neg, r_buf = re[:: size + 1], np.empty(rows.size), np.empty(size)
+
+    def assess(x: np.ndarray) -> tuple[float, float, np.ndarray]:
+        c = x.item(0)
+        re.fill(c / size)
+        dx = x[1 : 1 + size]
+        np.add(np.subtract(dx, (c + np.add.reduce(dx)) / size, out=diag), c / size, out=diag)
+        im[lower] = np.subtract(0.0, x[1 + size :], out=neg)  # -0.0 in a gives +0.0
+        vals = _eigvalsh(mat)
+        r = np.subtract(vals, target, out=r_buf)
+        mism = np.add.reduce(np.multiply(r, r, out=r)).item()
+        return mism, abs(c) / max(vals.item(-1) - vals.item(0), 1e-12), vals
+
+    return assess
 
 
 def search_max_c_ratio(
@@ -215,19 +231,7 @@ def search_max_c_ratio(
     phase_budget = max(60, budget // (restarts * (len(_MU_SCHEDULE) + 2)))
     polish_budget = 2 * phase_budget
 
-    assemble = _assembler(size)
-    d_buf = np.empty(size)
-    r_buf = np.empty(size)
-
-    def assess(x: np.ndarray) -> tuple[float, float, np.ndarray]:
-        # Runs once per objective evaluation: no InvariantForm, no Operator.
-        c, d, a = _split_params(x, size, d_buf)
-        vals = _eigvalsh(assemble(c, d, a))
-        np.subtract(vals, target, out=r_buf)
-        mism = float(np.add.reduce(np.multiply(r_buf, r_buf, out=r_buf)))
-        spread = float(vals[-1] - vals[0])
-        return mism, abs(c) / max(spread, 1e-12), vals
-
+    assess = _evaluator(size, target)  # no InvariantForm, no Operator per evaluation
     evaluations = 0
     best = None  # (rank, ratio, form, residual) of the preferred candidate
 
@@ -301,17 +305,17 @@ def _powell(fun, x0: np.ndarray, maxfev: int, xtol: float, ftol: float) -> tuple
     scipy's minimize(fun, x0, method="Powell", options={"maxfev": maxfev,
     "xtol": xtol, "ftol": ftol}) with no bounds: iterations are unlimited,
     and a call past maxfev is refused, which ends the search at the last
-    completed point.  fun takes a float vector it must not modify and
-    returns a float.
+    completed point.  fun takes a float vector it must neither modify nor
+    keep, and returns a float that depends on the vector's bits alone.
     """
     nfev = 0
 
-    def func(x: np.ndarray) -> float:
-        nonlocal nfev
+    def func(x: np.ndarray, known: float | None = None) -> float:
+        nonlocal nfev  # a known value is counted, not recomputed
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(x)
+        return fun(x) if known is None else known
 
     x = np.array(x0, dtype=float)
     direc = np.eye(x.size)
@@ -359,19 +363,29 @@ def _powell(fun, x0: np.ndarray, maxfev: int, xtol: float, ftol: float) -> tuple
 
 def _linesearch_powell(func, p: np.ndarray, xi: np.ndarray, tol: float, fval: float):
     """(f, p + alpha * xi, alpha * xi) at Brent's minimum along xi; a zero
-    direction returns (fval, p, xi) with no evaluation."""
+    direction returns (fval, p, xi) with no evaluation.  Trial points are
+    written in place; the first, alpha = 0, takes fval when it is p to the
+    bit and fval is p's value (every fval but a failed line search's nan)."""
     if not xi.any():
         return fval, p, xi
-    alpha, fret = _brent(lambda alpha: func(p + alpha * xi), tol)
+    trial = np.add(p, np.multiply(0.0, xi))
+    known = fval if not math.isnan(fval) and trial.tobytes() == p.tobytes() else None
+
+    def along(alpha: float, value: float | None = None) -> float:
+        if value is None:
+            np.add(p, np.multiply(alpha, xi, out=trial), out=trial)
+        return func(trial, value)
+
+    alpha, fret = _brent(along, tol, known)
     xi = alpha * xi
     return fret, p + xi, xi
 
 
-def _brent(func, tol: float) -> tuple[float, float]:
+def _brent(func, tol: float, f0: float | None = None) -> tuple[float, float]:
     """(x, f(x)) at Brent's minimum of a scalar function, from the bracket
     that starts at 0 and 1; a failed bracket gives its best point (nan
-    when any point or value is nan)."""
-    xa, xb, xc, fa, fb, fc = _bracket(func)
+    when any point or value is nan); f0 is passed on to _bracket."""
+    xa, xb, xc, fa, fb, fc = _bracket(func, f0)
     valid = (
         ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
         and (xa < xb < xc or xc < xb < xa)
@@ -445,12 +459,13 @@ def _brent(func, tol: float) -> tuple[float, float]:
     return x, fx
 
 
-def _bracket(func) -> tuple[float, float, float, float, float, float]:
+def _bracket(func, f0: float | None = None) -> tuple[float, float, float, float, float, float]:
     """(xa, xb, xc, fa, fb, fc): three points walked downhill from 0 and 1
     until f(xc) no longer falls below f(xb).  They need not bracket a
-    minimum; past _BRACKET_MAXITER steps the walk raises RuntimeError."""
+    minimum; past _BRACKET_MAXITER steps the walk raises RuntimeError.
+    A known f(0) goes to func as func(0.0, f0)."""
     xa, xb = 0.0, 1.0
-    fa = func(xa)
+    fa = func(xa, f0)
     fb = func(xb)
     if fa < fb:  # switch so fa > fb
         xa, xb = xb, xa

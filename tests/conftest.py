@@ -1,7 +1,7 @@
 """Shared randomized builders for the test suite, and the oracles the
 acceptance checks and unit tests hold the package to: the exhaustive
 permutation-witness hunt, machine-level distinguishability, the closed-form
-satisfiability gap and spectral equivalence."""
+satisfiability gap and spectral equivalence, and a comparison of long texts."""
 
 import itertools
 
@@ -113,6 +113,20 @@ def unitarily_equivalent(m1: Operator, m2: Operator, tol: float | None = None) -
     v1 = eig_multiset(m1)
     v2 = eig_multiset(m2)
     return bool(np.abs(v1 - v2).max() <= tol)
+
+
+def texts_match(got: str, want: str) -> bool:
+    """got == want; a mismatch fails with the lengths and the first
+    differing line, where pytest's own report would diff the whole texts
+    with difflib, which runs for minutes on texts of thousands of lines."""
+    if got == want:
+        return True
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    k = next((k for k, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+             min(len(got_lines), len(want_lines)))
+    first = [lines[k][:200] if k < len(lines) else "<end of text>" for lines in (got_lines, want_lines)]
+    raise AssertionError(f"texts of {len(got)} and {len(want)} characters differ first at line {k + 1}: "
+                         f"{first[0]!r} != {first[1]!r}")
 
 
 def random_boolfunc(n: int, rng: np.random.Generator) -> BoolFunc:

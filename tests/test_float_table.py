@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import texts_match
 from evqc import spinops, timedomain
 from evqc.funcspace import sample_cn
 from evqc.spinops import _float_table, operator_text, total_spin
@@ -64,9 +65,8 @@ def test_zeros_subnormals_infinities_and_nans(rng):
 
 def test_the_trace_index_column_up_to_the_sample_ceiling_reads_as_whole_numbers():
     k = np.arange(timedomain.MAX_SAMPLES, dtype=float)
-    # A bool, so that a failure report does not diff two 7 MB texts.
-    same = _float_table("", "%.17g\n", (k,)) == "".join(f"{j}\n" for j in range(timedomain.MAX_SAMPLES))
-    assert same
+    want = "".join(f"{j}\n" for j in range(timedomain.MAX_SAMPLES))
+    assert texts_match(_float_table("", "%.17g\n", (k,)), want)
 
 
 def test_fixed_texts_and_signal_columns_never_reach_the_per_entry_fallback(monkeypatch):
@@ -75,15 +75,17 @@ def test_fixed_texts_and_signal_columns_never_reach_the_per_entry_fallback(monke
 
     monkeypatch.setattr(spinops, "_g17_one", refuse)
     plain = np.array([0.0, -0.0, np.inf, -np.inf, np.nan] * 1000)
-    assert _float_table("", "%.17g\n", (plain,)) == "0\n-0\ninf\n-inf\nnan\n" * 1000
+    assert texts_match(_float_table("", "%.17g\n", (plain,)), "0\n-0\ninf\n-inf\nnan\n" * 1000)
     trace = timedomain.transverse_signal(demo_system(6), sample_cn(6, 5), range(1, 7), "x", 1e-4, 2048)
     spec = timedomain.spectrum(trace)
     times = trace.times
-    assert timedomain.trace_csv(trace) == "k,t,value\r\n" + per_entry(
-        "%d,%.17g,%.17g\r\n", (np.arange(times.size), times, trace.samples))
-    assert timedomain.spectrum_csv(spec) == "omega,magnitude\r\n" + per_entry("%.17g,%.17g\r\n", spec)
+    assert texts_match(timedomain.trace_csv(trace), "k,t,value\r\n" + per_entry(
+        "%d,%.17g,%.17g\r\n", (np.arange(times.size), times, trace.samples)))
+    assert texts_match(timedomain.spectrum_csv(spec),
+                       "omega,magnitude\r\n" + per_entry("%.17g,%.17g\r\n", spec))
     flat = total_spin(4, "x").mat.ravel()
-    assert operator_text(total_spin(4, "x")) == "16\n" + per_entry("%.17g,%.17g\n", (flat.real, flat.imag))
+    assert texts_match(operator_text(total_spin(4, "x")),
+                       "16\n" + per_entry("%.17g,%.17g\n", (flat.real, flat.imag)))
 
 
 def test_importing_the_cli_loads_no_scipy_and_builds_no_format_table(tmp_path):

@@ -303,21 +303,40 @@ def test_eigvalsh_gufunc_matches_numpys_wrapper(size, rng):
         assert got.tobytes() == want.tobytes(), c
 
 
-def _poisoned_assembler(value, where):
-    """measstruct._assembler with one entry of every assembled matrix overwritten."""
-    original = measstruct._assembler
+def _assessed_by_the_full_matrix(x, size, target):
+    """The evaluation's oracle: _split_params, _assembler and numpy's
+    eigvalsh wrapper on the whole hermitian matrix."""
+    c, d, a = measstruct._split_params(x, size)
+    vals = np.linalg.eigvalsh(measstruct._assembler(size)(c, d, a))
+    r = vals - target
+    return float(np.add.reduce(r * r)), abs(c) / max(float(vals[-1] - vals[0]), 1e-12), vals
 
-    def factory(size):
-        assemble = original(size)
 
-        def poisoned(c, d, a_upper):
-            mat = assemble(c, d, a_upper)
-            mat[where] = value
-            return mat
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluation_matches_the_full_matrix_route_bit_for_bit(n, rng):
+    size = 1 << n
+    target = spinops.eig_multiset(total_spin(n, "x"))
+    assess = measstruct._evaluator(size, target)
+    n_params = 1 + size + size * (size - 1) // 2
+    for k in range(60):
+        x = _with_signed_zeros(rng.standard_normal(n_params) * (0.5 * n), rng)
+        if k < 10:
+            x[0] = (0.0, -0.0)[k % 2]
+        mism, ratio, vals = assess(x)
+        want_mism, want_ratio, want_vals = _assessed_by_the_full_matrix(x, size, target)
+        assert np.array([mism, ratio]).tobytes() == np.array([want_mism, want_ratio]).tobytes(), k
+        assert vals.tobytes() == want_vals.tobytes(), k
 
-        return poisoned
 
-    return factory
+def _poisoned_eigvalsh(value, where):
+    """measstruct._eigvalsh with one entry of every matrix it is handed overwritten."""
+    original = measstruct._eigvalsh
+
+    def poisoned(mat):
+        mat[where] = value
+        return original(mat)
+
+    return poisoned
 
 
 # (n, value, entry) -> sha256 of json.dumps(to_record()) and the evaluation
@@ -335,7 +354,7 @@ POISONED_SEARCHES = [
 
 @pytest.mark.parametrize("n, value, where, outcome", POISONED_SEARCHES)
 def test_search_keeps_numpys_errors_and_restores_the_error_state(monkeypatch, n, value, where, outcome):
-    monkeypatch.setattr(measstruct, "_assembler", _poisoned_assembler(value, where))
+    monkeypatch.setattr(measstruct, "_eigvalsh", _poisoned_eigvalsh(value, where))
     before = np.geterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -373,6 +392,12 @@ def _nan_past_a_wall(x):
     return float((x[0] - 3.0) ** 2 + x[1] ** 2) if x[0] < 2.0 else math.nan
 
 
+def _finite_at_nan(x):
+    # The first line search fails on a nan and leaves x all nan with the
+    # value nan, though the objective there is 1.0.
+    return 1.0 if math.isnan(x[1]) else _nan_past_a_wall(x)
+
+
 def _spike(x):
     # The bracket's parabolic trial point lands on the spike.
     return (x[0] - 2.4) ** 2 + 5.0 * math.exp(-(((x[0] - 2.4) / 0.05) ** 2)) + x[1] ** 2
@@ -390,6 +415,7 @@ POWELL_CASES = {
     "ftol-stop": (_coupled, [0.0, 0.0, 0.0], 100_000, 1e-4, 1e-4),
     "nan-region": (lambda x: math.nan, [1.0, 2.0], 100, 1e-4, 1e-4),
     "nan-past-a-wall": (_nan_past_a_wall, [0.0, 1.0], 500, 1e-4, 1e-4),
+    "finite-after-a-failed-line-search": (_finite_at_nan, [0.0, 1.0], 500, 1e-4, 1e-4),
     "bracket-growth": (lambda x: float((x[0] - 700.0) ** 2 + (x[1] + 3.0) ** 4), [0.0, 0.0], 3000, 1e-4, 1e-4),
     "bracket-past-a-bump": (_spike, [0.0, 0.3], 500, 1e-4, 1e-4),
     "bracket-golden-step": (_wavy, [2.0, -2.0], 500, 1e-4, 1e-4),
@@ -418,6 +444,60 @@ def test_powell_budget_running_out_keeps_the_last_completed_point(maxfev):
     want_x, want_nfev = _scipy_powell(_coupled, np.zeros(3), maxfev, 1e-4, 1e-4)
     assert x.tobytes() == want_x.tobytes()
     assert nfev == want_nfev == maxfev
+
+
+def _recording(fun, seen):
+    def recorded(x):
+        seen.append(x.tobytes())
+        return fun(x)
+
+    return recorded
+
+
+def _powell_watching_starts(monkeypatch, fun, x0, maxfev, xtol, ftol):
+    """_powell's result, the points it evaluated, and the evaluation counts
+    at which a line search starts with p + 0.0 * xi == p to the bit while
+    its held value is a number: the starts whose value is known."""
+    seen, starts = [], []
+    linesearch = measstruct._linesearch_powell
+
+    def watched(func, p, xi, tol, fval):
+        # A start past the budget is refused like any other evaluation.
+        if (xi.any() and not math.isnan(fval) and (p + 0.0 * xi).tobytes() == p.tobytes()
+                and len(seen) + len(starts) < maxfev):
+            starts.append(len(seen) + len(starts))
+        return linesearch(func, p, xi, tol, fval)
+
+    monkeypatch.setattr(measstruct, "_linesearch_powell", watched)
+    x, nfev = measstruct._powell(_recording(fun, seen), np.array(x0, dtype=float), maxfev, xtol, ftol)
+    return x, nfev, seen, starts
+
+
+@pytest.mark.parametrize("case", POWELL_CASES.values(), ids=POWELL_CASES.keys())
+def test_powell_evaluates_scipys_points_but_the_known_starts(monkeypatch, case):
+    x, nfev, seen, starts = _powell_watching_starts(monkeypatch, *case)
+    fun, x0, maxfev, xtol, ftol = case
+    scipy_seen = []
+    want_x, want_nfev = _scipy_powell(_recording(fun, scipy_seen), np.array(x0), maxfev, xtol, ftol)
+    assert x.tobytes() == want_x.tobytes()
+    assert nfev == want_nfev == len(scipy_seen)
+    assert len(seen) == nfev - len(starts)
+    assert seen == [v for k, v in enumerate(scipy_seen) if k not in starts]
+
+
+def test_powell_evaluates_a_start_that_clears_a_signed_zero():
+    # -0.0 + 0.0 * 1.0 is +0.0, which _signbit tells apart from x0 = -0.0,
+    # so the first line search evaluates its start.
+    seen = []
+    measstruct._powell(_recording(_signbit, seen), np.array([-0.0]), 100, 1e-4, 1e-4)
+    assert seen[:2] == [np.array([-0.0]).tobytes(), np.array([0.0]).tobytes()]
+
+
+def test_the_budget_sweep_runs_out_on_known_starts(monkeypatch):
+    # maxfev = k ends the search when it reaches a known start after k
+    # evaluations, so the budgets of the sweep above include such stops.
+    _, _, _, starts = _powell_watching_starts(monkeypatch, _coupled, np.zeros(3), 59, 1e-4, 1e-4)
+    assert starts == [1, 10, 18, 27, 36, 44, 52]
 
 
 def _seeded_search_configs(count, seed):

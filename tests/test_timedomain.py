@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import oracle_conjugated, random_boolfunc, random_density, random_hermitian
+from conftest import oracle_conjugated, random_boolfunc, random_density, random_hermitian, texts_match
 from evqc import funcspace, timedomain
 from evqc.cli import _write_atomic
 from evqc.engine import transverse_readout
@@ -516,7 +516,7 @@ def test_csv_text_matches_the_per_row_formatter_across_blocks(rng, rows):
     samples = rng.standard_normal(rows) * 1e-7
     samples[-len(special[:rows]):] = special[:rows]
     trace = SignalTrace(dt=1.0 / 7.0, samples=samples)
-    assert trace_csv(trace) == _per_row_trace_csv(trace)
+    assert texts_match(trace_csv(trace), _per_row_trace_csv(trace))
 
     # A spectrum is two bare arrays, so it can carry non-finite entries.
     omegas = rng.standard_normal(rows) * 1e4
@@ -525,4 +525,4 @@ def test_csv_text_matches_the_per_row_formatter_across_blocks(rng, rows):
     omegas[:len(odd[:rows])] = odd[:rows]
     mags[-len(odd[:rows]):] = odd[::-1][:rows]
     spec = (omegas, mags)
-    assert spectrum_csv(spec) == _per_row_spectrum_csv(spec)
+    assert texts_match(spectrum_csv(spec), _per_row_spectrum_csv(spec))
