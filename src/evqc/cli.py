@@ -379,7 +379,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search-c", help="search the best |c|/spectral-range ratio")
     p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--budget", type=_int, default=100_000)
+    p.add_argument(
+        "--budget", type=_int, default=100_000,
+        help="objective evaluations, checked only between restarts: one restart runs up to "
+        "6 * max(60, budget // (6 * restarts)), so --budget 100 --restarts 1 spends 360",
+    )
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=_int, default=50)
     p.add_argument("--out", help="write the report here instead of stdout")

@@ -13,9 +13,16 @@ on the installed scipy.  Each evaluation (`_evaluator`) fills only the
 lower triangle LAPACK reads and calls `_eigvalsh`, the gufunc behind
 np.linalg.eigvalsh, in one error state per search, so a non-convergent
 eigensolve still raises LinAlgError; each line search writes its trial
-points in place and reuses the value at its start.  No bit moves: what
-LAPACK reads takes the same operations in the same order, and a value
-is reused only at the point it was computed for.
+points in place and reuses the value at its start.  A line search along
+a unit coordinate direction e_i writes its start's matrix once, and each
+trial rewrites only what coordinate i moves: for an a_jk its one
+imaginary entry 0.0 - (p_i + alpha), for a d_j the zero-trace diagonal,
+for c every real part; mismatch sums run in Python floats in numpy's
+add.reduce order.  No bit moves: what LAPACK reads takes the same
+operations in the same order, every other entry of p + alpha * e_i is
+p's own when p holds no -0.0 and alpha is finite (any other trial takes
+the full route), and a value is reused only at the point it was
+computed for.
 """
 
 from __future__ import annotations
@@ -80,32 +87,23 @@ class InvariantForm:
 
     def reconstruct(self) -> Operator:
         """Assemble the hermitian matrix c * W + diag(d) + A."""
-        return Operator(_assembler(self.dim)(self.c, self.d, self.a_upper))
+        return Operator(_assemble(self.c, self.d, self.a_upper))
 
 
-def _assembler(size: int):
-    """assemble(c, d, a_upper) -> c * W + diag(d) + A for one dimension,
-    written through the real and imaginary views of one buffer that every
-    call returns; the diagonal's imaginary part stays 0.  A caller that
-    keeps the matrix past the next call must copy it (Operator does)."""
+def _assemble(c: float, d: np.ndarray, a_upper: np.ndarray) -> np.ndarray:
+    """c * W + diag(d) + A as a new matrix, written through its real and
+    imaginary views; the diagonal's imaginary part stays 0."""
+    size = d.size
     rows, cols = np.triu_indices(size, 1)
-    upper = rows * size + cols
-    lower = cols * size + rows
     mat = np.zeros((size, size), dtype=complex)
-    flat = mat.reshape(-1)
-    re, im = flat.real, flat.imag
-    diag = re[:: size + 1]
-
-    def assemble(c: float, d: np.ndarray, a_upper: np.ndarray) -> np.ndarray:
-        w = c / size
-        re.fill(w)
-        np.add(d, w, out=diag)
-        # 0.0 + a and 0.0 - a: a -0.0 in a_upper gives +0.0 on both sides.
-        im[upper] = 0.0 + a_upper
-        im[lower] = 0.0 - a_upper
-        return mat
-
-    return assemble
+    re, im = mat.reshape(-1).real, mat.reshape(-1).imag
+    w = c / size
+    re.fill(w)
+    np.add(d, w, out=re[:: size + 1])
+    # 0.0 + a and 0.0 - a: a -0.0 in a_upper gives +0.0 on both sides.
+    im[rows * size + cols] = 0.0 + a_upper
+    im[cols * size + rows] = 0.0 - a_upper
+    return mat
 
 
 def decompose_invariant(m: Operator) -> InvariantForm:
@@ -174,27 +172,107 @@ def _split_params(x: np.ndarray, size: int) -> tuple[float, np.ndarray, np.ndarr
     return c, dx - (c + np.add.reduce(dx)) / size, x[1 + size :]
 
 
+def _sum(v: list) -> float:
+    """np.add.reduce of 2 to 8 float64 entries in Python floats, in numpy's
+    order: one after another below 8 entries, pairwise at 8."""
+    if len(v) == 8:
+        return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]))
+    s = v[0]
+    for e in v[1:]:
+        s += e
+    return s
+
+
 def _evaluator(size: int, target: np.ndarray):
-    """assess(x) -> (mismatch, ratio, eigenvalues), the bits _split_params,
-    _assembler and np.linalg.eigvalsh give, writing only the lower triangle."""
+    """(assess, line) for one dimension and reference spectrum.
+
+    assess(x) -> (mismatch, ratio, eigenvalues) gives the bits _split_params,
+    _assemble and np.linalg.eigvalsh give, writing only the lower triangle.
+    line(p, i) -> at(alpha) gives assess(p + alpha * e_i) to the bit when p
+    holds no -0.0 and alpha is finite.  Then every entry but i is p's, so
+    p's matrix is written once, into a buffer of the line's own, and each
+    trial rewrites only what coordinate i moves.
+    """
     rows, cols = np.triu_indices(size, 1)
     lower = cols * size + rows
-    mat = np.zeros((size, size), dtype=complex)
-    re, im = mat.reshape(-1).real, mat.reshape(-1).imag
-    diag, neg, r_buf = re[:: size + 1], np.empty(rows.size), np.empty(size)
+    t = target.tolist()
+    neg = np.empty(rows.size)
 
-    def assess(x: np.ndarray) -> tuple[float, float, np.ndarray]:
+    def buffer():
+        mat = np.zeros((size, size), dtype=complex)
+        re, im = mat.reshape(-1).real, mat.reshape(-1).imag
+        return mat, re, im, re[:: size + 1]
+
+    def write(x: np.ndarray, re: np.ndarray, im: np.ndarray, diag: np.ndarray) -> float:
+        """x's lower triangle through a buffer's views; returns c."""
         c = x.item(0)
         re.fill(c / size)
         dx = x[1 : 1 + size]
         np.add(np.subtract(dx, (c + np.add.reduce(dx)) / size, out=diag), c / size, out=diag)
         im[lower] = np.subtract(0.0, x[1 + size :], out=neg)  # -0.0 in a gives +0.0
-        vals = _eigvalsh(mat)
-        r = np.subtract(vals, target, out=r_buf)
-        mism = np.add.reduce(np.multiply(r, r, out=r)).item()
-        return mism, abs(c) / max(vals.item(-1) - vals.item(0), 1e-12), vals
+        return c
 
-    return assess
+    def scored(vals: np.ndarray, c: float) -> tuple[float, float, np.ndarray]:
+        v = vals.tolist()
+        return _sum([(e - f) * (e - f) for e, f in zip(v, t)]), abs(c) / max(v[-1] - v[0], 1e-12), vals
+
+    mat, *views = buffer()
+    line_mat, line_re, line_im, line_diag = buffer()
+
+    def assess(x: np.ndarray) -> tuple[float, float, np.ndarray]:
+        c = write(x, *views)
+        return scored(_eigvalsh(mat), c)
+
+    def line(p: np.ndarray, i: int):
+        c = write(p, line_re, line_im, line_diag)
+        start = p.item(i)
+        if i > size:  # a_jk: its one imaginary entry below the diagonal
+            k = int(lower[i - 1 - size])
+
+            def at(alpha: float) -> tuple[float, float, np.ndarray]:
+                line_im[k] = 0.0 - (start + alpha)
+                return scored(_eigvalsh(line_mat), c)
+
+        elif i > 0:  # d_j: the zero-trace diagonal
+            d, j, w = p[1 : 1 + size].tolist(), i - 1, c / size
+
+            def at(alpha: float) -> tuple[float, float, np.ndarray]:
+                d[j] = start + alpha
+                shift = (c + _sum(d)) / size
+                line_diag[:] = [(e - shift) + w for e in d]
+                return scored(_eigvalsh(line_mat), c)
+
+        else:  # c: every real part
+            dx = p[1 : 1 + size].copy()
+            total = np.add.reduce(dx).item()
+
+            def at(alpha: float) -> tuple[float, float, np.ndarray]:
+                c = start + alpha
+                line_re.fill(c / size)
+                np.add(np.subtract(dx, (c + total) / size, out=line_diag), c / size, out=line_diag)
+                return scored(_eigvalsh(line_mat), c)
+
+        return at
+
+    return assess, line
+
+
+def _penalty(assess, line, weight: float | None):
+    """The search objective mismatch - weight * ratio (the mismatch alone for
+    weight None) at a vector, carrying its coordinate line for _powell."""
+
+    def score(mism: float, ratio: float, vals: np.ndarray) -> float:
+        return mism if weight is None else mism - weight * ratio
+
+    def penalty(x: np.ndarray) -> float:
+        return score(*assess(x))
+
+    def coordinate(p: np.ndarray, i: int):
+        at = line(p, i)
+        return lambda alpha: score(*at(alpha))
+
+    penalty.line = coordinate
+    return penalty
 
 
 def search_max_c_ratio(
@@ -212,6 +290,11 @@ def search_max_c_ratio(
     feasibility polish.  Each refinement is `_powell`, an exact port of
     scipy 1.17.1's Powell method, so the result depends on numpy alone:
     same seed, same result, bit for bit, whichever scipy is installed.
+
+    The budget is checked only between restarts.  Each of the four mu
+    phases may spend max(60, budget // (6 * restarts)) evaluations and the
+    polish twice that, so one restart runs up to 6 * max(60, budget //
+    (6 * restarts)): n = 2, budget 100 and one restart spend 360.
 
     The restarts run in the error state np.linalg.eigvalsh sets around
     its gufunc: invalid calls `_raise_nonconvergence`, while overflow,
@@ -231,7 +314,7 @@ def search_max_c_ratio(
     phase_budget = max(60, budget // (restarts * (len(_MU_SCHEDULE) + 2)))
     polish_budget = 2 * phase_budget
 
-    assess = _evaluator(size, target)  # no InvariantForm, no Operator per evaluation
+    assess, line = _evaluator(size, target)  # no InvariantForm, no Operator per evaluation
     evaluations = 0
     best = None  # (rank, ratio, form, residual) of the preferred candidate
 
@@ -243,14 +326,9 @@ def search_max_c_ratio(
                 break
             x = rng.standard_normal(n_params) * (0.5 * n)
             for mu in _MU_SCHEDULE:
-
-                def penalty(v: np.ndarray, weight: float = mu) -> float:
-                    mism, ratio, _ = assess(v)
-                    return mism - weight * ratio
-
-                x, nfev = _powell(penalty, x, phase_budget, xtol=1e-10, ftol=1e-12)
+                x, nfev = _powell(_penalty(assess, line, mu), x, phase_budget, xtol=1e-10, ftol=1e-12)
                 evaluations += nfev
-            x, nfev = _powell(lambda v: assess(v)[0], x, polish_budget, xtol=1e-13, ftol=1e-15)
+            x, nfev = _powell(_penalty(assess, line, None), x, polish_budget, xtol=1e-13, ftol=1e-15)
             evaluations += nfev
 
             _, ratio, vals = assess(x)
@@ -306,16 +384,19 @@ def _powell(fun, x0: np.ndarray, maxfev: int, xtol: float, ftol: float) -> tuple
     "xtol": xtol, "ftol": ftol}) with no bounds: iterations are unlimited,
     and a call past maxfev is refused, which ends the search at the last
     completed point.  fun takes a float vector it must neither modify nor
-    keep, and returns a float that depends on the vector's bits alone.
+    keep, and returns a float that depends on the vector's bits alone; it
+    may carry a coordinate line, fun.line (see _linesearch_powell).
     """
     nfev = 0
 
-    def func(x: np.ndarray, known: float | None = None) -> float:
+    def func(x, known: float | None = None, f=fun) -> float:
         nonlocal nfev  # a known value is counted, not recomputed
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(x) if known is None else known
+        return f(x) if known is None else known
+
+    func.line = getattr(fun, "line", None)  # see _linesearch_powell
 
     x = np.array(x0, dtype=float)
     direc = np.eye(x.size)
@@ -365,14 +446,30 @@ def _linesearch_powell(func, p: np.ndarray, xi: np.ndarray, tol: float, fval: fl
     """(f, p + alpha * xi, alpha * xi) at Brent's minimum along xi; a zero
     direction returns (fval, p, xi) with no evaluation.  Trial points are
     written in place; the first, alpha = 0, takes fval when it is p to the
-    bit and fval is p's value (every fval but a failed line search's nan)."""
+    bit and fval is p's value (every fval but a failed line search's nan).
+
+    When xi is a unit vector e_i, that start is p to the bit exactly when p
+    holds no -0.0, and then so is every entry but i of a trial at finite
+    alpha.  An objective with a line, fun.line(p, i) -> at(alpha) giving
+    fun(p + alpha * e_i) to the bit there, is evaluated by at, counted by
+    func(alpha, None, at); every other trial is evaluated as fun(trial)."""
     if not xi.any():
         return fval, p, xi
     trial = np.add(p, np.multiply(0.0, xi))
-    known = fval if not math.isnan(fval) and trial.tobytes() == p.tobytes() else None
+    same = trial.tobytes() == p.tobytes()
+    known = fval if same and not math.isnan(fval) else None
+    at = None
+    if same and getattr(func, "line", None) is not None:
+        i = int(xi.argmax())
+        unit = np.zeros(xi.size)
+        unit[i] = 1.0
+        if xi.tobytes() == unit.tobytes():
+            at = func.line(p, i)
 
     def along(alpha: float, value: float | None = None) -> float:
         if value is None:
+            if at is not None and math.isfinite(alpha):
+                return func(alpha, None, at)
             np.add(p, np.multiply(alpha, xi, out=trial), out=trial)
         return func(trial, value)
 

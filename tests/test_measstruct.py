@@ -275,12 +275,11 @@ def _with_signed_zeros(values, rng):
 
 @pytest.mark.parametrize("size", [2, 4, 8])
 def test_assembler_matches_the_complex_formula(size, rng):
-    assemble = measstruct._assembler(size)
     cs = [float(v) for v in rng.standard_normal(40) * 3.0] + [0.0, -0.0]
     for c in cs:
         d = _with_signed_zeros(rng.standard_normal(size), rng)
         a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
-        got = assemble(c, d, a)
+        got = measstruct._assemble(c, d, a)
         want = _assembled_by_formula(c, d, a)
         if c == 0.0:
             # -0.0 + +0.0 is +0.0 in the formula, so c = -0.0 may leave a
@@ -292,11 +291,10 @@ def test_assembler_matches_the_complex_formula(size, rng):
 
 @pytest.mark.parametrize("size", [2, 4, 8])
 def test_eigvalsh_gufunc_matches_numpys_wrapper(size, rng):
-    assemble = measstruct._assembler(size)
     for c in rng.standard_normal(40) * 3.0:
         d = _with_signed_zeros(rng.standard_normal(size), rng)
         a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
-        mat = assemble(float(c), d, a)
+        mat = measstruct._assemble(float(c), d, a)
         want = np.linalg.eigvalsh(mat)
         got = measstruct._eigvalsh(mat)
         assert got.dtype == want.dtype
@@ -304,10 +302,10 @@ def test_eigvalsh_gufunc_matches_numpys_wrapper(size, rng):
 
 
 def _assessed_by_the_full_matrix(x, size, target):
-    """The evaluation's oracle: _split_params, _assembler and numpy's
+    """The evaluation's oracle: _split_params, _assemble and numpy's
     eigvalsh wrapper on the whole hermitian matrix."""
     c, d, a = measstruct._split_params(x, size)
-    vals = np.linalg.eigvalsh(measstruct._assembler(size)(c, d, a))
+    vals = np.linalg.eigvalsh(measstruct._assemble(c, d, a))
     r = vals - target
     return float(np.add.reduce(r * r)), abs(c) / max(float(vals[-1] - vals[0]), 1e-12), vals
 
@@ -316,7 +314,7 @@ def _assessed_by_the_full_matrix(x, size, target):
 def test_evaluation_matches_the_full_matrix_route_bit_for_bit(n, rng):
     size = 1 << n
     target = spinops.eig_multiset(total_spin(n, "x"))
-    assess = measstruct._evaluator(size, target)
+    assess, _ = measstruct._evaluator(size, target)
     n_params = 1 + size + size * (size - 1) // 2
     for k in range(60):
         x = _with_signed_zeros(rng.standard_normal(n_params) * (0.5 * n), rng)
@@ -326,6 +324,142 @@ def test_evaluation_matches_the_full_matrix_route_bit_for_bit(n, rng):
         want_mism, want_ratio, want_vals = _assessed_by_the_full_matrix(x, size, target)
         assert np.array([mism, ratio]).tobytes() == np.array([want_mism, want_ratio]).tobytes(), k
         assert vals.tobytes() == want_vals.tobytes(), k
+
+
+# alpha = +-0.0, tiny, huge and negative; 1e200 overflows the mismatch's squares.
+LINE_STEPS = [0.0, -0.0, 5e-324, -1e-300, 1e-17, -0.37, 2.5, -3.0e7, 1e200, -1e200]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coordinate_line_matches_the_full_route_bit_for_bit(monkeypatch, n, rng):
+    # Every coordinate (c, each d_j, each a_jk) of points holding +0.0 but
+    # no -0.0, each line's trials interleaved with full evaluations, which
+    # use a buffer of their own.  The matrices LAPACK is handed must agree
+    # too, signed zeros included.
+    handed = []
+    eigvalsh = measstruct._eigvalsh
+
+    def recording(mat):
+        handed.append(mat.tobytes())
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(measstruct, "_eigvalsh", recording)
+    size = 1 << n
+    target = spinops.eig_multiset(total_spin(n, "x"))
+    assess, line = measstruct._evaluator(size, target)
+    n_params = 1 + size + size * (size - 1) // 2
+    for k in range(4):
+        p = rng.standard_normal(n_params) * (0.5 * n)
+        p[rng.random(n_params) < 0.2] = 0.0
+        if k == 0:
+            p[0] = 0.0
+        for i in range(n_params):
+            at = line(p, i)
+            for alpha in LINE_STEPS + list(rng.standard_normal(3)):
+                mism, ratio, vals = at(alpha)
+                unit = np.zeros(n_params)
+                unit[i] = 1.0
+                want_mism, want_ratio, want_vals = assess(p + alpha * unit)
+                got = np.array([mism, ratio]).tobytes()
+                assert got == np.array([want_mism, want_ratio]).tobytes(), (k, i, alpha)
+                assert vals.tobytes() == want_vals.tobytes(), (k, i, alpha)
+                assert handed[-2] == handed[-1], (k, i, alpha)
+
+
+def _line_spied(fun, line, lines):
+    """fun carrying line; each line's start and index and the alphas of its
+    trials are appended to lines."""
+    def spied(x):
+        return fun(x)
+
+    def coordinate(p, i):
+        at = line(p, i)
+        lines.append((p.copy(), i, []))
+
+        def recorded(alpha):
+            lines[-1][2].append(alpha)
+            return at(alpha)
+
+        return recorded
+
+    spied.line = coordinate
+    return spied
+
+
+def test_a_start_holding_negative_zero_takes_the_full_route(monkeypatch, rng):
+    size = 4
+    target = spinops.eig_multiset(total_spin(2, "x"))
+    assess, line = measstruct._evaluator(size, target)
+    penalty = measstruct._penalty(assess, line, 0.1)
+    x0 = rng.standard_normal(1 + size + size * (size - 1) // 2)
+    x0[[0, 2, 7]] = -0.0
+    lines, starts = [], []
+    linesearch = measstruct._linesearch_powell
+
+    def watched(func, p, xi, tol, fval):
+        starts.append(bool((np.signbit(p) & (p == 0.0)).any()))
+        return linesearch(func, p, xi, tol, fval)
+
+    monkeypatch.setattr(measstruct, "_linesearch_powell", watched)
+    x, nfev = measstruct._powell(_line_spied(penalty, penalty.line, lines), x0, 400, 1e-10, 1e-12)
+    want_x, want_nfev = measstruct._powell(lambda v: penalty(v), x0, 400, 1e-10, 1e-12)
+    assert x.tobytes() == want_x.tobytes()
+    assert nfev == want_nfev
+    assert starts[0] and lines
+    assert not any((np.signbit(p) & (p == 0.0)).any() for p, _, _ in lines)
+
+
+def _descent(x):
+    # Unbounded below along both coordinates: the bracket walks alpha to inf
+    # and then to nan.
+    return float(-x[0] - 0.5 * x[1])
+
+
+def test_non_finite_steps_take_the_full_route():
+    def line(p, i):
+        # Right only at finite alpha: at inf, p + inf * e_i is nan off entry i.
+        def at(alpha):
+            q = p.copy()
+            q[i] += alpha
+            return _descent(q)
+
+        return at
+
+    lines = []
+    with np.errstate(invalid="ignore"):
+        x, nfev = measstruct._powell(_line_spied(_descent, line, lines), np.array([1.0, 2.0]), 3000, 1e-4, 1e-4)
+        want_x, want_nfev = measstruct._powell(_descent, np.array([1.0, 2.0]), 3000, 1e-4, 1e-4)
+    assert x.tobytes() == want_x.tobytes()
+    assert nfev == want_nfev
+    alphas = [alpha for _, _, steps in lines for alpha in steps]
+    assert np.isnan(x).all() and len(alphas) > 100
+    assert all(math.isfinite(alpha) for alpha in alphas)
+
+
+@pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_SEARCHES])
+def test_search_evaluates_almost_every_point_on_a_coordinate_line(monkeypatch, config):
+    # A later change that silently drops to the full route fails here.
+    calls = {"full": 0, "eigvalsh": 0}
+    evaluator, eigvalsh = measstruct._evaluator, measstruct._eigvalsh
+
+    def counting_evaluator(size, target):
+        assess, line = evaluator(size, target)
+
+        def counted(x):
+            calls["full"] += 1
+            return assess(x)
+
+        return counted, line
+
+    def counting_eigvalsh(mat):
+        calls["eigvalsh"] += 1
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(measstruct, "_evaluator", counting_evaluator)
+    monkeypatch.setattr(measstruct, "_eigvalsh", counting_eigvalsh)
+    n, budget, seed, restarts = config
+    search_max_c_ratio(n, budget=budget, seed=seed, restarts=restarts)
+    assert calls["eigvalsh"] - calls["full"] >= 0.95 * calls["eigvalsh"], calls
 
 
 def _poisoned_eigvalsh(value, where):
