@@ -11,9 +11,7 @@ from evqc.engine import (
     cn_decide_thermal,
     dj_decide_lifted,
     dj_decide_pseudopure,
-    expectation,
     expectations,
-    s_functional,
     s_functionals,
 )
 from evqc.funcspace import (
@@ -25,21 +23,13 @@ from evqc.funcspace import (
     imbalance,
     is_in_cn,
     lift,
-    permute,
     sample_cn,
 )
-from evqc.measstruct import (
-    InvariantForm,
-    NotInvariantFormError,
-    decompose_invariant,
-    search_max_c_ratio,
-)
+from evqc.measstruct import InvariantForm, search_max_c_ratio
 from evqc.spinops import (
     Operator,
     eig_multiset,
-    oracle,
     single_spin,
-    spectral_range,
     total_spin,
     w_projector,
 )
@@ -47,10 +37,8 @@ from evqc.states import (
     DensityMatrix,
     SpinSystem,
     demo_system,
-    pseudopure,
     pulsed_thermal,
     pure_w,
-    thermal_state,
 )
 from evqc.timedomain import (
     SignalTrace,

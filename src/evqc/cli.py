@@ -137,6 +137,15 @@ def _load_function(args, expect_bits: int | None = None) -> BoolFunc:
     return f
 
 
+def _refuse_unread_function_options(args) -> None:
+    """Refuse a function option the command would not read: --class beside
+    --fn, or --seed without --class cn."""
+    if args.fn is not None and args.func_class is not None:
+        raise _UsageError("--class is not read with --fn")
+    if args.seed is not None and args.func_class != "cn":
+        raise _UsageError("--seed is only read by --class cn")
+
+
 def _resolve_system(args, n: int | None) -> states.SpinSystem:
     """The --sys system, checked against n when n is given, else the n-spin demo system."""
     if args.sys is not None:
@@ -170,6 +179,7 @@ def _dump_operator(n: int, spins: tuple[int, ...] | None, axis: str) -> Operator
 
 def cmd_classify(args) -> int:
     _refuse_targets(args.dump_op, args.out)
+    _refuse_unread_function_options(args)
     if args.sys is not None and args.protocol == "pseudopure":
         raise _UsageError("--sys is not read by --protocol pseudopure")
     eps = engine.Resolution(args.eps)
@@ -284,6 +294,7 @@ def cmd_signal(args) -> int:
     out = Path(args.out)
     spec_path = out.with_suffix(".spectrum.csv") if out.suffix == ".csv" else Path(str(out) + ".spectrum.csv")
     _refuse_targets(args.dump_op, args.out, spec_path)
+    _refuse_unread_function_options(args)
     timedomain.check_sampling(args.dt, args.count)
     sys_obj = _resolve_system(args, args.n)
     n = sys_obj.n

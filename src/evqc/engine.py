@@ -17,9 +17,8 @@ Tests pit all three against each other, and the functional route also
 against its trace-plus-upper-triangle form, which lives only in the
 tests; do not collapse them.
 Each dense route takes a batch of functions (`expectations`,
-`s_functionals`) and checks its inputs once per batch; the
-single-function forms are wrappers, and `survey` reads a whole class
-in one call.
+`s_functionals`) and checks its inputs once per batch; `survey` reads a
+whole class in one call.
 """
 
 from __future__ import annotations
@@ -128,11 +127,6 @@ def expectations(m: Operator, rho: DensityMatrix, fs) -> list[float]:
     return _as_real(((s @ p) * s).sum(axis=1), "expectation")
 
 
-def expectation(m: Operator, rho: DensityMatrix, f: BoolFunc) -> float:
-    """`expectations` of the single function f."""
-    return expectations(m, rho, [f])[0]
-
-
 def b_matrix(rho: DensityMatrix, m: Operator) -> Operator:
     """Coefficient matrix with entries M_jk * rho_kj (no summation)."""
     return Operator(_weights(m, rho, "b_matrix"))
@@ -152,11 +146,6 @@ def s_functionals(b: Operator, fs) -> list[complex]:
     terms = b.mat[rows, cols] * (s[:, rows] * s[:, cols])
     return [complex(math.fsum(re), math.fsum(im))
             for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
-
-
-def s_functional(b: Operator, f: BoolFunc) -> complex:
-    """`s_functionals` of the single function f."""
-    return s_functionals(b, [f])[0]
 
 
 def transverse_readout(sys: SpinSystem, f: BoolFunc, spins) -> float:

@@ -2,8 +2,8 @@
 
 A function on an n-bit argument is stored as its full truth table, packed
 little-endian into a Python integer: bit j of ``mask`` holds f(j).  That
-gives O(1) evaluation, cheap complement/permutation via bit twiddling, and
-exact hashing.  The unpacked table (one byte per argument) is built only
+gives O(1) evaluation, cheap complement via bit twiddling, and exact
+hashing.  The unpacked table (one byte per argument) is built only
 when `BoolFunc.bits` is called, so a function that is only counted,
 compared, printed or transformed never pays for it.  All values are
 immutable; every operation returns a new instance.
@@ -213,15 +213,6 @@ def imbalance(f: BoolFunc) -> int:
 def complement(f: BoolFunc) -> BoolFunc:
     """Flip every table entry."""
     return BoolFunc(f.n, f.mask ^ ((1 << f.size) - 1))
-
-
-def permute(f: BoolFunc, l: int, m: int) -> BoolFunc:
-    """Transpose the table values at argument indices l and m."""
-    if not (0 <= l < f.size and 0 <= m < f.size):
-        raise ValueError("transposition indices outside the domain")
-    if l == m or f(l) == f(m):
-        return f
-    return BoolFunc(f.n, f.mask ^ ((1 << l) | (1 << m)))
 
 
 # Bit k of argument a clear -> bit a of the pattern set: runs of 2**k ones

@@ -3,9 +3,10 @@
 A hermitian measurement gives permutation-invariant readouts on the
 pseudopure family exactly when it splits as c * W + D + A with W the
 uniform-superposition projector, D real diagonal and A pure-imaginary
-antisymmetric; only c and D ever reach the readout.  This module
-decomposes such operators and searches for the largest attainable |c|
-relative to the spectral range under a fixed reference spectrum.
+antisymmetric; only c and D ever reach the readout.  This module holds
+that form's parameters and searches for the largest attainable |c|
+relative to the spectral range under a fixed reference spectrum; the
+decomposition and the dense reconstruction are test oracles.
 
 The search refines with `_powell`, an exact port of scipy 1.17.1's
 Powell method, so it runs on numpy alone and its bits no longer depend
@@ -33,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from evqc.spinops import Operator, eig_multiset, require_hermitian, total_spin
+from evqc.spinops import eig_multiset, total_spin
 
 FEASIBILITY_TOL = 1e-6  # eigenvalue-match gate for accepted candidates
-UNIFORM_TOL = 1e-8  # spread allowed among the symmetrized off-diagonal entries
 SEARCH_N_LIMIT = 3
 
 _MU_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3)
@@ -49,10 +49,6 @@ _eigvalsh = _umath_linalg.eigvalsh_lo
 def _raise_nonconvergence(err: str, flag: int) -> None:
     """The error np.linalg.eigvalsh raises when LAPACK flags invalid."""
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-class NotInvariantFormError(ValueError):
-    """The symmetrized off-diagonal entries are not uniform."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,57 +80,6 @@ class InvariantForm:
     @property
     def dim(self) -> int:
         return self.d.size
-
-    def reconstruct(self) -> Operator:
-        """Assemble the hermitian matrix c * W + diag(d) + A."""
-        return Operator(_assemble(self.c, self.d, self.a_upper))
-
-
-def _assemble(c: float, d: np.ndarray, a_upper: np.ndarray) -> np.ndarray:
-    """c * W + diag(d) + A as a new matrix, written through its real and
-    imaginary views; the diagonal's imaginary part stays 0."""
-    size = d.size
-    rows, cols = np.triu_indices(size, 1)
-    mat = np.zeros((size, size), dtype=complex)
-    re, im = mat.reshape(-1).real, mat.reshape(-1).imag
-    w = c / size
-    re.fill(w)
-    np.add(d, w, out=re[:: size + 1])
-    # 0.0 + a and 0.0 - a: a -0.0 in a_upper gives +0.0 on both sides.
-    im[rows * size + cols] = 0.0 + a_upper
-    im[cols * size + rows] = 0.0 - a_upper
-    return mat
-
-
-def decompose_invariant(m: Operator) -> InvariantForm:
-    """Split a hermitian operator into the invariant form, or refuse.
-
-    The symmetrized off-diagonal entries must agree within UNIFORM_TOL; their
-    common value fixes c, the diagonal fixes D, and what remains is the
-    antisymmetric imaginary part.
-    """
-    mat = m.mat
-    size = m.dim
-    if size < 2:
-        raise ValueError("need dimension >= 2")
-    require_hermitian(m, "decompose_invariant")
-    rows, cols = np.triu_indices(size, 1)
-    sym = (mat + mat.T)[rows, cols]
-    # Hermitian input makes these real up to rounding.
-    vals = sym.real
-    spread = float(vals.max() - vals.min())
-    if spread > UNIFORM_TOL:
-        lo = int(np.argmin(vals))
-        hi = int(np.argmax(vals))
-        raise NotInvariantFormError(
-            "symmetrized off-diagonal entries are not uniform: "
-            f"entry ({rows[lo]},{cols[lo]}) gives {vals[lo]:.6g} but "
-            f"({rows[hi]},{cols[hi]}) gives {vals[hi]:.6g} (spread {spread:.3g} > tol {UNIFORM_TOL:g})"
-        )
-    c = size * float(vals.mean()) / 2.0
-    d = np.diag(mat).real - c / size
-    a_upper = mat[rows, cols].imag.copy()
-    return InvariantForm(c=c, d=d, a_upper=a_upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +132,8 @@ def _evaluator(size: int, target: np.ndarray):
     """(assess, line) for one dimension and reference spectrum.
 
     assess(x) -> (mismatch, ratio, eigenvalues) gives the bits _split_params,
-    _assemble and np.linalg.eigvalsh give, writing only the lower triangle.
+    the dense c * W + diag(d) + A and np.linalg.eigvalsh give, writing only
+    the lower triangle.
     line(p, i) -> at(alpha) gives assess(p + alpha * e_i) to the bit when p
     holds no -0.0 and alpha is finite.  Then every entry but i is p's, so
     p's matrix is written once, into a buffer of the line's own, and each

@@ -344,12 +344,6 @@ def w_projector(n: int) -> Operator:
     return Operator(np.full((size, size), 1.0 / size, dtype=complex))
 
 
-def oracle(f: BoolFunc) -> Operator:
-    """Diagonal phase oracle with entries (-1)**f(j); self-inverse."""
-    _check_register(f.n)
-    return Operator(np.diag(f.signs().astype(complex)))
-
-
 def require_hermitian(m: Operator, what: str) -> None:
     """Raise unless m is hermitian, as its construction decided."""
     if not m.hermitian:
@@ -370,12 +364,6 @@ def eig_multiset(m: Operator) -> np.ndarray:
         raise ValueError(f"eigenvalue sum disagrees with trace by {residue:g}")
     values.setflags(write=False)
     return values
-
-
-def spectral_range(m: Operator) -> float:
-    """Spread between the extreme eigenvalues of a hermitian operator."""
-    values = eig_multiset(m)
-    return float(values[-1] - values[0])
 
 
 def operator_text(m: Operator) -> str:

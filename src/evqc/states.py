@@ -2,7 +2,8 @@
 
 Temperatures enter only through theta = hbar / (k_B T); in the
 high-temperature regime theta * omega_i is a small dimensionless number
-and every state here keeps only the term linear in it.
+and every state here keeps only the term linear in it.  The protocols
+read the thermal and pseudopure states without building them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from evqc.spinops import (
     Operator,
     _check_register,
     _transverse_sum,
-    spin_z_column,
     w_projector,
 )
 
@@ -40,28 +40,31 @@ def _is_ascii_float(text: str) -> bool:
     return text.isascii() and _NUMERAL.fullmatch(text) is not None
 
 
+# JSON true and false load as Python bools, which int() and float() take
+# as 1 and 0; no field reads them.
+_BOOLS = (bool, np.bool_)
+
+
 def _whole(value, what: str) -> int:
-    """An integer field; a fractional or non-numeric value is refused, not
-    truncated, and text must be an ASCII integer numeral."""
+    """An integer field; a fractional, boolean or non-numeric value is
+    refused, not truncated, and text must be an ASCII integer numeral."""
     try:
         number = int(value)
         whole = number == value or (isinstance(value, str) and _is_ascii_int(value))
     except (TypeError, ValueError, OverflowError):
         whole = False
-    if not whole:
+    if not whole or isinstance(value, _BOOLS):
         raise ValueError(f"{what} needs a whole number, got {value!r}")
     return number
 
 
 def _numeral(value, what: str, *args):
-    """value itself, or the float its text spells if it is a string; text
-    other than an ASCII numeral is refused, naming the field
-    what.format(*args)."""
-    if not isinstance(value, str):
-        return value
-    if not _is_ascii_float(value):
+    """value itself, or the float its text spells if it is a string; a
+    boolean, or text other than an ASCII numeral, is refused, naming the
+    field what.format(*args)."""
+    if isinstance(value, _BOOLS) or (isinstance(value, str) and not _is_ascii_float(value)):
         raise ValueError(f"{what.format(*args)} needs a number, got {value!r}")
-    return float(value)
+    return float(value) if isinstance(value, str) else value
 
 
 def _malformed_couplings(couplings) -> ValueError:
@@ -198,35 +201,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.op.dim
-
-
-def thermal_state(sys: SpinSystem) -> DensityMatrix:
-    """Equilibrium state, linear in theta: (1 - theta * sum_i omega_i Iz_i) / N.
-
-    Diagonal, hence invariant under every phase oracle.
-    """
-    _check_register(sys.n)
-    size = sys.size
-    diag = np.full(size, 1.0 / size)
-    for i in range(1, sys.n + 1):
-        diag = diag - (sys.theta / size) * sys.omega[i - 1] * spin_z_column(sys.n, i)
-    return DensityMatrix(Operator(np.diag(diag.astype(complex))))
-
-
-def pseudopure(n: int, alpha: float) -> DensityMatrix:
-    """Mixture of the maximally mixed state with the uniform-superposition projector.
-
-    alpha is the purity weight; physical preparations have 0 < alpha <= 1
-    and anything else draws a warning but is still constructed.
-    """
-    _check_register(n)
-    size = 1 << n
-    if not 0 < alpha <= 1:
-        warnings.warn(f"pseudopure weight alpha={alpha:g} outside (0, 1]", stacklevel=2)
-    weight = (alpha / size) * (1.0 / size) + 0.0  # + 0.0: no -0.0 at alpha = -0.0
-    mat = np.full((size, size), weight, dtype=complex)
-    np.fill_diagonal(mat.real, (1.0 - alpha / size) / size + weight)
-    return DensityMatrix(Operator(mat))
 
 
 def pure_w(n: int) -> DensityMatrix:

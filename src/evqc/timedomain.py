@@ -11,9 +11,9 @@ contributes a few lines, split by its couplings, weighted by exact integer
 bit-flip correlations counted per neighbour pattern from the one packed
 kernel, `funcspace.flip_differences`.  The dense routes are kept
 deliberately separate as its oracles: `signal` sums the lines of a state
-and a measurement matrix, `heisenberg_op` moves a measurement by
-entrywise phases, and `heisenberg_dense` does the same through a matrix
-exponential.  Tests pit them against each other; do not collapse them.
+and a measurement matrix, and `heisenberg_op` moves a measurement by
+entrywise phases.  Tests pit them against each other and against a
+matrix exponential; do not collapse them.
 """
 
 from __future__ import annotations
@@ -88,15 +88,6 @@ def heisenberg_op(m: Operator, h: np.ndarray, t: float) -> Operator:
         raise ValueError("operator and Hamiltonian dimensions differ")
     phases = np.exp(1j * h * t)
     return Operator(phases[:, None] * m.mat * phases.conj()[None, :])
-
-
-def heisenberg_dense(m: Operator, h: np.ndarray, t: float) -> Operator:
-    """Same map through a dense matrix exponential; for cross-validation only."""
-    _check_time(t)
-    from scipy.linalg import expm  # imported here: no command path needs scipy
-
-    u = expm(1j * np.diag(h) * t)
-    return Operator(u @ m.mat @ u.conj().T)
 
 
 def check_sampling(dt: float, count: int) -> None:

@@ -1,17 +1,143 @@
 """Shared randomized builders for the test suite, and the oracles the
-acceptance checks and unit tests hold the package to: the exhaustive
-permutation-witness hunt, machine-level distinguishability, the closed-form
-satisfiability gap and spectral equivalence, and a comparison of long texts."""
+acceptance checks and unit tests hold the package to: the dense thermal and
+pseudopure states, the dense phase oracle, the eigenvalue spread, the
+matrix-exponential Heisenberg map, argument transposition, the invariant
+form's decomposition and reconstruction, the exhaustive permutation-witness
+hunt, machine-level distinguishability, the closed-form satisfiability gap
+and spectral equivalence, and a comparison of long texts.  No command calls
+any of them; each is the dense or exhaustive route a matrix-free one in the
+package is checked against."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from evqc.engine import Resolution, expectations, trace_expectation
-from evqc.funcspace import BoolFunc, permute
-from evqc.spinops import Operator, eig_multiset, spectral_range
-from evqc.states import DensityMatrix
+from evqc.funcspace import BoolFunc
+from evqc.measstruct import InvariantForm
+from evqc.spinops import Operator, _check_register, eig_multiset, require_hermitian, spin_z_column
+from evqc.states import DensityMatrix, SpinSystem
+from evqc.timedomain import _check_time
+
+UNIFORM_TOL = 1e-8  # spread allowed among the symmetrized off-diagonal entries
+
+
+def thermal_state(sys: SpinSystem) -> DensityMatrix:
+    """Equilibrium state, linear in theta: (1 - theta * sum_i omega_i Iz_i) / N.
+
+    Diagonal, hence invariant under every phase oracle.
+    """
+    _check_register(sys.n)
+    size = sys.size
+    diag = np.full(size, 1.0 / size)
+    for i in range(1, sys.n + 1):
+        diag = diag - (sys.theta / size) * sys.omega[i - 1] * spin_z_column(sys.n, i)
+    return DensityMatrix(Operator(np.diag(diag.astype(complex))))
+
+
+def pseudopure(n: int, alpha: float) -> DensityMatrix:
+    """Mixture of the maximally mixed state with the uniform-superposition projector.
+
+    alpha is the purity weight; physical preparations have 0 < alpha <= 1
+    and anything else draws a warning but is still constructed.
+    """
+    _check_register(n)
+    size = 1 << n
+    if not 0 < alpha <= 1:
+        warnings.warn(f"pseudopure weight alpha={alpha:g} outside (0, 1]", stacklevel=2)
+    weight = (alpha / size) * (1.0 / size) + 0.0  # + 0.0: no -0.0 at alpha = -0.0
+    mat = np.full((size, size), weight, dtype=complex)
+    np.fill_diagonal(mat.real, (1.0 - alpha / size) / size + weight)
+    return DensityMatrix(Operator(mat))
+
+
+def oracle(f: BoolFunc) -> Operator:
+    """Diagonal phase oracle with entries (-1)**f(j); self-inverse."""
+    _check_register(f.n)
+    return Operator(np.diag(f.signs().astype(complex)))
+
+
+def spectral_range(m: Operator) -> float:
+    """Spread between the extreme eigenvalues of a hermitian operator."""
+    values = eig_multiset(m)
+    return float(values[-1] - values[0])
+
+
+def heisenberg_dense(m: Operator, h: np.ndarray, t: float) -> Operator:
+    """exp(iHt) M exp(-iHt) through a dense matrix exponential, the oracle
+    for timedomain.heisenberg_op's entrywise phases."""
+    _check_time(t)
+    from scipy.linalg import expm  # imported here: only the tests that call it need scipy
+
+    u = expm(1j * np.diag(h) * t)
+    return Operator(u @ m.mat @ u.conj().T)
+
+
+def permute(f: BoolFunc, l: int, m: int) -> BoolFunc:
+    """Transpose the table values at argument indices l and m."""
+    if not (0 <= l < f.size and 0 <= m < f.size):
+        raise ValueError("transposition indices outside the domain")
+    if l == m or f(l) == f(m):
+        return f
+    return BoolFunc(f.n, f.mask ^ ((1 << l) | (1 << m)))
+
+
+class NotInvariantFormError(ValueError):
+    """The symmetrized off-diagonal entries are not uniform."""
+
+
+def assemble(c: float, d: np.ndarray, a_upper: np.ndarray) -> np.ndarray:
+    """c * W + diag(d) + A as a new matrix, written through its real and
+    imaginary views; the diagonal's imaginary part stays 0."""
+    size = d.size
+    rows, cols = np.triu_indices(size, 1)
+    mat = np.zeros((size, size), dtype=complex)
+    re, im = mat.reshape(-1).real, mat.reshape(-1).imag
+    w = c / size
+    re.fill(w)
+    np.add(d, w, out=re[:: size + 1])
+    # 0.0 + a and 0.0 - a: a -0.0 in a_upper gives +0.0 on both sides.
+    im[rows * size + cols] = 0.0 + a_upper
+    im[cols * size + rows] = 0.0 - a_upper
+    return mat
+
+
+def reconstruct(form: InvariantForm) -> Operator:
+    """Assemble the hermitian matrix c * W + diag(d) + A."""
+    return Operator(assemble(form.c, form.d, form.a_upper))
+
+
+def decompose_invariant(m: Operator) -> InvariantForm:
+    """Split a hermitian operator into the invariant form, or refuse.
+
+    The symmetrized off-diagonal entries must agree within UNIFORM_TOL; their
+    common value fixes c, the diagonal fixes D, and what remains is the
+    antisymmetric imaginary part.
+    """
+    mat = m.mat
+    size = m.dim
+    if size < 2:
+        raise ValueError("need dimension >= 2")
+    require_hermitian(m, "decompose_invariant")
+    rows, cols = np.triu_indices(size, 1)
+    sym = (mat + mat.T)[rows, cols]
+    # Hermitian input makes these real up to rounding.
+    vals = sym.real
+    spread = float(vals.max() - vals.min())
+    if spread > UNIFORM_TOL:
+        lo = int(np.argmin(vals))
+        hi = int(np.argmax(vals))
+        raise NotInvariantFormError(
+            "symmetrized off-diagonal entries are not uniform: "
+            f"entry ({rows[lo]},{cols[lo]}) gives {vals[lo]:.6g} but "
+            f"({rows[hi]},{cols[hi]}) gives {vals[hi]:.6g} (spread {spread:.3g} > tol {UNIFORM_TOL:g})"
+        )
+    c = size * float(vals.mean()) / 2.0
+    d = np.diag(mat).real - c / size
+    a_upper = mat[rows, cols].imag.copy()
+    return InvariantForm(c=c, d=d, a_upper=a_upper)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

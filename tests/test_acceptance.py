@@ -14,8 +14,13 @@ import numpy as np
 from conftest import (
     distinguishable,
     find_permutation_witness,
+    heisenberg_dense,
     oracle_conjugated,
+    permute,
+    pseudopure,
+    reconstruct,
     satisfiability_gap,
+    thermal_state,
     unitarily_equivalent,
 )
 from evqc.engine import (
@@ -24,8 +29,8 @@ from evqc.engine import (
     b_matrix,
     cn_decide_thermal,
     dj_decide_lifted,
-    expectation,
-    s_functional,
+    expectations,
+    s_functionals,
     trace_expectation,
 )
 from evqc.funcspace import (
@@ -34,7 +39,6 @@ from evqc.funcspace import (
     constant_zero,
     imbalance,
     lift,
-    permute,
 )
 from evqc.adversary import cn_witness, min_queries, verify_adversary
 from evqc.measstruct import (
@@ -52,12 +56,10 @@ from evqc.states import (
     DensityMatrix,
     SpinSystem,
     demo_system,
-    pseudopure,
     pulsed_thermal,
     pure_w,
-    thermal_state,
 )
-from evqc.timedomain import hamiltonian, heisenberg_dense, signal, spectrum
+from evqc.timedomain import hamiltonian, signal, spectrum
 
 THETA = 2e-8
 
@@ -95,7 +97,7 @@ def test_acceptance_01_square_law():
         size = 1 << n
         for mask in range(1 << size):
             f = BoolFunc(n, mask)
-            e = expectation(m, rho, f)
+            e = expectations(m, rho, [f])[0]
             worst = max(worst, abs(e - 4.0 * imbalance(f) ** 2 / size**2))
             if f.ones in (0, size):
                 exact_ok = exact_ok and e == 1.0
@@ -157,7 +159,7 @@ def test_acceptance_04_cn_class_reads_zero():
         for mask in _brute_cn_masks(n):
             f = BoolFunc(n, mask)
             for op in spins:
-                val = abs(s_functional(op, f))
+                val = abs(s_functionals(op, [f])[0])
                 worst = max(worst, val)
                 sum_ok = sum_ok and val <= 1e-12
     rng = np.random.default_rng(7)
@@ -228,16 +230,16 @@ def test_acceptance_06_invariant_form_readout():
             d=rng.standard_normal(size),
             a_upper=rng.standard_normal(size * (size - 1) // 2),
         )
-        m = form.reconstruct()
+        m = reconstruct(form)
         rho = pseudopure(n, alpha)
         f = BoolFunc(n, int(rng.integers(0, 1 << size)))
-        e = expectation(m, rho, f)
+        e = expectations(m, rho, [f])[0]
         tr = form.c + form.d.sum()
         quad = 4.0 * form.c * imbalance(f) ** 2 / size + form.d.sum()
         predicted = (1.0 - alpha / size) * tr / size + (alpha / size**2) * quad
         worst_pred = max(worst_pred, abs(e - predicted))
         l, k = (int(v) for v in rng.choice(size, size=2, replace=False))
-        worst_perm = max(worst_perm, abs(e - expectation(m, rho, permute(f, l, k))))
+        worst_perm = max(worst_perm, abs(e - expectations(m, rho, [permute(f, l, k)])[0]))
     hit = find_permutation_witness(total_spin(2, "x"), pseudopure(2, 1.0))
     witness_ok = hit is not None
     ok = worst_pred <= 1e-10 and worst_perm <= 1e-10 and witness_ok
@@ -261,7 +263,7 @@ def test_acceptance_07_search_recovers_known_ratios():
         and r2.feasible
         and r2.penalty_residual < FEASIBILITY_TOL
         and lower <= r2.ratio < upper
-        and unitarily_equivalent(r2.form.reconstruct(), total_spin(2, "x"), tol=1e-5)
+        and unitarily_equivalent(reconstruct(r2.form), total_spin(2, "x"), tol=1e-5)
         and elapsed < 300.0
     )
     _verdict(
@@ -339,8 +341,8 @@ def test_acceptance_10_dual_routes_never_drift():
         p = zp @ zp.conj().T
         rho = DensityMatrix(Operator(p / np.trace(p).real, hermitian=True))
         f = BoolFunc(n, int(rng.integers(0, 1 << size)))
-        direct = expectation(m, rho, f)
-        functional = s_functional(b_matrix(rho, m), f)
+        direct = expectations(m, rho, [f])[0]
+        functional = s_functionals(b_matrix(rho, m), [f])[0]
         worst = max(worst, abs(direct - functional.real))
         worst_imag = max(worst_imag, abs(functional.imag))
     ok = worst <= 1e-10 and worst_imag <= 1e-10

@@ -333,6 +333,26 @@ def test_empty_sys_path_is_an_error_not_the_demo_system(capsys, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n": True, "omega": [3000.0]}, "n needs a whole number, got True"),
+    ({"omega": [True, 3000.0]}, "omega[0] needs a number, got True"),
+    ({"omega": False}, "omega needs a number, got False"),
+    ({"theta": True}, "theta needs a number, got True"),
+    ({"couplings": [[True, 2, 7.0]]}, "coupling (True, 2, 7.0) index i needs a whole number, got True"),
+    ({"couplings": [[1, True, 7.0]]}, "coupling (1, True, 7.0) index j needs a whole number, got True"),
+    ({"couplings": [[1, 2, True]]}, "coupling (1, 2) strength needs a number, got True"),
+])
+def test_signal_refuses_json_booleans_in_the_system(capsys, tmp_path, fields, message):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps({"n": 2, "omega": [2513.27, 3769.91], "theta": THETA, **fields}))
+    out = tmp_path / "o.csv"
+    rc, rec, err = run(capsys, "signal", "--sys", str(sys_path), "--dt", "1e-4", "--count", "4",
+                       "--out", str(out))
+    assert_one_line_error(rc, rec, err)
+    assert err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.json"]
+
+
 def test_bad_coupling_index_error_names_the_coupling(capsys, tmp_path):
     sys_path = tmp_path / "sys.json"
     sys_path.write_text(json.dumps(
@@ -376,8 +396,7 @@ def test_signal_builds_no_matrix_without_dump_op(monkeypatch, capsys, tmp_path):
         raise AssertionError("a dense operator was built")
 
     for module in (spinops, states, cli, timedomain):
-        for name in ("single_spin", "total_spin", "w_projector", "spectral_range",
-                     "pulsed_thermal", "pseudopure", "thermal_state", "hamiltonian"):
+        for name in ("single_spin", "total_spin", "w_projector", "pulsed_thermal", "hamiltonian"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(spinops.Operator, "__post_init__", refuse)
@@ -1017,6 +1036,30 @@ def test_unread_sys_is_refused_before_any_work(capsys, tmp_path, monkeypatch, ar
     monkeypatch.chdir(tmp_path)
     argv += ("--sys", "missing.json")
     rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, "r.json")
+    assert_one_line_error(rc, rec, err)
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, module, compute, message", [
+    (("classify", "--protocol", "pseudopure", "--fn", "missing.fn", "--class", "balanced", "--eps", "0.1"),
+     "funcspace", "parse_function", "--class is not read with --fn"),
+    (("classify", "--protocol", "pseudopure", "--class", "constant", "--n", "3", "--seed", "4",
+      "--eps", "1e-6"), "funcspace", "constant_zero", "--seed is only read by --class cn"),
+    (("classify", "--protocol", "cn-thermal", "--fn", "missing.fn", "--seed", "4", "--eps", "0.1"),
+     "funcspace", "parse_function", "--seed is only read by --class cn"),
+    (("signal", "--n", "3", "--seed", "3", "--dt", "1e-4", "--count", "8"),
+     "states", "demo_system", "--seed is only read by --class cn"),
+    (("signal", "--n", "2", "--class", "balanced", "--seed", "2", "--dt", "1e-4", "--count", "8"),
+     "states", "demo_system", "--seed is only read by --class cn"),
+    (("signal", "--n", "2", "--fn", "missing.fn", "--class", "cn", "--dt", "1e-4", "--count", "8"),
+     "funcspace", "parse_function", "--class is not read with --fn"),
+])
+def test_unread_function_options_are_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, module,
+                                                             compute, message):
+    # The function file is never opened, so a missing one must not get past the refusal.
+    monkeypatch.chdir(tmp_path)
+    rc, rec, err = run_without_compute(capsys, monkeypatch, argv, module, compute, "r.csv")
     assert_one_line_error(rc, rec, err)
     assert err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []

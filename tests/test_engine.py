@@ -8,10 +8,12 @@ import pytest
 from conftest import (
     distinguishable,
     oracle_conjugated,
+    pseudopure,
     random_boolfunc,
     random_density,
     random_hermitian,
     satisfiability_gap,
+    spectral_range,
 )
 from evqc.engine import (
     Decision,
@@ -20,10 +22,8 @@ from evqc.engine import (
     cn_decide_thermal,
     dj_decide_lifted,
     dj_decide_pseudopure,
-    expectation,
     expectations,
     projector_readout,
-    s_functional,
     s_functionals,
     trace_expectation,
     transverse_readout,
@@ -42,8 +42,8 @@ from evqc.funcspace import (
     lift,
     sample_cn,
 )
-from evqc.spinops import Operator, single_spin, spectral_range, total_spin, w_projector
-from evqc.states import SpinSystem, demo_system, pseudopure, pulsed_thermal, pure_w
+from evqc.spinops import Operator, single_spin, total_spin, w_projector
+from evqc.states import SpinSystem, demo_system, pulsed_thermal, pure_w
 
 
 def conjugation_route(m, rho, f):
@@ -55,11 +55,11 @@ def conjugation_route(m, rho, f):
 def test_pure_protocol_frozen_values():
     m = w_projector(2)
     rho = pure_w(2)
-    assert expectation(m, rho, constant_zero(2)) == 1.0
-    assert expectation(m, rho, constant_one(2)) == 1.0
-    assert expectation(m, rho, canonical_balanced(2)) == 0.0
-    assert expectation(m, rho, BoolFunc(2, 0b0100)) == 0.25
-    assert expectation(w_projector(3), pure_w(3), BoolFunc(3, 0b00000100)) == 0.5625
+    assert expectations(m, rho, [constant_zero(2)])[0] == 1.0
+    assert expectations(m, rho, [constant_one(2)])[0] == 1.0
+    assert expectations(m, rho, [canonical_balanced(2)])[0] == 0.0
+    assert expectations(m, rho, [BoolFunc(2, 0b0100)])[0] == 0.25
+    assert expectations(w_projector(3), pure_w(3), [BoolFunc(3, 0b00000100)])[0] == 0.5625
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -70,7 +70,7 @@ def test_pure_protocol_square_law(n):
     for mask in range(1 << size):
         f = BoolFunc(n, mask)
         predicted = 4.0 * imbalance(f) ** 2 / size**2
-        assert abs(expectation(m, rho, f) - predicted) < 1e-10
+        assert abs(expectations(m, rho, [f])[0] - predicted) < 1e-10
 
 
 def test_expectation_matches_conjugation_route(rng):
@@ -80,13 +80,13 @@ def test_expectation_matches_conjugation_route(rng):
         m = random_hermitian(dim, rng)
         rho = random_density(dim, rng)
         f = random_boolfunc(n, rng)
-        assert abs(expectation(m, rho, f) - conjugation_route(m, rho, f)) < 1e-10
+        assert abs(expectations(m, rho, [f])[0] - conjugation_route(m, rho, f)) < 1e-10
 
 
 def test_expectation_rejects_nonhermitian_inputs():
     rho = pure_w(1)
     readouts = {
-        "expectation": lambda m: expectation(m, rho, constant_zero(1)),
+        "expectation": lambda m: expectations(m, rho, [constant_zero(1)])[0],
         "trace_expectation": lambda m: trace_expectation(m, rho),
         "b_matrix": lambda m: b_matrix(rho, m),
     }
@@ -102,11 +102,11 @@ def test_expectation_rejects_nonhermitian_inputs():
 
 def test_dimension_guards():
     with pytest.raises(ValueError):
-        expectation(w_projector(2), pure_w(1), constant_zero(1))
+        expectations(w_projector(2), pure_w(1), [constant_zero(1)])[0]
     with pytest.raises(ValueError):
-        expectation(w_projector(2), pure_w(2), constant_zero(1))
+        expectations(w_projector(2), pure_w(2), [constant_zero(1)])[0]
     with pytest.raises(ValueError):
-        s_functional(w_projector(2), constant_zero(3))
+        s_functionals(w_projector(2), [constant_zero(3)])[0]
 
 
 def test_b_matrix_pure_entries():
@@ -118,14 +118,14 @@ def test_b_matrix_pure_entries():
 def test_s_functional_frozen_small_case():
     b = Operator(np.array([[1.0, 2.0], [2.0, 1.0]]), hermitian=True)
     f = BoolFunc(1, 0b10)
-    assert s_functional(b, f) == complex(-2.0)
-    assert s_functional(b, constant_zero(1)) == complex(6.0)
+    assert s_functionals(b, [f])[0] == complex(-2.0)
+    assert s_functionals(b, [constant_zero(1)])[0] == complex(6.0)
     # Pure-state coefficients (every entry 1/16) give (sum_j s_j)**2 / 16:
     # exactly 0 on every balanced function, 1 and 1/4 off it.
     b = b_matrix(pure_w(2), w_projector(2))
-    assert all(s_functional(b, g) == 0 for g in enumerate_class(2, FunctionClass.BALANCED_W))
-    assert s_functional(b, constant_zero(2)) == 1.0
-    assert s_functional(b, BoolFunc(2, 0b0100)) == 0.25
+    assert all(s_functionals(b, [g])[0] == 0 for g in enumerate_class(2, FunctionClass.BALANCED_W))
+    assert s_functionals(b, [constant_zero(2)])[0] == 1.0
+    assert s_functionals(b, [BoolFunc(2, 0b0100)])[0] == 0.25
 
 
 def test_s_functional_complement_exactness(rng):
@@ -133,7 +133,7 @@ def test_s_functional_complement_exactness(rng):
         n = int(rng.integers(1, 4))
         b = random_hermitian(1 << n, rng)
         f = random_boolfunc(n, rng)
-        assert s_functional(b, f) == s_functional(b, complement(f))
+        assert s_functionals(b, [f])[0] == s_functionals(b, [complement(f)])[0]
 
 
 def test_s_functional_sees_symmetric_part_only(rng):
@@ -142,8 +142,8 @@ def test_s_functional_sees_symmetric_part_only(rng):
         dim = 1 << n
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         f = random_boolfunc(n, rng)
-        full = s_functional(Operator(z), f)
-        sym = s_functional(Operator(0.5 * (z + z.T)), f)
+        full = s_functionals(Operator(z), [f])[0]
+        sym = s_functionals(Operator(0.5 * (z + z.T)), [f])[0]
         assert abs(full - sym) < 1e-12 * max(1.0, abs(full))
 
 
@@ -154,8 +154,8 @@ def test_s_functional_linearity(rng):
     b2 = random_hermitian(dim, rng)
     f = random_boolfunc(n, rng)
     combo = Operator(2.5 * b1.mat - 0.75 * b2.mat)
-    lhs = s_functional(combo, f)
-    rhs = 2.5 * s_functional(b1, f) - 0.75 * s_functional(b2, f)
+    lhs = s_functionals(combo, [f])[0]
+    rhs = 2.5 * s_functionals(b1, [f])[0] - 0.75 * s_functionals(b2, [f])[0]
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -358,8 +358,8 @@ def test_dual_routes_agree(rng):
         m = random_hermitian(dim, rng)
         rho = random_density(dim, rng)
         f = random_boolfunc(n, rng)
-        direct = expectation(m, rho, f)
-        functional = s_functional(b_matrix(rho, m), f)
+        direct = expectations(m, rho, [f])[0]
+        functional = s_functionals(b_matrix(rho, m), [f])[0]
         assert abs(functional.imag) < 1e-10
         assert abs(direct - functional.real) < 1e-10
 
@@ -379,12 +379,12 @@ def test_batch_routes_equal_single_calls(n, rng):
         b = b_matrix(rho, m)
         fs = batch_functions(n, rng)
         # The functional route keeps one exactly rounded sum per function.
-        assert s_functionals(b, fs) == [s_functional(b, f) for f in fs]
+        assert s_functionals(b, fs) == [s_functionals(b, [f])[0] for f in fs]
         scale = float(np.abs(b.mat).sum())
         direct = expectations(m, rho, fs)
         assert len(direct) == len(fs) and all(type(e) is float for e in direct)
         for e, f in zip(direct, fs):
-            assert abs(e - expectation(m, rho, f)) <= 1e-12 * scale
+            assert abs(e - expectations(m, rho, [f])[0]) <= 1e-12 * scale
             assert abs(e - conjugation_route(m, rho, f)) <= 1e-12 * scale
     assert expectations(m, rho, []) == [] and s_functionals(b, []) == []
 
@@ -432,7 +432,7 @@ def test_imaginary_residue_rule_covers_the_whole_batch():
 def test_survey_weighs_once_per_class(mode, monkeypatch, tmp_path):
     from evqc import cli, engine
 
-    calls = {"_weights": 0, "expectation": 0, "s_functional": 0}
+    calls = {"_weights": 0, "expectations": 0, "s_functionals": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -440,13 +440,13 @@ def test_survey_weighs_once_per_class(mode, monkeypatch, tmp_path):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("_weights", "expectation", "s_functional"):
+    for name in calls:
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
     rc = cli.main(["survey", "--mode", mode, "--n", "3", "--out", str(tmp_path / "s.csv")])
     rows = (tmp_path / "s.csv").read_text().count("\n") - 1
     assert rc == 0 and rows == (256 if mode == "dj" else 32)
     assert calls["_weights"] == 1
-    assert calls["expectation"] == calls["s_functional"] == 0
+    assert calls["expectations"] + calls["s_functionals"] == 1
 
 
 def random_system(n, rng):
@@ -469,8 +469,8 @@ def test_transverse_readout_matches_dense_routes(n, rng):
             scale = sys.theta * float(sum(sys.omega[i - 1] for i in spins)) / 4.0
             for f in funcs:
                 e = transverse_readout(sys, f, spins)
-                assert abs(e - expectation(m, rho, f)) <= 1e-12 * scale
-                assert abs(e - s_functional(b, f).real) <= 1e-12 * scale
+                assert abs(e - expectations(m, rho, [f])[0]) <= 1e-12 * scale
+                assert abs(e - s_functionals(b, [f])[0].real) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -481,8 +481,8 @@ def test_projector_readout_matches_dense_routes(n, rng):
         b = b_matrix(rho, m)
         for f in (random_boolfunc(n, rng), constant_zero(n), canonical_balanced(n)):
             e = projector_readout(n, alpha, f)
-            assert abs(e - expectation(m, rho, f)) <= 1e-12 * abs(e)
-            assert abs(e - s_functional(b, f).real) <= 1e-12 * abs(e)
+            assert abs(e - expectations(m, rho, [f])[0]) <= 1e-12 * abs(e)
+            assert abs(e - s_functionals(b, [f])[0].real) <= 1e-12 * abs(e)
 
 
 def test_structured_readouts_reject_mismatched_input():
@@ -574,8 +574,7 @@ def test_classify_builds_no_matrix_without_dump_op(protocol, monkeypatch, capsys
         raise AssertionError("a dense operator was built")
 
     for module in (spinops, states, cli):
-        for name in ("single_spin", "total_spin", "w_projector", "spectral_range",
-                     "pulsed_thermal", "pseudopure", "thermal_state"):
+        for name in ("single_spin", "total_spin", "w_projector", "pulsed_thermal"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(spinops.Operator, "__post_init__", refuse)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import permute
 from evqc import funcspace
 from evqc.funcspace import (
     MAX_TABLE_N,
@@ -30,7 +31,6 @@ from evqc.funcspace import (
     mask_from_bits,
     mask_from_support,
     parse_function,
-    permute,
     sample_cn,
 )
 

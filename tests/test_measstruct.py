@@ -7,19 +7,24 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import find_permutation_witness, unitarily_equivalent
-from evqc import measstruct, spinops
-from evqc.engine import expectation
-from evqc.funcspace import BoolFunc, imbalance, permute
-from evqc.measstruct import (
-    FEASIBILITY_TOL,
-    InvariantForm,
+from conftest import (
     NotInvariantFormError,
+    assemble,
     decompose_invariant,
-    search_max_c_ratio,
+    find_permutation_witness,
+    oracle,
+    permute,
+    pseudopure,
+    reconstruct,
+    thermal_state,
+    unitarily_equivalent,
 )
+from evqc import measstruct, spinops
+from evqc.engine import expectations
+from evqc.funcspace import BoolFunc, imbalance
+from evqc.measstruct import FEASIBILITY_TOL, InvariantForm, search_max_c_ratio
 from evqc.spinops import Operator, single_spin, total_spin, w_projector
-from evqc.states import demo_system, pseudopure, thermal_state
+from evqc.states import demo_system
 
 
 def readout_prediction(form, alpha, f):
@@ -40,7 +45,7 @@ def test_invariant_form_validation():
 def test_decompose_frozen_exact():
     d = np.array([0.5, -0.5, 0.25, -0.25])
     a = np.array([0.1, -0.2, 0.3, 0.4, -0.5, 0.6])
-    m = InvariantForm(c=2.0, d=d, a_upper=a).reconstruct()
+    m = reconstruct(InvariantForm(c=2.0, d=d, a_upper=a))
     form = decompose_invariant(m)
     assert form.c == 2.0
     np.testing.assert_array_equal(form.d, d)
@@ -55,7 +60,7 @@ def test_decompose_reconstruct_roundtrip(rng):
             d=rng.standard_normal(size),
             a_upper=rng.standard_normal(size * (size - 1) // 2),
         )
-        back = decompose_invariant(form.reconstruct())
+        back = decompose_invariant(reconstruct(form))
         assert abs(back.c - form.c) < 1e-12
         np.testing.assert_allclose(back.d, form.d, atol=1e-12)
         np.testing.assert_allclose(back.a_upper, form.a_upper, atol=1e-12)
@@ -87,8 +92,8 @@ def test_readout_ignores_antisymmetric_part(rng):
     twisted = InvariantForm(c=1.3, d=d, a_upper=rng.standard_normal(6))
     for mask in range(16):
         f = BoolFunc(2, mask)
-        e1 = expectation(base.reconstruct(), rho, f)
-        e2 = expectation(twisted.reconstruct(), rho, f)
+        e1 = expectations(reconstruct(base), rho, [f])[0]
+        e2 = expectations(reconstruct(twisted), rho, [f])[0]
         assert abs(e1 - e2) < 1e-12
         assert abs(e1 - readout_prediction(base, alpha, f)) < 1e-12
 
@@ -97,12 +102,13 @@ def test_readout_survives_transpositions(rng):
     alpha = 0.4
     rho = pseudopure(2, alpha)
     form = InvariantForm(c=-0.8, d=rng.standard_normal(4), a_upper=rng.standard_normal(6))
-    m = form.reconstruct()
+    m = reconstruct(form)
     for mask in range(16):
         f = BoolFunc(2, mask)
         for l in range(4):
             for k in range(l + 1, 4):
-                assert abs(expectation(m, rho, f) - expectation(m, rho, permute(f, l, k))) < 1e-12
+                e, e_perm = expectations(m, rho, [f, permute(f, l, k)])
+                assert abs(e - e_perm) < 1e-12
 
 
 def test_witness_for_total_spin():
@@ -111,7 +117,8 @@ def test_witness_for_total_spin():
     hit = find_permutation_witness(m, rho)
     assert hit is not None
     f, l, k = hit
-    assert abs(expectation(m, rho, f) - expectation(m, rho, permute(f, l, k))) > 1e-10
+    e, e_perm = expectations(m, rho, [f, permute(f, l, k)])
+    assert abs(e - e_perm) > 1e-10
 
 
 def test_witness_absent_for_invariant_form(rng):
@@ -119,7 +126,7 @@ def test_witness_absent_for_invariant_form(rng):
         size = 1 << n
         form = InvariantForm(c=c, d=rng.standard_normal(size),
                              a_upper=rng.standard_normal(size * (size - 1) // 2))
-        assert find_permutation_witness(form.reconstruct(), pseudopure(n, alpha)) is None
+        assert find_permutation_witness(reconstruct(form), pseudopure(n, alpha)) is None
 
 
 # (measurement, n, alpha, first witness as (mask, l, k)), recorded while
@@ -145,7 +152,7 @@ def first_witness_by_single_readouts(m, rho, tol):
     for mask in range(1 << m.dim):
         f = BoolFunc(n, mask)
         for l, k in itertools.combinations(range(m.dim), 2):
-            if abs(expectation(m, rho, f) - expectation(m, rho, permute(f, l, k))) > tol:
+            if abs(expectations(m, rho, [f])[0] - expectations(m, rho, [permute(f, l, k)])[0]) > tol:
                 return f, l, k
     return None
 
@@ -170,7 +177,7 @@ def test_search_single_spin_reaches_unity():
     assert result.feasible
     assert abs(result.ratio - 1.0) < 1e-6
     assert result.penalty_residual < FEASIBILITY_TOL
-    assert unitarily_equivalent(result.form.reconstruct(), total_spin(1, "x"), tol=1e-5)
+    assert unitarily_equivalent(reconstruct(result.form), total_spin(1, "x"), tol=1e-5)
 
 
 def test_search_is_deterministic():
@@ -279,7 +286,7 @@ def test_assembler_matches_the_complex_formula(size, rng):
     for c in cs:
         d = _with_signed_zeros(rng.standard_normal(size), rng)
         a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
-        got = measstruct._assemble(c, d, a)
+        got = assemble(c, d, a)
         want = _assembled_by_formula(c, d, a)
         if c == 0.0:
             # -0.0 + +0.0 is +0.0 in the formula, so c = -0.0 may leave a
@@ -294,7 +301,7 @@ def test_eigvalsh_gufunc_matches_numpys_wrapper(size, rng):
     for c in rng.standard_normal(40) * 3.0:
         d = _with_signed_zeros(rng.standard_normal(size), rng)
         a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
-        mat = measstruct._assemble(float(c), d, a)
+        mat = assemble(float(c), d, a)
         want = np.linalg.eigvalsh(mat)
         got = measstruct._eigvalsh(mat)
         assert got.dtype == want.dtype
@@ -302,10 +309,10 @@ def test_eigvalsh_gufunc_matches_numpys_wrapper(size, rng):
 
 
 def _assessed_by_the_full_matrix(x, size, target):
-    """The evaluation's oracle: _split_params, _assemble and numpy's
+    """The evaluation's oracle: _split_params, assemble and numpy's
     eigvalsh wrapper on the whole hermitian matrix."""
     c, d, a = measstruct._split_params(x, size)
-    vals = np.linalg.eigvalsh(measstruct._assemble(c, d, a))
+    vals = np.linalg.eigvalsh(assemble(c, d, a))
     r = vals - target
     return float(np.add.reduce(r * r)), abs(c) / max(float(vals[-1] - vals[0]), 1e-12), vals
 

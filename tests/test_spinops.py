@@ -5,20 +5,26 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, unitarily_equivalent
+from conftest import (
+    decompose_invariant,
+    haar_unitary,
+    oracle,
+    pseudopure,
+    spectral_range,
+    thermal_state,
+    unitarily_equivalent,
+)
 from evqc.funcspace import BoolFunc
 from evqc.spinops import (
     Operator,
     eig_multiset,
     is_hermitian,
     operator_text,
-    oracle,
     single_spin,
-    spectral_range,
     total_spin,
     w_projector,
 )
-from evqc.states import SpinSystem, demo_system, pseudopure, pulsed_thermal, thermal_state
+from evqc.states import SpinSystem, demo_system, pulsed_thermal
 
 HALF = 0.5
 
@@ -206,7 +212,6 @@ def test_is_hermitian_refuses_non_finite_entries_silently(entry):
 
 
 def test_every_hermiticity_check_keeps_its_message():
-    from evqc.measstruct import decompose_invariant
     from evqc.states import DensityMatrix
 
     skew = np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex)

@@ -4,19 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import oracle, pseudopure, thermal_state
 from evqc.funcspace import BoolFunc
-from evqc.spinops import Operator, oracle
+from evqc.spinops import Operator
 from evqc.states import (
     DensityMatrix,
     SpinSystem,
     demo_system,
     load_system,
     parse_system,
-    pseudopure,
     pulsed_thermal,
     pure_w,
     system_to_dict,
-    thermal_state,
 )
 
 THETA = 2e-8
@@ -104,6 +103,21 @@ def test_spin_system_refuses_to_truncate():
     assert type(sys.n) is int and sys.n == 2
     assert sys.couplings == ((1, 2, 3.0),)
     assert all(type(k) is int for k in sys.couplings[0][:2])
+
+
+@pytest.mark.parametrize("flag", [np.True_, np.False_])
+def test_spin_system_refuses_numpy_booleans(flag):
+    omega = np.array([5.0, 6.0])
+    with pytest.raises(ValueError, match=r"^n needs a whole number, got "):
+        SpinSystem(n=flag, omega=np.array([5.0]), theta=THETA)
+    with pytest.raises(ValueError, match=r"^omega\[1\] needs a number, got "):
+        SpinSystem(n=2, omega=[5.0, flag], theta=THETA)
+    with pytest.raises(ValueError, match=r"^theta needs a number, got "):
+        SpinSystem(n=2, omega=omega, theta=flag)
+    with pytest.raises(ValueError, match=r"^coupling \(.*\) index i needs a whole number, got "):
+        SpinSystem(n=2, omega=omega, theta=THETA, couplings=((flag, 2, 3.0),))
+    with pytest.raises(ValueError, match=r"^coupling \(1, 2\) strength needs a number, got "):
+        SpinSystem(n=2, omega=omega, theta=THETA, couplings=((1, 2, flag),))
 
 
 def test_parse_system_takes_integral_floats():

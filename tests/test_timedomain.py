@@ -5,18 +5,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import oracle_conjugated, random_boolfunc, random_density, random_hermitian, texts_match
+from conftest import (
+    heisenberg_dense,
+    oracle_conjugated,
+    random_boolfunc,
+    random_density,
+    random_hermitian,
+    texts_match,
+    thermal_state,
+)
 from evqc import funcspace, timedomain
 from evqc.cli import _write_atomic
 from evqc.engine import transverse_readout
 from evqc.funcspace import BoolFunc, canonical_balanced, constant_one, mask_from_bits, sample_cn
 from evqc.spinops import Operator, single_spin, spin_z_column, total_spin
-from evqc.states import SpinSystem, pulsed_thermal, thermal_state
+from evqc.states import SpinSystem, pulsed_thermal
 from evqc.timedomain import (
     SignalTrace,
     find_peaks,
     hamiltonian,
-    heisenberg_dense,
     heisenberg_op,
     signal,
     spectrum,
