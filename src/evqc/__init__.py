@@ -28,7 +28,6 @@ from evqc.funcspace import (
 from evqc.measstruct import InvariantForm, search_max_c_ratio
 from evqc.spinops import (
     Operator,
-    eig_multiset,
     single_spin,
     total_spin,
     w_projector,

@@ -114,7 +114,7 @@ def _emit(record: dict, out: str | None, files: dict | None = None) -> None:
 
 def _load_function(args, expect_bits: int | None = None) -> BoolFunc:
     """Resolve --fn / --class / --n into a concrete function."""
-    if args.fn:
+    if args.fn is not None:
         f = funcspace.parse_function(Path(args.fn).read_text(encoding="utf-8"))
         if args.n is not None and args.n != f.n:
             raise _UsageError(f"--n {args.n} disagrees with the {f.n}-bit function file")
@@ -138,8 +138,11 @@ def _load_function(args, expect_bits: int | None = None) -> BoolFunc:
 
 
 def _refuse_unread_function_options(args) -> None:
-    """Refuse a function option the command would not read: --class beside
-    --fn, or --seed without --class cn."""
+    """Refuse an empty --fn, which Path would take for the working
+    directory, and a function option the command would not read: --class
+    beside --fn, or --seed without --class cn."""
+    if args.fn == "":
+        raise _UsageError("empty --fn path")
     if args.fn is not None and args.func_class is not None:
         raise _UsageError("--class is not read with --fn")
     if args.seed is not None and args.func_class != "cn":
@@ -301,7 +304,8 @@ def cmd_signal(args) -> int:
     if args.dump_op is not None:
         spinops._check_register(n)
     spins, axis = _measurement(args.measure, n)
-    f = _load_function(args, expect_bits=n) if args.fn or args.func_class else None
+    reads_function = args.fn is not None or args.func_class is not None
+    f = _load_function(args, expect_bits=n) if reads_function else None
     if args.state == "pulsed":
         trace = timedomain.transverse_signal(sys_obj, f, spins, axis, args.dt, args.count)
     else:
@@ -390,13 +394,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search-c", help="search the best |c|/spectral-range ratio")
     p.add_argument("--n", type=_int, required=True)
-    p.add_argument(
-        "--budget", type=_int, default=100_000,
-        help="objective evaluations, checked only between restarts: one restart runs up to "
-        "6 * max(60, budget // (6 * restarts)), so --budget 100 --restarts 1 spends 360",
-    )
+    p.add_argument("--budget", type=_int, default=100_000, help="objective evaluations, at most")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--restarts", type=_int, default=50)
+    p.add_argument("--restarts", type=_int, default=10)
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("adversary", help="verify the classical lower-bound witness")

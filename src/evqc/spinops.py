@@ -350,22 +350,6 @@ def require_hermitian(m: Operator, what: str) -> None:
         raise ValueError(f"{what} requires a hermitian operator")
 
 
-def eig_multiset(m: Operator) -> np.ndarray:
-    """Eigenvalues of a hermitian operator as a read-only ascending vector.
-
-    The sum is cross-checked against the trace before returning; a
-    mismatch means the eigensolver or the input is broken.
-    """
-    require_hermitian(m, "eig_multiset")
-    values = np.linalg.eigvalsh(m.mat)
-    residue = abs(float(values.sum()) - m.trace.real)
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)) * m.dim)
-    if residue > 1e-9 * scale:
-        raise ValueError(f"eigenvalue sum disagrees with trace by {residue:g}")
-    values.setflags(write=False)
-    return values
-
-
 def operator_text(m: Operator) -> str:
     """The dump format: dimension header, then row-major re,im pairs."""
     flat = m.mat.reshape(-1)

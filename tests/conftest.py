@@ -1,12 +1,12 @@
 """Shared randomized builders for the test suite, and the oracles the
 acceptance checks and unit tests hold the package to: the dense thermal and
-pseudopure states, the dense phase oracle, the eigenvalue spread, the
-matrix-exponential Heisenberg map, argument transposition, the invariant
-form's decomposition and reconstruction, the exhaustive permutation-witness
-hunt, machine-level distinguishability, the closed-form satisfiability gap
-and spectral equivalence, and a comparison of long texts.  No command calls
-any of them; each is the dense or exhaustive route a matrix-free one in the
-package is checked against."""
+pseudopure states, the dense phase oracle, the numerical spectrum and its
+spread, the matrix-exponential Heisenberg map, argument transposition, the
+invariant form's decomposition and reconstruction, the exhaustive
+permutation-witness hunt, machine-level distinguishability, the closed-form
+satisfiability gap and spectral equivalence, and a comparison of long
+texts.  No command calls any of them; each is the dense or exhaustive route
+a matrix-free one in the package is checked against."""
 
 import itertools
 import warnings
@@ -17,7 +17,7 @@ import pytest
 from evqc.engine import Resolution, expectations, trace_expectation
 from evqc.funcspace import BoolFunc
 from evqc.measstruct import InvariantForm
-from evqc.spinops import Operator, _check_register, eig_multiset, require_hermitian, spin_z_column
+from evqc.spinops import Operator, _check_register, require_hermitian, spin_z_column
 from evqc.states import DensityMatrix, SpinSystem
 from evqc.timedomain import _check_time
 
@@ -57,6 +57,22 @@ def oracle(f: BoolFunc) -> Operator:
     """Diagonal phase oracle with entries (-1)**f(j); self-inverse."""
     _check_register(f.n)
     return Operator(np.diag(f.signs().astype(complex)))
+
+
+def eig_multiset(m: Operator) -> np.ndarray:
+    """Eigenvalues of a hermitian operator as a read-only ascending vector.
+
+    The sum is cross-checked against the trace before returning; a
+    mismatch means the eigensolver or the input is broken.
+    """
+    require_hermitian(m, "eig_multiset")
+    values = np.linalg.eigvalsh(m.mat)
+    residue = abs(float(values.sum()) - m.trace.real)
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)) * m.dim)
+    if residue > 1e-9 * scale:
+        raise ValueError(f"eigenvalue sum disagrees with trace by {residue:g}")
+    values.setflags(write=False)
+    return values
 
 
 def spectral_range(m: Operator) -> float:

@@ -2,6 +2,7 @@ import ast
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evqc import cli
+from evqc import cli, measstruct
 from evqc.cli import main
 from evqc.spinops import operator_text, w_projector
 
@@ -175,6 +176,21 @@ def test_search_c_deterministic_reports(capsys, tmp_path):
     assert abs(rec["result"]["ratio"] - 1.0) < 1e-5
 
 
+def test_search_c_default_report_is_the_library_record(capsys, tmp_path):
+    # The defaults converge at n = 2; every run gives the same bytes, and the
+    # report's result is the library's record.
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    rc1, _, _ = run(capsys, "search-c", "--n", "2", "--seed", "7", "--out", str(out1))
+    rc2, _, _ = run(capsys, "search-c", "--n", "2", "--seed", "7", "--out", str(out2))
+    assert rc1 == rc2 == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    rec = json.loads(out1.read_text())
+    assert rec["config"] == {"n": 2, "budget": 100_000, "seed": 7, "restarts": 10}
+    library = measstruct.search_max_c_ratio(2, seed=7).to_record()
+    assert rec["result"] == json.loads(json.dumps(library))
+    assert abs(rec["result"]["ratio"] - (math.sqrt(5.0) - 1.0) / 2.0) <= 1e-6
+
+
 def test_adversary_command(capsys):
     rc, rec, _ = run(capsys, "adversary", "--n", "2", "--trials", "5")
     assert rc == 0
@@ -330,6 +346,24 @@ def test_empty_sys_path_is_an_error_not_the_demo_system(capsys, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     rc, rec, err = run(capsys, *argv, "--sys", "")
     assert_one_line_error(rc, rec, err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, compute", [
+    (("classify", "--protocol", "cn-thermal", "--n", "2", "--eps", "0.1", "--out", "r.json"),
+     "cn_decide_thermal"),
+    (("classify", "--protocol", "pseudopure", "--eps", "0.1", "--out", "r.json"),
+     "dj_decide_pseudopure"),
+    (("signal", "--n", "2", "--dt", "1e-4", "--count", "4", "--out", "t.csv"), "transverse_signal"),
+])
+def test_empty_fn_path_is_refused_not_taken_for_no_function(capsys, tmp_path, monkeypatch, argv,
+                                                            compute):
+    monkeypatch.chdir(tmp_path)
+    module = cli.timedomain if compute == "transverse_signal" else cli.engine
+    monkeypatch.setattr(module, compute, lambda *a, **k: pytest.fail("computed"))
+    rc, rec, err = run(capsys, *argv, "--fn", "")
+    assert_one_line_error(rc, rec, err)
+    assert err == "error: empty --fn path\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -794,7 +828,7 @@ _IN_PROCESS_SEQUENCE = [
     ("classify", "--protocol", "pseudopure", "--class", "cn", "--n", "3", "--eps", "0.01"),
     ("signal", "--n", "2", "--class", "cn", "--dt", "1e-4", "--count", "8", "--out", "t.csv"),
     ("classify", "--protocol", "lifted", "--class", "cn", "--n", "2"),
-    ("search-c", "--n", "2", "--budget", "200", "--restarts", "2"),
+    ("search-c", "--n", "2", "--budget", "100", "--restarts", "1"),  # infeasible: exit 2
 ]
 
 
@@ -919,7 +953,7 @@ def test_search_c_refuses_bad_arguments_and_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[1, 1, 1] True False\n"
     assert proc.stderr.splitlines() == [
-        "error: search supports 1 <= n <= 3",
+        "error: search supports 1 <= n <= 4",
         "error: budget too small to do anything",
         "error: need at least one restart",
     ]

@@ -11,6 +11,7 @@ from conftest import (
     NotInvariantFormError,
     assemble,
     decompose_invariant,
+    eig_multiset,
     find_permutation_witness,
     oracle,
     permute,
@@ -187,50 +188,120 @@ def test_search_is_deterministic():
     assert a.evaluations == b.evaluations
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_default_search_is_deterministic(n):
+    a = search_max_c_ratio(n, seed=4)
+    b = search_max_c_ratio(n, seed=4)
+    assert json.dumps(a.to_record()) == json.dumps(b.to_record())
+    assert a.evaluations == b.evaluations
+
+
 def test_search_record_shape():
     result = search_max_c_ratio(1, budget=2_000, seed=2, restarts=2)
     rec = result.to_record()
     assert set(rec) == {
-        "n", "ratio", "c", "D", "A_upper", "penalty_residual", "budget", "seed", "feasible",
+        "n", "ratio", "ratio_upper_bound", "c", "D", "A_upper", "penalty_residual", "budget", "seed",
+        "feasible",
     }
     assert rec["n"] == 1
+    assert rec["ratio_upper_bound"] == 1.0
     assert len(rec["D"]) == 2
     assert len(rec["A_upper"]) == 1
 
 
+@pytest.mark.parametrize("n, bound", [(1, 1.0), (2, 2 / 3), (3, 4 / 7), (4, 8 / 15)])
+def test_ratio_upper_bound_is_n_over_2_n_minus_1(n, bound):
+    result = search_max_c_ratio(n, budget=100, restarts=1)
+    assert result.ratio_upper_bound == pytest.approx(bound, rel=1e-15)
+
+
 def test_search_guards():
     with pytest.raises(ValueError):
-        search_max_c_ratio(4)
+        search_max_c_ratio(5)
+    with pytest.raises(ValueError):
+        search_max_c_ratio(0)
     with pytest.raises(ValueError):
         search_max_c_ratio(1, budget=50)
     with pytest.raises(ValueError):
         search_max_c_ratio(1, restarts=0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_target_is_the_closed_form_spectrum(n):
+    target = measstruct._fx_spectrum(n)
+    assert target.dtype == np.float64
+    np.testing.assert_allclose(target, eig_multiset(total_spin(n, "x")), rtol=0, atol=1e-12)
+
+
 # (n, budget, seed, restarts) -> sha256 of json.dumps(to_record()) and the
-# evaluation count.  Frozen from the route that built an InvariantForm and a
-# validated Operator on every evaluation; the lean evaluation path must
-# reproduce every record and count bit for bit.
+# evaluation count.
 GOLDEN_SEARCHES = [
-    ((1, 500, 0, 1), "f5b7799bc3d72d8f0fc5972c623167d6e930b675b684641c4c17c2563de7aa9e", 464),
-    ((1, 2000, 7, 2), "3214136ef49dfe323b91c724416159610f6c3ec17397b3f5b7a4ba74e04fcf97", 1364),
-    ((2, 1000, 1, 1), "f367aab9d00c8faaa83c8b6504e485d43a69fbf3b499e84abf573d1470d6c73e", 996),
-    ((2, 2000, 2, 1), "d612cb6dabfe91e60b8a0a03b4418298202d6055869d9ead3b526fc7d4dfdfff", 1998),
-    ((2, 3000, 5, 2), "0526aba7b1ac7433a0e8e0a6d401b1b143cc051c74e62a9c724023f85e9a4dc4", 3000),
-    ((3, 1500, 2, 1), "5d61440436953581df51cc534a6d457f4a8579249671ff007fc5da9e74a09b91", 1500),
+    ((1, 500, 0, 1), "cf29820c35262b97119041bb357e326e86cc69c73d5c627f441d842c20241119", 111),
+    ((1, 2000, 7, 2), "538751ff7d1dd269bc6cb6c04f08987bc6bfc90ae93b812b90a639781865d683", 227),
+    ((2, 1000, 1, 1), "9c02216bf6652b7b31063044163f21c946c0945e439863f21671440c04f61604", 210),
+    ((2, 2000, 2, 1), "b3ad7d5b47b81e9c33ef361d0bdd7e6551e2376b445aef259193079cbb13c996", 220),
+    ((2, 3000, 5, 2), "640eef02039c0763f0a3dde0f66ade645f55a69176bf83ff7f7875107570d839", 411),
+    ((3, 1500, 2, 1), "5b488ffb66c6ee16bcfe91ad6e1f30820eb71ff523c44121cbede195c11609be", 379),
 ]
 
 
-@pytest.mark.parametrize("config, digest, evaluations", GOLDEN_SEARCHES)
+@pytest.mark.parametrize("config, digest, evaluations", GOLDEN_SEARCHES,
+                         ids=["-".join(map(str, config)) for config, _, _ in GOLDEN_SEARCHES])
 def test_search_matches_golden_records(config, digest, evaluations):
     n, budget, seed, restarts = config
     result = search_max_c_ratio(n, budget=budget, seed=seed, restarts=restarts)
-    assert hashlib.sha256(json.dumps(result.to_record()).encode()).hexdigest() == digest
+    rec = result.to_record()
+    assert hashlib.sha256(json.dumps(rec).encode()).hexdigest() == digest
     assert result.evaluations == evaluations
+    assert rec["feasible"] and rec["ratio"] <= rec["ratio_upper_bound"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_search_never_spends_more_than_its_budget(monkeypatch, n):
+    calls = [0]
+    eigh = measstruct._eigh
+
+    def counted(mat):
+        calls[0] += 1
+        return eigh(mat)
+
+    monkeypatch.setattr(measstruct, "_eigh", counted)
+    for budget, restarts in itertools.product([100, 137, 300, 2000], [1, 2, 4]):
+        calls[0] = 0
+        result = search_max_c_ratio(n, budget=budget, seed=budget, restarts=restarts)
+        assert result.evaluations == calls[0] <= budget, (budget, restarts)
+
+
+def test_the_budget_sweep_runs_out_on_known_starts(monkeypatch):
+    # A budget that leaves one evaluation for a phase spends it on that
+    # phase's start, the point and eigenvalues the phase before ended on:
+    # the record is the one a budget one smaller gives, but for the budget.
+    spent = []
+    bfgs = measstruct._bfgs
+
+    def watched(fun, x, maxfev):
+        out = bfgs(fun, x, maxfev)
+        spent.append((maxfev, out[2]))
+        return out
+
+    monkeypatch.setattr(measstruct, "_bfgs", watched)
+    for n in (1, 2, 3):
+        spent.clear()
+        search_max_c_ratio(n, budget=100_000, seed=n, restarts=2)
+        phases = len(measstruct._RHO_SCHEDULE)
+        ends = np.cumsum([nfev for _, nfev in spent])
+        swept = [int(end) for k, end in enumerate(ends) if end >= 100 and (k + 1) % phases]
+        assert len(swept) >= 5, (n, swept)
+        for end in swept:
+            before = search_max_c_ratio(n, budget=end, seed=n, restarts=2).to_record()
+            spent.clear()
+            after = search_max_c_ratio(n, budget=end + 1, seed=n, restarts=2)
+            assert spent[-1] == (1, 1) and after.evaluations == end + 1, (n, end)
+            assert json.dumps({**before, "budget": end + 1}) == json.dumps(after.to_record()), (n, end)
 
 
 def test_search_validates_once_per_restart_not_per_evaluation(monkeypatch):
-    calls = {"Operator": 0, "InvariantForm": 0, "triu_indices": 0, "eigvalsh": 0, "errstate": 0}
+    calls = {"Operator": 0, "InvariantForm": 0, "triu_indices": 0, "eigh": 0, "errstate": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -245,18 +316,17 @@ def test_search_validates_once_per_restart_not_per_evaluation(monkeypatch):
         InvariantForm, "__post_init__", counting("InvariantForm", InvariantForm.__post_init__)
     )
     monkeypatch.setattr(measstruct.np, "triu_indices", counting("triu_indices", np.triu_indices))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
-    n, restarts = 2, 3
-    result = search_max_c_ratio(n, budget=3000, seed=5, restarts=restarts)
-    # The reference spectrum builds n + 1 operators; each restart's
-    # candidate builds one form and one operator.
-    assert calls["Operator"] <= n + 1 + restarts
+    restarts = 3
+    result = search_max_c_ratio(2, budget=3000, seed=5, restarts=restarts)
+    # The target is a closed form, so no operator is built; each restart's
+    # candidate builds at most one form.
+    assert calls["Operator"] == 0
     assert calls["InvariantForm"] <= restarts
     assert calls["triu_indices"] == 1
-    # Only the reference spectrum goes through numpy's wrapper; every
-    # evaluation calls the gufunc inside the search's one error state.
-    assert calls["eigvalsh"] == 1
+    # Every evaluation calls the gufunc inside the search's one error state.
+    assert calls["eigh"] == 0
     assert calls["errstate"] == 1
     assert result.evaluations > 100 * restarts
 
@@ -296,182 +366,195 @@ def test_assembler_matches_the_complex_formula(size, rng):
             assert got.tobytes() == want.tobytes(), c
 
 
+@pytest.mark.parametrize("size", [2, 4, 8, 16])
+def test_eigh_gufunc_matches_numpys_wrapper(size, rng):
+    for c in rng.standard_normal(40) * 3.0:
+        d = _with_signed_zeros(rng.standard_normal(size), rng)
+        a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
+        mat = assemble(float(c), d, a)
+        want_vals, want_vecs = np.linalg.eigh(mat)
+        vals, vecs = measstruct._eigh(mat)
+        assert (vals.dtype, vecs.dtype) == (want_vals.dtype, want_vecs.dtype)
+        assert vals.tobytes() == want_vals.tobytes(), c
+        assert vecs.tobytes() == want_vecs.tobytes(), c
+
+
 @pytest.mark.parametrize("size", [2, 4, 8])
 def test_eigvalsh_gufunc_matches_numpys_wrapper(size, rng):
+    # The search scores the eigenvalue half of eigh's gufunc, whose LAPACK
+    # path also forms eigenvectors; numpy's eigvalsh wrapper, which
+    # eig_multiset and any re-check of a reported form go through, gives
+    # the same spectrum to rounding, not to the bit.
     for c in rng.standard_normal(40) * 3.0:
         d = _with_signed_zeros(rng.standard_normal(size), rng)
         a = _with_signed_zeros(rng.standard_normal(size * (size - 1) // 2), rng)
         mat = assemble(float(c), d, a)
         want = np.linalg.eigvalsh(mat)
-        got = measstruct._eigvalsh(mat)
+        got = measstruct._eigh(mat)[0]
         assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes(), c
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
-def _assessed_by_the_full_matrix(x, size, target):
-    """The evaluation's oracle: _split_params, assemble and numpy's
-    eigvalsh wrapper on the whole hermitian matrix."""
+def _evaluated_by_the_full_matrix(x, rho, size, target):
+    """The evaluation's oracle: _split_params, assemble and numpy's eigh
+    wrapper on the whole hermitian matrix, with the gradient summed one
+    eigenvector at a time."""
     c, d, a = measstruct._split_params(x, size)
-    vals = np.linalg.eigvalsh(assemble(c, d, a))
+    vals, vecs = np.linalg.eigh(assemble(c, d, a))
     r = vals - target
-    return float(np.add.reduce(r * r)), abs(c) / max(float(vals[-1] - vals[0]), 1e-12), vals
+    g = sum(2.0 * rho * rk * np.outer(v, v.conj()) for rk, v in zip(r, vecs.T))
+    rows, cols = np.triu_indices(size, 1)
+    trace = np.trace(g).real
+    grad = np.concatenate([[(g.sum().real - trace) / size - 1.0],
+                           g.diagonal().real - trace / size, 2.0 * g[rows, cols].imag])
+    return rho * float(np.dot(r, r)) - c, grad, vals
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_evaluation_matches_the_full_matrix_route_bit_for_bit(n, rng):
+    # The value and the eigenvalues to the bit; the gradient, whose sums
+    # run in another order, to rounding.
     size = 1 << n
-    target = spinops.eig_multiset(total_spin(n, "x"))
-    assess, _ = measstruct._evaluator(size, target)
+    target = measstruct._fx_spectrum(n)
+    evaluate = measstruct._evaluator(size, target)
     n_params = 1 + size + size * (size - 1) // 2
     for k in range(60):
         x = _with_signed_zeros(rng.standard_normal(n_params) * (0.5 * n), rng)
         if k < 10:
             x[0] = (0.0, -0.0)[k % 2]
-        mism, ratio, vals = assess(x)
-        want_mism, want_ratio, want_vals = _assessed_by_the_full_matrix(x, size, target)
-        assert np.array([mism, ratio]).tobytes() == np.array([want_mism, want_ratio]).tobytes(), k
+        rho = (1.0, 1e4, 1e8)[k % 3]
+        value, grad, vals = evaluate(x, rho)
+        want_value, want_grad, want_vals = _evaluated_by_the_full_matrix(x, rho, size, target)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), k
         assert vals.tobytes() == want_vals.tobytes(), k
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * max(1.0, np.abs(want_grad).max()))
 
 
-# alpha = +-0.0, tiny, huge and negative; 1e200 overflows the mismatch's squares.
+def _handed_to_eigh(monkeypatch):
+    """Copies of the matrices measstruct._eigh is handed, in call order."""
+    handed = []
+    eigh = measstruct._eigh
+
+    def recording(mat):
+        handed.append(mat.copy())
+        return eigh(mat)
+
+    monkeypatch.setattr(measstruct, "_eigh", recording)
+    return handed
+
+
+def _full_route_lower(x, size):
+    """The lower triangle, diagonal included, of the full route's matrix."""
+    return np.tril(assemble(*measstruct._split_params(x, size))).tobytes()
+
+
+# alpha = +-0.0, tiny, huge and negative; 1e200 overflows the value's squares.
 LINE_STEPS = [0.0, -0.0, 5e-324, -1e-300, 1e-17, -0.37, 2.5, -3.0e7, 1e200, -1e200]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coordinate_line_matches_the_full_route_bit_for_bit(monkeypatch, n, rng):
-    # Every coordinate (c, each d_j, each a_jk) of points holding +0.0 but
-    # no -0.0, each line's trials interleaved with full evaluations, which
-    # use a buffer of their own.  The matrices LAPACK is handed must agree
-    # too, signed zeros included.
-    handed = []
-    eigvalsh = measstruct._eigvalsh
-
-    def recording(mat):
-        handed.append(mat.tobytes())
-        return eigvalsh(mat)
-
-    monkeypatch.setattr(measstruct, "_eigvalsh", recording)
+    # Points along every coordinate line (c, each d_j, each a_jk), one after
+    # another through one evaluator, so each refill of its reused buffer
+    # follows a matrix that differs from it only where one coordinate
+    # reaches.  The lower triangle LAPACK reads must be the full route's,
+    # signed zeros included, and so must the value and the eigenvalues.
+    handed = _handed_to_eigh(monkeypatch)
     size = 1 << n
-    target = spinops.eig_multiset(total_spin(n, "x"))
-    assess, line = measstruct._evaluator(size, target)
+    target = measstruct._fx_spectrum(n)
+    evaluate = measstruct._evaluator(size, target)
     n_params = 1 + size + size * (size - 1) // 2
-    for k in range(4):
+    for k, rho in enumerate((1.0, 1e4, 1e8)):
         p = rng.standard_normal(n_params) * (0.5 * n)
         p[rng.random(n_params) < 0.2] = 0.0
         if k == 0:
             p[0] = 0.0
         for i in range(n_params):
-            at = line(p, i)
             for alpha in LINE_STEPS + list(rng.standard_normal(3)):
-                mism, ratio, vals = at(alpha)
-                unit = np.zeros(n_params)
-                unit[i] = 1.0
-                want_mism, want_ratio, want_vals = assess(p + alpha * unit)
-                got = np.array([mism, ratio]).tobytes()
-                assert got == np.array([want_mism, want_ratio]).tobytes(), (k, i, alpha)
+                x = p.copy()
+                x[i] += alpha
+                with np.errstate(over="ignore"):  # as in the search's error state
+                    value, grad, vals = evaluate(x, rho)
+                    want_value, want_grad, want_vals = _evaluated_by_the_full_matrix(x, rho, size, target)
+                assert np.tril(handed[-1]).tobytes() == _full_route_lower(x, size), (k, i, alpha)
+                assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), (k, i, alpha)
                 assert vals.tobytes() == want_vals.tobytes(), (k, i, alpha)
-                assert handed[-2] == handed[-1], (k, i, alpha)
-
-
-def _line_spied(fun, line, lines):
-    """fun carrying line; each line's start and index and the alphas of its
-    trials are appended to lines."""
-    def spied(x):
-        return fun(x)
-
-    def coordinate(p, i):
-        at = line(p, i)
-        lines.append((p.copy(), i, []))
-
-        def recorded(alpha):
-            lines[-1][2].append(alpha)
-            return at(alpha)
-
-        return recorded
-
-    spied.line = coordinate
-    return spied
+                np.testing.assert_allclose(
+                    grad, want_grad, rtol=0, atol=1e-12 * max(1.0, np.abs(want_grad).max())
+                )
 
 
 def test_a_start_holding_negative_zero_takes_the_full_route(monkeypatch, rng):
+    # -0.0 in c, in a d_j and in an a_jk: c / N and 0.0 - a must hand LAPACK
+    # the full route's lower triangle to the bit, and _bfgs must return the
+    # start itself when its budget is that one evaluation.
+    handed = _handed_to_eigh(monkeypatch)
     size = 4
-    target = spinops.eig_multiset(total_spin(2, "x"))
-    assess, line = measstruct._evaluator(size, target)
-    penalty = measstruct._penalty(assess, line, 0.1)
+    target = measstruct._fx_spectrum(2)
+    evaluate = measstruct._evaluator(size, target)
     x0 = rng.standard_normal(1 + size + size * (size - 1) // 2)
     x0[[0, 2, 7]] = -0.0
-    lines, starts = [], []
-    linesearch = measstruct._linesearch_powell
-
-    def watched(func, p, xi, tol, fval):
-        starts.append(bool((np.signbit(p) & (p == 0.0)).any()))
-        return linesearch(func, p, xi, tol, fval)
-
-    monkeypatch.setattr(measstruct, "_linesearch_powell", watched)
-    x, nfev = measstruct._powell(_line_spied(penalty, penalty.line, lines), x0, 400, 1e-10, 1e-12)
-    want_x, want_nfev = measstruct._powell(lambda v: penalty(v), x0, 400, 1e-10, 1e-12)
-    assert x.tobytes() == want_x.tobytes()
-    assert nfev == want_nfev
-    assert starts[0] and lines
-    assert not any((np.signbit(p) & (p == 0.0)).any() for p, _, _ in lines)
+    x, vals, nfev = measstruct._bfgs(lambda v: evaluate(v, 10.0), x0, 1)
+    _, _, want_vals = _evaluated_by_the_full_matrix(x0, 10.0, size, target)
+    assert nfev == len(handed) == 1
+    assert x.tobytes() == x0.tobytes()
+    assert np.tril(handed[0]).tobytes() == _full_route_lower(x0, size)
+    assert vals.tobytes() == want_vals.tobytes()
 
 
-def _descent(x):
-    # Unbounded below along both coordinates: the bracket walks alpha to inf
-    # and then to nan.
-    return float(-x[0] - 0.5 * x[1])
+def _steep_bowl(nan_on_overflow):
+    """0.5 * a * x.x with a = 1e150, whose first steps overflow: to inf, or
+    to nan (inf - 0.5 * inf) with nan_on_overflow."""
+    a = 1e150
+
+    def fun(x):
+        q = a * float(np.dot(x, x))
+        value = q - 0.5 * q if nan_on_overflow else 0.5 * q
+        return value, a * x, np.array([value])
+
+    return fun
 
 
 def test_non_finite_steps_take_the_full_route():
-    def line(p, i):
-        # Right only at finite alpha: at inf, p + inf * e_i is nan off entry i.
-        def at(alpha):
-            q = p.copy()
-            q[i] += alpha
-            return _descent(q)
+    # A trial whose value is inf or nan fails the Armijo test like any
+    # other rejected trial: the step halves, and the run goes on from
+    # finite points only, to the bowl's floor.
+    for nan_on_overflow in (False, True):
+        fun = _steep_bowl(nan_on_overflow)
+        values = []
 
-        return at
+        def recorded(x):
+            out = fun(x)
+            values.append(out[0])
+            return out
 
-    lines = []
-    with np.errstate(invalid="ignore"):
-        x, nfev = measstruct._powell(_line_spied(_descent, line, lines), np.array([1.0, 2.0]), 3000, 1e-4, 1e-4)
-        want_x, want_nfev = measstruct._powell(_descent, np.array([1.0, 2.0]), 3000, 1e-4, 1e-4)
-    assert x.tobytes() == want_x.tobytes()
-    assert nfev == want_nfev
-    alphas = [alpha for _, _, steps in lines for alpha in steps]
-    assert np.isnan(x).all() and len(alphas) > 100
-    assert all(math.isfinite(alpha) for alpha in alphas)
-
-
-@pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_SEARCHES])
-def test_search_evaluates_almost_every_point_on_a_coordinate_line(monkeypatch, config):
-    # A later change that silently drops to the full route fails here.
-    calls = {"full": 0, "eigvalsh": 0}
-    evaluator, eigvalsh = measstruct._evaluator, measstruct._eigvalsh
-
-    def counting_evaluator(size, target):
-        assess, line = evaluator(size, target)
-
-        def counted(x):
-            calls["full"] += 1
-            return assess(x)
-
-        return counted, line
-
-    def counting_eigvalsh(mat):
-        calls["eigvalsh"] += 1
-        return eigvalsh(mat)
-
-    monkeypatch.setattr(measstruct, "_evaluator", counting_evaluator)
-    monkeypatch.setattr(measstruct, "_eigvalsh", counting_eigvalsh)
-    n, budget, seed, restarts = config
-    search_max_c_ratio(n, budget=budget, seed=seed, restarts=restarts)
-    assert calls["eigvalsh"] - calls["full"] >= 0.95 * calls["eigvalsh"], calls
+        x, vals, nfev = measstruct._bfgs(recorded, np.array([1.0, -2.0]), 3000)
+        assert nfev == len(values) < 3000
+        assert sum(not math.isfinite(v) for v in values) > 100
+        assert all(math.isnan(v) == nan_on_overflow for v in values if not math.isfinite(v))
+        assert np.isfinite(x).all() and 0.0 <= vals[0] <= 1e-100 * values[0]
 
 
-def _poisoned_eigvalsh(value, where):
-    """measstruct._eigvalsh with one entry of every matrix it is handed overwritten."""
-    original = measstruct._eigvalsh
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gradient_matches_central_differences(n, rng):
+    size = 1 << n
+    evaluate = measstruct._evaluator(size, measstruct._fx_spectrum(n))
+    n_params = 1 + size + size * (size - 1) // 2
+    step = 1e-6
+    for rho in (1.0, 10.0, 1e3):
+        x = rng.standard_normal(n_params) * (0.5 * n)
+        grad = evaluate(x, rho)[1]
+        central = np.empty(n_params)
+        for i in range(n_params):
+            e = np.zeros(n_params)
+            e[i] = step
+            central[i] = (evaluate(x + e, rho)[0] - evaluate(x - e, rho)[0]) / (2.0 * step)
+        assert np.abs(central - grad).max() <= 1e-6 * np.abs(grad).max(), rho
+
+
+def _poisoned_eigh(value, where):
+    """measstruct._eigh with one entry of every matrix it is handed overwritten."""
+    original = measstruct._eigh
 
     def poisoned(mat):
         mat[where] = value
@@ -482,20 +565,19 @@ def _poisoned_eigvalsh(value, where):
 
 # (n, value, entry) -> sha256 of json.dumps(to_record()) and the evaluation
 # count of a search that ends, or None for one that raises LinAlgError.
-# Recorded from the route through numpy's eigvalsh wrapper.
 POISONED_SEARCHES = [
-    (2, math.inf, (0, 0), None),
+    # NaN eigenvalues, so a NaN gradient: every phase stops at its start.
+    (2, math.inf, (0, 0), ("f146d79b8ee69f3b6d4993bea96026932d0674e155db3261eb36b813aad7cb60", 7)),
     (2, math.nan, (1, 0), None),
-    # NaN eigenvalues, so a NaN record.
-    (1, math.nan, (1, 0), ("e7f6889ef066540f26d5ffbb5d8056c4fd056a025fc4afec6361cd164ddd081d", 65)),
+    (1, math.nan, (1, 0), ("7e3a65135998a54f371f882e298328bc6b9a98ca9520f7481833dcce8fd780ff", 7)),
     # The upper triangle is never read.
-    (2, math.nan, (0, 1), ("0cd72bffb40b464b962b8c9c83237e4cb08fa6df04947af9cd8cf3380e0d6395", 360)),
+    (2, math.nan, (0, 1), ("49db38cea1d46839dabe28babd7c265eba0ebc506c67955c02765465a5ce158e", 243)),
 ]
 
 
 @pytest.mark.parametrize("n, value, where, outcome", POISONED_SEARCHES)
 def test_search_keeps_numpys_errors_and_restores_the_error_state(monkeypatch, n, value, where, outcome):
-    monkeypatch.setattr(measstruct, "_eigvalsh", _poisoned_eigvalsh(value, where))
+    monkeypatch.setattr(measstruct, "_eigh", _poisoned_eigh(value, where))
     before = np.geterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -510,135 +592,25 @@ def test_search_keeps_numpys_errors_and_restores_the_error_state(monkeypatch, n,
     assert np.geterr() == before
 
 
-def _scipy_powell(fun, x0, maxfev, xtol, ftol):
-    """The oracle for measstruct._powell: scipy's own unbounded Powell."""
+def _scipy_lbfgsb(fun, x, maxfev):
+    """The oracle for measstruct._bfgs: scipy's L-BFGS-B on the same
+    objective and gradient, to the same relative decrease."""
     from scipy.optimize import minimize
 
-    res = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol})
-    return res.x, res.nfev
+    res = minimize(lambda v: fun(v)[:2], x, jac=True, method="L-BFGS-B",
+                   options={"maxfun": maxfev, "ftol": measstruct._FTOL, "gtol": 0.0})
+    return res.x, fun(res.x)[2], res.nfev
 
 
-def _coupled(x):
-    return float((x[0] - 1.0) ** 2 + 10.0 * (x[1] - x[0] ** 2) ** 2
-                 + 0.5 * (x[2] + 0.25) ** 2 + 0.3 * x[0] * x[2])
-
-
-def _signbit(x):
-    # -0.0 + 0.0 is +0.0: the first line search moves x without changing it
-    # by value, so the extrapolation direction x - x1 is zero.
-    return 1.0 if math.copysign(1.0, x[0]) < 0 else 0.0
-
-
-def _nan_past_a_wall(x):
-    return float((x[0] - 3.0) ** 2 + x[1] ** 2) if x[0] < 2.0 else math.nan
-
-
-def _finite_at_nan(x):
-    # The first line search fails on a nan and leaves x all nan with the
-    # value nan, though the objective there is 1.0.
-    return 1.0 if math.isnan(x[1]) else _nan_past_a_wall(x)
-
-
-def _spike(x):
-    # The bracket's parabolic trial point lands on the spike.
-    return (x[0] - 2.4) ** 2 + 5.0 * math.exp(-(((x[0] - 2.4) / 0.05) ** 2)) + x[1] ** 2
-
-
-def _wavy(x):
-    return float(np.sin(3.0 * x[0]) + 0.1 * x[0] ** 2 + np.cos(2.0 * x[1]) * x[1])
-
-
-# (objective, x0, maxfev, xtol, ftol), each reaching one branch of the port.
-POWELL_CASES = {
-    "failed-bracket": (lambda x: 2.5, [0.3, -1.0], 100, 1e-4, 1e-4),
-    "zero-direction": (_signbit, [-0.0], 100, 1e-4, 1e-4),
-    "direction-replacement": (_coupled, [0.0, 0.0, 0.0], 2000, 1e-10, 1e-12),
-    "ftol-stop": (_coupled, [0.0, 0.0, 0.0], 100_000, 1e-4, 1e-4),
-    "nan-region": (lambda x: math.nan, [1.0, 2.0], 100, 1e-4, 1e-4),
-    "nan-past-a-wall": (_nan_past_a_wall, [0.0, 1.0], 500, 1e-4, 1e-4),
-    "finite-after-a-failed-line-search": (_finite_at_nan, [0.0, 1.0], 500, 1e-4, 1e-4),
-    "bracket-growth": (lambda x: float((x[0] - 700.0) ** 2 + (x[1] + 3.0) ** 4), [0.0, 0.0], 3000, 1e-4, 1e-4),
-    "bracket-past-a-bump": (_spike, [0.0, 0.3], 500, 1e-4, 1e-4),
-    "bracket-golden-step": (_wavy, [2.0, -2.0], 500, 1e-4, 1e-4),
-}
-
-
-@pytest.mark.parametrize("case", POWELL_CASES.values(), ids=POWELL_CASES.keys())
-def test_powell_port_matches_scipy_bit_for_bit(case):
-    fun, x0, maxfev, xtol, ftol = case
-    x, nfev = measstruct._powell(fun, np.array(x0), maxfev, xtol, ftol)
-    want_x, want_nfev = _scipy_powell(fun, np.array(x0), maxfev, xtol, ftol)
-    assert x.tobytes() == want_x.tobytes()
-    assert nfev == want_nfev
-
-
-def test_powell_ftol_stop_leaves_budget_unspent():
-    _, nfev = measstruct._powell(*POWELL_CASES["ftol-stop"])
-    assert nfev < POWELL_CASES["ftol-stop"][2]
-
-
-@pytest.mark.parametrize("maxfev", range(1, 60))
-def test_powell_budget_running_out_keeps_the_last_completed_point(maxfev):
-    # Small budgets run out inside a line search, at the extrapolated point
-    # or at the end of a sweep; every one must stop where scipy stops.
-    x, nfev = measstruct._powell(_coupled, np.zeros(3), maxfev, 1e-4, 1e-4)
-    want_x, want_nfev = _scipy_powell(_coupled, np.zeros(3), maxfev, 1e-4, 1e-4)
-    assert x.tobytes() == want_x.tobytes()
-    assert nfev == want_nfev == maxfev
-
-
-def _recording(fun, seen):
-    def recorded(x):
-        seen.append(x.tobytes())
-        return fun(x)
-
-    return recorded
-
-
-def _powell_watching_starts(monkeypatch, fun, x0, maxfev, xtol, ftol):
-    """_powell's result, the points it evaluated, and the evaluation counts
-    at which a line search starts with p + 0.0 * xi == p to the bit while
-    its held value is a number: the starts whose value is known."""
-    seen, starts = [], []
-    linesearch = measstruct._linesearch_powell
-
-    def watched(func, p, xi, tol, fval):
-        # A start past the budget is refused like any other evaluation.
-        if (xi.any() and not math.isnan(fval) and (p + 0.0 * xi).tobytes() == p.tobytes()
-                and len(seen) + len(starts) < maxfev):
-            starts.append(len(seen) + len(starts))
-        return linesearch(func, p, xi, tol, fval)
-
-    monkeypatch.setattr(measstruct, "_linesearch_powell", watched)
-    x, nfev = measstruct._powell(_recording(fun, seen), np.array(x0, dtype=float), maxfev, xtol, ftol)
-    return x, nfev, seen, starts
-
-
-@pytest.mark.parametrize("case", POWELL_CASES.values(), ids=POWELL_CASES.keys())
-def test_powell_evaluates_scipys_points_but_the_known_starts(monkeypatch, case):
-    x, nfev, seen, starts = _powell_watching_starts(monkeypatch, *case)
-    fun, x0, maxfev, xtol, ftol = case
-    scipy_seen = []
-    want_x, want_nfev = _scipy_powell(_recording(fun, scipy_seen), np.array(x0), maxfev, xtol, ftol)
-    assert x.tobytes() == want_x.tobytes()
-    assert nfev == want_nfev == len(scipy_seen)
-    assert len(seen) == nfev - len(starts)
-    assert seen == [v for k, v in enumerate(scipy_seen) if k not in starts]
-
-
-def test_powell_evaluates_a_start_that_clears_a_signed_zero():
-    # -0.0 + 0.0 * 1.0 is +0.0, which _signbit tells apart from x0 = -0.0,
-    # so the first line search evaluates its start.
-    seen = []
-    measstruct._powell(_recording(_signbit, seen), np.array([-0.0]), 100, 1e-4, 1e-4)
-    assert seen[:2] == [np.array([-0.0]).tobytes(), np.array([0.0]).tobytes()]
-
-
-def test_the_budget_sweep_runs_out_on_known_starts(monkeypatch):
-    # maxfev = k ends the search when it reaches a known start after k
-    # evaluations, so the budgets of the sweep above include such stops.
-    _, _, _, starts = _powell_watching_starts(monkeypatch, _coupled, np.zeros(3), 59, 1e-4, 1e-4)
-    assert starts == [1, 10, 18, 27, 36, 44, 52]
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_reaches_scipys_lbfgsb_ratio(monkeypatch, n):
+    for seed in (0, 1, 2):
+        ours = search_max_c_ratio(n, seed=seed, restarts=2)
+        with monkeypatch.context() as m:
+            m.setattr(measstruct, "_bfgs", _scipy_lbfgsb)
+            theirs = search_max_c_ratio(n, seed=seed, restarts=2)
+        assert ours.feasible and theirs.feasible, seed
+        assert abs(ours.ratio - theirs.ratio) <= 1e-6, (seed, ours.ratio, theirs.ratio)
 
 
 def _seeded_search_configs(count, seed):
@@ -648,21 +620,11 @@ def _seeded_search_configs(count, seed):
                int(rng.integers(0, 1_000_000)), int(rng.integers(1, 5)))
 
 
-def _assert_same_records_with(monkeypatch, name, oracle):
-    """50 seeded searches give the same records and counts with
-    measstruct.<name> replaced by its oracle."""
+def test_search_with_numpys_eigh_gives_the_same_records(monkeypatch):
     configs = list(_seeded_search_configs(50, 2110))
     ours = [search_max_c_ratio(n, budget=b, seed=s, restarts=r) for n, b, s, r in configs]
-    monkeypatch.setattr(measstruct, name, oracle)
+    monkeypatch.setattr(measstruct, "_eigh", np.linalg.eigh)
     for (n, b, s, r), mine in zip(configs, ours):
         theirs = search_max_c_ratio(n, budget=b, seed=s, restarts=r)
         assert json.dumps(mine.to_record()) == json.dumps(theirs.to_record()), (n, b, s, r)
         assert mine.evaluations == theirs.evaluations, (n, b, s, r)
-
-
-def test_search_with_scipy_powell_gives_the_same_records(monkeypatch):
-    _assert_same_records_with(monkeypatch, "_powell", _scipy_powell)
-
-
-def test_search_with_numpys_eigvalsh_gives_the_same_records(monkeypatch):
-    _assert_same_records_with(monkeypatch, "_eigvalsh", np.linalg.eigvalsh)

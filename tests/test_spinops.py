@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     decompose_invariant,
+    eig_multiset,
     haar_unitary,
     oracle,
     pseudopure,
@@ -17,7 +18,6 @@ from conftest import (
 from evqc.funcspace import BoolFunc
 from evqc.spinops import (
     Operator,
-    eig_multiset,
     is_hermitian,
     operator_text,
     single_spin,
