@@ -10,10 +10,13 @@ decomposition and the dense reconstruction are test oracles.
 
 The search minimises -c + rho * sum_k (lambda_k - t_k)^2 by a dense BFGS
 on the exact gradient, for an increasing rho.  Each evaluation
-(`_evaluator`) fills only the lower triangle of one reused buffer and
-calls `_eigh`, the gufunc behind np.linalg.eigh, in one error state per
-search, so a non-convergent eigensolve still raises LinAlgError.  It runs
-on numpy alone.
+(`_evaluator`'s value step) fills only the lower triangle of one reused
+buffer and calls `_eigh`, the gufunc behind np.linalg.eigh, in one error
+state per search, so a non-convergent eigensolve still raises
+LinAlgError.  The gradient step, which forms sum_k r_k v_k v_k^dagger
+from the eigenvectors, runs only at a phase's start and for the trials
+the line search accepts; a rejected trial stops at its value.  It runs on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -130,22 +133,31 @@ def _split_params(x: np.ndarray, size: int) -> tuple[float, np.ndarray, np.ndarr
 
 
 def _evaluator(size: int, target: np.ndarray):
-    """evaluate(x, rho) -> (objective, gradient, eigenvalues) for one
-    dimension and reference spectrum.
+    """(value, gradient) for one dimension and reference spectrum:
+    value(x, rho) -> (objective, eigenvalues), and gradient() -> the
+    objective's gradient at the point value saw last.
 
-    The matrix is the one _split_params and the dense c * W + diag(d) + A
-    give, written into the lower triangle of one reused buffer.  With
-    r = lambda - t and G = sum_k 2 r_k v_k v_k^dagger, the objective
-    -c + rho * r.r has the gradient rho * (Re sum G - tr G) / N - 1 in c,
-    rho * (G_jj - tr G / N) in d_j and 2 rho * Im G_jk in a_jk (j < k).
+    The value step writes the matrix that _split_params and the dense
+    c * W + diag(d) + A give into the lower triangle of one reused buffer,
+    calls _eigh and scores r = lambda - t as -c + rho * r.r; it keeps rho,
+    r and the eigenvectors for the gradient step.  That step forms
+    G = sum_k 2 rho r_k v_k v_k^dagger, whose gradient is
+    (Re sum G - tr G) / N - 1 in c, G_jj - tr G / N in d_j and 2 Im G_jk
+    in a_jk (j < k).
     """
     rows, cols = np.triu_indices(size, 1)
     lower, upper = cols * size + rows, rows * size + cols
     mat = np.zeros((size, size), dtype=complex)
     re, im = mat.reshape(-1).real, mat.reshape(-1).imag
     diag = re[:: size + 1]
+    n_params = 1 + size + upper.size
+    weighted, conj, g = (np.empty((size, size), dtype=complex) for _ in range(3))
+    g_re, g_im = g.real, g.imag.reshape(-1)
+    g_diag = g_re.diagonal()
+    last = None  # (rho, r, eigenvectors) of the last value step
 
-    def evaluate(x: np.ndarray, rho: float) -> tuple[float, np.ndarray, np.ndarray]:
+    def value(x: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
+        nonlocal last
         c = x.item(0)
         re.fill(c / size)
         dx = x[1 : 1 + size]
@@ -153,32 +165,42 @@ def _evaluator(size: int, target: np.ndarray):
         im[lower] = 0.0 - x[1 + size :]  # -0.0 in a gives +0.0
         vals, vecs = _eigh(mat)
         r = vals - target
+        last = rho, r, vecs
+        return rho * np.dot(r, r) - c, vals
+
+    def gradient() -> np.ndarray:
+        rho, r, vecs = last
+        np.multiply(vecs, 2.0 * rho * r, out=weighted)
         # einsum's own loops, not BLAS zgemm: nothing else a search runs
         # calls zgemm, whose code adds about 0.3 MB resident.
-        g = np.einsum("jk,lk->jl", vecs * (2.0 * rho * r), vecs.conj())
-        g_diag = g.real.diagonal()
+        np.einsum("jk,lk->jl", weighted, np.conjugate(vecs, out=conj), out=g)
         trace = g_diag.sum()
-        grad = np.empty(x.size)
-        grad[0] = (g.real.sum() - trace) / size - 1.0
-        grad[1 : 1 + size] = g_diag - trace / size
-        grad[1 + size :] = 2.0 * g.imag.reshape(-1)[upper]
-        return rho * np.dot(r, r) - c, grad, vals
+        grad = np.empty(n_params)
+        grad[0] = (g_re.sum() - trace) / size - 1.0
+        np.subtract(g_diag, trace / size, out=grad[1 : 1 + size])
+        np.multiply(g_im[upper], 2.0, out=grad[1 + size :])
+        return grad
 
-    return evaluate
+    return value, gradient
 
 
-def _bfgs(fun, x: np.ndarray, maxfev: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Minimise fun(x) -> (value, gradient, eigenvalues) from x; return
-    (x, its eigenvalues, evaluations), never evaluating more than maxfev >= 1.
+def _bfgs(value, gradient, x: np.ndarray, maxfev: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Minimise value(x) -> (objective, eigenvalues) from x, with gradient()
+    -> the gradient at the point value saw last; return (x, its
+    eigenvalues, evaluations), never calling value more than maxfev >= 1
+    times.
 
     A dense inverse Hessian H, scaled to (s.y / y.y) I at its first update
     and left alone when s.y <= 0, gives the direction -H g (-g before the
-    first update).  Armijo backtracking halves the step from 1.  The run
-    ends when a step lowers the value by no more than _FTOL relatively,
-    when the direction does not descend (a zero or nan gradient), or when
-    the budget is spent, keeping the last accepted point.
+    first update).  Armijo backtracking halves the step from 1; only the
+    start and the trial it accepts take the gradient, so a rejected trial
+    costs its value alone.  The run ends when a step lowers the value by
+    no more than _FTOL relatively, when the direction does not descend (a
+    zero or nan gradient), or when the budget is spent, keeping the last
+    accepted point.
     """
-    f, g, vals = fun(x)
+    f, vals = value(x)
+    g = gradient()
     nfev = 1
     h = None
     while nfev < maxfev:
@@ -189,13 +211,14 @@ def _bfgs(fun, x: np.ndarray, maxfev: int) -> tuple[np.ndarray, np.ndarray, int]
         t = 1.0
         while True:
             x_new = x + t * p
-            f_new, g_new, vals_new = fun(x_new)
+            f_new, vals_new = value(x_new)
             nfev += 1
             if f_new <= f + _ARMIJO * t * slope:
                 break
             if nfev == maxfev:
                 return x, vals, nfev  # spent inside the line search
             t *= 0.5
+        g_new = gradient()
         s, y = x_new - x, g_new - g
         done = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
         x, f, g, vals = x_new, f_new, g_new, vals_new
@@ -205,8 +228,13 @@ def _bfgs(fun, x: np.ndarray, maxfev: int) -> tuple[np.ndarray, np.ndarray, int]
         if sy > 0.0:
             if h is None:
                 h = np.eye(x.size) * (sy / np.dot(y, y))
+                outer, update = np.empty_like(h), np.empty_like(h)
             hy = h @ y
-            h += ((sy + np.dot(y, hy)) / (sy * sy)) * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+            # h += ((sy + y.hy) / sy^2) s s^T - (hy s^T + s hy^T) / sy, in place
+            np.multiply(hy[:, None], s, out=outer)
+            np.divide(np.add(outer, outer.T, out=update), sy, out=update)
+            np.multiply(np.multiply(s[:, None], s, out=outer), (sy + np.dot(y, hy)) / (sy * sy), out=outer)
+            h += np.subtract(outer, update, out=outer)
     return x, vals, nfev
 
 
@@ -243,7 +271,7 @@ def search_max_c_ratio(
     target = _fx_spectrum(n)
     rng = np.random.default_rng(seed)
     n_params = 1 + size + size * (size - 1) // 2
-    evaluate = _evaluator(size, target)  # no InvariantForm, no Operator per evaluation
+    value, gradient = _evaluator(size, target)  # no InvariantForm, no Operator per evaluation
     evaluations = 0
     best = None  # (rank, ratio, form, residual) of the preferred candidate
 
@@ -257,7 +285,7 @@ def search_max_c_ratio(
             for rho in _RHO_SCHEDULE:
                 if evaluations >= budget:
                     break
-                x, vals, nfev = _bfgs(lambda v: evaluate(v, rho), x, budget - evaluations)
+                x, vals, nfev = _bfgs(lambda v: value(v, rho), gradient, x, budget - evaluations)
                 evaluations += nfev
 
             c = x.item(0)

@@ -279,8 +279,8 @@ def test_the_budget_sweep_runs_out_on_known_starts(monkeypatch):
     spent = []
     bfgs = measstruct._bfgs
 
-    def watched(fun, x, maxfev):
-        out = bfgs(fun, x, maxfev)
+    def watched(value, gradient, x, maxfev):
+        out = bfgs(value, gradient, x, maxfev)
         spent.append((maxfev, out[2]))
         return out
 
@@ -416,16 +416,17 @@ def test_evaluation_matches_the_full_matrix_route_bit_for_bit(n, rng):
     # run in another order, to rounding.
     size = 1 << n
     target = measstruct._fx_spectrum(n)
-    evaluate = measstruct._evaluator(size, target)
+    value, gradient = measstruct._evaluator(size, target)
     n_params = 1 + size + size * (size - 1) // 2
     for k in range(60):
         x = _with_signed_zeros(rng.standard_normal(n_params) * (0.5 * n), rng)
         if k < 10:
             x[0] = (0.0, -0.0)[k % 2]
         rho = (1.0, 1e4, 1e8)[k % 3]
-        value, grad, vals = evaluate(x, rho)
+        got, vals = value(x, rho)
+        grad = gradient()
         want_value, want_grad, want_vals = _evaluated_by_the_full_matrix(x, rho, size, target)
-        assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), k
+        assert np.float64(got).tobytes() == np.float64(want_value).tobytes(), k
         assert vals.tobytes() == want_vals.tobytes(), k
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * max(1.0, np.abs(want_grad).max()))
 
@@ -462,7 +463,7 @@ def test_coordinate_line_matches_the_full_route_bit_for_bit(monkeypatch, n, rng)
     handed = _handed_to_eigh(monkeypatch)
     size = 1 << n
     target = measstruct._fx_spectrum(n)
-    evaluate = measstruct._evaluator(size, target)
+    value, gradient = measstruct._evaluator(size, target)
     n_params = 1 + size + size * (size - 1) // 2
     for k, rho in enumerate((1.0, 1e4, 1e8)):
         p = rng.standard_normal(n_params) * (0.5 * n)
@@ -474,10 +475,11 @@ def test_coordinate_line_matches_the_full_route_bit_for_bit(monkeypatch, n, rng)
                 x = p.copy()
                 x[i] += alpha
                 with np.errstate(over="ignore"):  # as in the search's error state
-                    value, grad, vals = evaluate(x, rho)
+                    got, vals = value(x, rho)
+                    grad = gradient()
                     want_value, want_grad, want_vals = _evaluated_by_the_full_matrix(x, rho, size, target)
                 assert np.tril(handed[-1]).tobytes() == _full_route_lower(x, size), (k, i, alpha)
-                assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), (k, i, alpha)
+                assert np.float64(got).tobytes() == np.float64(want_value).tobytes(), (k, i, alpha)
                 assert vals.tobytes() == want_vals.tobytes(), (k, i, alpha)
                 np.testing.assert_allclose(
                     grad, want_grad, rtol=0, atol=1e-12 * max(1.0, np.abs(want_grad).max())
@@ -491,10 +493,10 @@ def test_a_start_holding_negative_zero_takes_the_full_route(monkeypatch, rng):
     handed = _handed_to_eigh(monkeypatch)
     size = 4
     target = measstruct._fx_spectrum(2)
-    evaluate = measstruct._evaluator(size, target)
+    value, gradient = measstruct._evaluator(size, target)
     x0 = rng.standard_normal(1 + size + size * (size - 1) // 2)
     x0[[0, 2, 7]] = -0.0
-    x, vals, nfev = measstruct._bfgs(lambda v: evaluate(v, 10.0), x0, 1)
+    x, vals, nfev = measstruct._bfgs(lambda v: value(v, 10.0), gradient, x0, 1)
     _, _, want_vals = _evaluated_by_the_full_matrix(x0, 10.0, size, target)
     assert nfev == len(handed) == 1
     assert x.tobytes() == x0.tobytes()
@@ -503,16 +505,18 @@ def test_a_start_holding_negative_zero_takes_the_full_route(monkeypatch, rng):
 
 
 def _steep_bowl(nan_on_overflow):
-    """0.5 * a * x.x with a = 1e150, whose first steps overflow: to inf, or
-    to nan (inf - 0.5 * inf) with nan_on_overflow."""
+    """(value, gradient) of 0.5 * a * x.x with a = 1e150, whose first steps
+    overflow: to inf, or to nan (inf - 0.5 * inf) with nan_on_overflow."""
     a = 1e150
+    last = [None]
 
-    def fun(x):
+    def value(x):
+        last[0] = x
         q = a * float(np.dot(x, x))
-        value = q - 0.5 * q if nan_on_overflow else 0.5 * q
-        return value, a * x, np.array([value])
+        v = q - 0.5 * q if nan_on_overflow else 0.5 * q
+        return v, np.array([v])
 
-    return fun
+    return value, lambda: a * last[0]
 
 
 def test_non_finite_steps_take_the_full_route():
@@ -520,15 +524,15 @@ def test_non_finite_steps_take_the_full_route():
     # other rejected trial: the step halves, and the run goes on from
     # finite points only, to the bowl's floor.
     for nan_on_overflow in (False, True):
-        fun = _steep_bowl(nan_on_overflow)
+        value, gradient = _steep_bowl(nan_on_overflow)
         values = []
 
         def recorded(x):
-            out = fun(x)
+            out = value(x)
             values.append(out[0])
             return out
 
-        x, vals, nfev = measstruct._bfgs(recorded, np.array([1.0, -2.0]), 3000)
+        x, vals, nfev = measstruct._bfgs(recorded, gradient, np.array([1.0, -2.0]), 3000)
         assert nfev == len(values) < 3000
         assert sum(not math.isfinite(v) for v in values) > 100
         assert all(math.isnan(v) == nan_on_overflow for v in values if not math.isfinite(v))
@@ -538,17 +542,18 @@ def test_non_finite_steps_take_the_full_route():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gradient_matches_central_differences(n, rng):
     size = 1 << n
-    evaluate = measstruct._evaluator(size, measstruct._fx_spectrum(n))
+    value, gradient = measstruct._evaluator(size, measstruct._fx_spectrum(n))
     n_params = 1 + size + size * (size - 1) // 2
     step = 1e-6
     for rho in (1.0, 10.0, 1e3):
         x = rng.standard_normal(n_params) * (0.5 * n)
-        grad = evaluate(x, rho)[1]
+        value(x, rho)
+        grad = gradient()
         central = np.empty(n_params)
         for i in range(n_params):
             e = np.zeros(n_params)
             e[i] = step
-            central[i] = (evaluate(x + e, rho)[0] - evaluate(x - e, rho)[0]) / (2.0 * step)
+            central[i] = (value(x + e, rho)[0] - value(x - e, rho)[0]) / (2.0 * step)
         assert np.abs(central - grad).max() <= 1e-6 * np.abs(grad).max(), rho
 
 
@@ -592,14 +597,106 @@ def test_search_keeps_numpys_errors_and_restores_the_error_state(monkeypatch, n,
     assert np.geterr() == before
 
 
-def _scipy_lbfgsb(fun, x, maxfev):
+def _accepted_steps(bfgs, funs, x, nfev):
+    """Trials the Armijo test accepts in one phase, found by replaying it:
+    a budget that ends on an accepted trial returns that trial's point, one
+    that ends on a rejected trial the point before it."""
+    ends = [bfgs(*funs, x, k)[0].tobytes() for k in range(1, nfev + 1)]
+    return sum(a != b for a, b in zip(ends, ends[1:]))
+
+
+@pytest.mark.parametrize("config", [(2, 300, 0, 1), (3, 1500, 2, 1)])
+def test_only_phase_starts_and_accepted_trials_form_the_gradient(monkeypatch, config):
+    # G, the einsum, is what the gradient costs; a rejected trial needs its
+    # value alone, while every evaluation is still one eigensolve.
+    calls = {"eigh": 0, "einsum": 0}
+    counting = [True]
+    eigh, einsum, bfgs = measstruct._eigh, np.einsum, measstruct._bfgs
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += counting[0]
+            return original(*args, **kwargs)
+        return wrapper
+
+    accepted = []
+
+    def replayed(*args):
+        out = bfgs(*args)
+        counting[0] = False  # the replay runs while the phase's rho is bound
+        accepted.append(_accepted_steps(bfgs, args[:-2], args[-2], out[2]))
+        counting[0] = True
+        return out
+
+    monkeypatch.setattr(measstruct, "_eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np, "einsum", counted("einsum", einsum))
+    monkeypatch.setattr(measstruct, "_bfgs", replayed)
+    n, budget, seed, restarts = config
+    result = search_max_c_ratio(n, budget=budget, seed=seed, restarts=restarts)
+    assert calls["eigh"] == result.evaluations
+    assert calls["einsum"] == len(accepted) + sum(accepted) < result.evaluations, (calls, accepted)
+
+
+# A search, the _eigh call (1-based) its recorded run rejects as an Armijo
+# trial, and the unpoisoned digest and evaluation count.
+POISONED_REJECTED_TRIAL = (
+    (2, 300, 0, 1), 120,
+    ("49db38cea1d46839dabe28babd7c265eba0ebc506c67955c02765465a5ce158e", 243),
+)
+
+
+def test_a_rejected_trial_forms_no_gradient_that_could_raise(monkeypatch):
+    # 1e305 at (0, 0) gives an eigenvalue whose r overflows the value to
+    # inf, so the trial is rejected; its 2 rho r would overflow too, and
+    # inf times an eigenvector's zero entry is nan, which the search's
+    # error state raises as LinAlgError.  Never formed, it changes nothing.
+    (n, budget, seed, restarts), call, outcome = POISONED_REJECTED_TRIAL
+    spent = []
+    bfgs = measstruct._bfgs
+
+    def watched(*args):
+        out = bfgs(*args)
+        spent.append(out[2])
+        return out
+
+    monkeypatch.setattr(measstruct, "_bfgs", watched)
+    search_max_c_ratio(n, budget=budget, seed=seed, restarts=restarts)
+    monkeypatch.undo()
+    starts = np.cumsum([0] + spent) + 1
+    assert call not in starts
+    before = search_max_c_ratio(n, budget=call - 1, seed=seed, restarts=restarts).to_record()
+    ended = search_max_c_ratio(n, budget=call, seed=seed, restarts=restarts).to_record()
+    assert json.dumps({**before, "budget": call}) == json.dumps(ended), "not a rejected trial"
+
+    handed = [0]
+    eigh = measstruct._eigh
+
+    def poisoned(mat):
+        handed[0] += 1
+        if handed[0] == call:
+            mat[0, 0] = 1e305
+        return eigh(mat)
+
+    monkeypatch.setattr(measstruct, "_eigh", poisoned)
+    errors = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = search_max_c_ratio(n, budget=budget, seed=seed, restarts=restarts)
+    digest = hashlib.sha256(json.dumps(result.to_record()).encode()).hexdigest()
+    assert handed[0] == result.evaluations
+    assert (digest, result.evaluations) == outcome
+    assert caught == []
+    assert np.geterr() == errors
+
+
+def _scipy_lbfgsb(value, gradient, x, maxfev):
     """The oracle for measstruct._bfgs: scipy's L-BFGS-B on the same
     objective and gradient, to the same relative decrease."""
     from scipy.optimize import minimize
 
-    res = minimize(lambda v: fun(v)[:2], x, jac=True, method="L-BFGS-B",
+    res = minimize(lambda v: (value(v)[0], gradient()), x, jac=True, method="L-BFGS-B",
                    options={"maxfun": maxfev, "ftol": measstruct._FTOL, "gtol": 0.0})
-    return res.x, fun(res.x)[2], res.nfev
+    return res.x, value(res.x)[1], res.nfev
 
 
 @pytest.mark.parametrize("n", [2, 3])
